@@ -5,64 +5,36 @@ trace), ``sweep-m`` (one aggregate over a grid of inner-iteration
 counts) and ``compare`` (one aggregate over a set of methods).  Every
 subcommand accepts ``--config FILE`` holding ``key = value`` lines with
 keys named exactly like the long flags; explicit flags override the
-file, which overrides the built-in defaults.
+file, which overrides the defaults.  Keys that name no flag of the
+subcommand are ignored, and a switch such as ``no-reuse`` is set by
+the values 1, true, yes or on.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 I/O error,
-3 numerical fault outside the recorded sentinels.
+Solver and problem defaults are declared once, as the field defaults of
+:class:`~specsum.solvers.SolverConfig` and
+:class:`~specsum.harness.ExperimentSpec`: a flag of ``run``, ``sweep-m``
+or ``compare`` that is neither given nor in the file leaves its field
+at that default.
+
+Exit codes: 0 success, 1 usage/configuration error, 2 I/O error
+(including malformed or non-finite dataset values), 3 numerical fault
+outside the recorded sentinels (a singular instance, reported by numpy
+as ``LinAlgError``, or an ``ArithmeticError``).
 """
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import harness
 from .problems import DatasetFormatError
-from .solvers import SolverConfig
+from .solvers import SAMPLERS, SolverConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
-
-DEFAULTS = {
-    "family": "quadratic",
-    "n": None,
-    "N": None,
-    "problem-seed": 0,
-    "instance": None,
-    "dataset": None,
-    "lambda": 1e-4,
-    "method": "slises",
-    "m": 3,
-    "S": 1,
-    "eta": 1e-4,
-    "gamma-min": 1e-8,
-    "gamma-max": 1e8,
-    "delta": 0.1,
-    "maxiter": 100,
-    "sampler": "uniform",
-    "eps": 1.0,
-    "eta0": None,
-    "eta1": None,
-    "beta": None,
-    "p": None,
-    "no-reuse": False,
-    "no-damping": False,
-    "seed": 0,
-    "seeds": "0",
-    "out": "runs",
-    "aggregate": "median",
-    "m-grid": "1,3,5,10",
-    "methods": "slises-ais,slises-uni,spectral-full",
-}
-
-_CASTS = {
-    "n": int, "N": int, "problem-seed": int, "m": int, "S": int,
-    "maxiter": int, "p": int, "seed": int,
-    "eta": float, "gamma-min": float, "gamma-max": float, "delta": float,
-    "eps": float, "lambda": float, "eta0": float, "eta1": float, "beta": float,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _read_config_file(path):
@@ -87,211 +59,173 @@ def _read_config_file(path):
     return values
 
 
-def _cast(key, raw):
-    if raw is None:
-        return None
-    if key in ("no-reuse", "no-damping"):
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).lower() in ("1", "true", "yes", "on")
-    cast = _CASTS.get(key, str)
-    return cast(raw)
-
-
-class Settings:
-    """Flag > config file > default, per key."""
-
-    def __init__(self, args):
-        self._cli = vars(args)
-        self._file = _read_config_file(args.config) if args.config else {}
-
-    def get_raw(self, key):
-        """Flag or config-file value only; None when neither is set."""
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        cli = self._cli.get(dest)
-        if cli is not None:
-            return _cast(key, cli)
-        if key in self._file:
-            return _cast(key, self._file[key])
-        return None
-
-    def get(self, key):
-        raw = self.get_raw(key)
-        if raw is not None:
-            return raw
-        return _cast(key, DEFAULTS.get(key))
+def _tokens(text):
+    return str(text).replace(",", " ").split()
 
 
 def _int_list(text):
-    toks = [t for t in str(text).replace(",", " ").split() if t]
-    return [int(t) for t in toks]
+    return [int(t) for t in _tokens(text)]
 
 
-def _add_problem_flags(p):
-    p.add_argument("--instance", help="frozen .npz problem instance")
-    p.add_argument("--dataset", help="dataset file (logistic regression)")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="L2 regularization (default 1e-4)")
-    p.add_argument("--n", type=int, help="dimension of a generated quadratic")
-    p.add_argument("--N", type=int, help="component count of a generated quadratic")
-    p.add_argument("--problem-seed", type=int, help="generator seed for the instance")
+_PROBLEM_FLAGS = (
+    ("--instance", {"help": "frozen .npz problem instance"}),
+    ("--dataset", {"help": "dataset file (logistic regression)"}),
+    ("--lambda", {"dest": "lam", "type": float, "help": "L2 regularization"}),
+    ("--n", {"type": int, "help": "dimension of a generated quadratic"}),
+    ("--N", {"type": int, "help": "component count of a generated quadratic"}),
+    ("--problem-seed", {"type": int, "help": "generator seed for the instance"}),
+)
 
+_SOLVER_FLAGS = (
+    ("--method", {"help": "solver method"}),
+    ("--m", {"type": int, "help": "inner-iteration count"}),
+    ("--S", {"type": int, "help": "sample size"}),
+    ("--eta", {"type": float, "help": "Armijo constant"}),
+    ("--gamma-min", {"type": float}),
+    ("--gamma-max", {"type": float}),
+    ("--delta", {"type": float, "help": "extra damping exponent"}),
+    ("--maxiter", {"type": int}),
+    ("--sampler", {"choices": SAMPLERS}),
+    ("--eps", {"type": float, "help": "importance-sampling decay exponent"}),
+    ("--eta0", {"type": float}),
+    ("--eta1", {"type": float}),
+    ("--beta", {"type": float}),
+    ("--p", {"type": int, "help": "epoch length for the BB baselines"}),
+    ("--no-reuse", {"dest": "reuse", "action": "store_false",
+                    "help": "re-evaluate the base estimator value every iteration"}),
+    ("--no-damping", {"dest": "damping", "action": "store_false",
+                      "help": "clip the coefficient but skip the 1/k division"}),
+)
 
-def _add_solver_flags(p):
-    p.add_argument("--method", help="solver method")
-    p.add_argument("--m", type=int, help="inner-iteration count")
-    p.add_argument("--S", type=int, help="sample size")
-    p.add_argument("--eta", type=float, help="Armijo constant")
-    p.add_argument("--gamma-min", type=float)
-    p.add_argument("--gamma-max", type=float)
-    p.add_argument("--delta", type=float, help="extra damping exponent")
-    p.add_argument("--maxiter", type=int)
-    p.add_argument("--sampler", choices=("uniform", "ais"))
-    p.add_argument("--eps", type=float, help="importance-sampling decay exponent")
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--p", type=int, help="epoch length for the BB baselines")
-    p.add_argument("--no-reuse", action="store_const", const=True, default=None,
-                   help="re-evaluate the base estimator value every iteration")
-    p.add_argument("--no-damping", action="store_const", const=True, default=None,
-                   help="clip the coefficient but skip the 1/k division")
+_OUT_DIR_FLAG = ("--out", {"dest": "out_dir", "metavar": "DIR", "help": "output directory"})
+
+_AGGREGATE_FLAGS = (
+    ("--seeds", {"type": _int_list, "default": "0", "help": "comma-separated seeds"}),
+    ("--aggregate", {"dest": "aggregation", "choices": harness.AGGREGATIONS}),
+    _OUT_DIR_FLAG,
+)
+
+# name -> (help, flags); the flags of run, sweep-m and compare default to
+# SUPPRESS, so an absent flag leaves its dataclass field at its default
+_SUBCOMMANDS = {
+    "generate": ("freeze a random problem instance", (
+        ("--family", {"default": harness.ExperimentSpec.family}),
+        ("--n", {"type": int}),
+        ("--N", {"type": int}),
+        ("--seed", {"type": int, "default": harness.ExperimentSpec.problem_seed}),
+        ("--out", {"help": "output .npz path"}),
+    )),
+    "run": ("one solver run, one trace CSV", _PROBLEM_FLAGS + _SOLVER_FLAGS + (
+        ("--seed", {"type": int}),
+        _OUT_DIR_FLAG,
+    )),
+    "sweep-m": ("aggregate over a grid of m values", _PROBLEM_FLAGS + _SOLVER_FLAGS + (
+        ("--m-grid", {"type": _int_list, "default": "1,3,5,10",
+                      "help": "comma-separated m values"}),
+    ) + _AGGREGATE_FLAGS),
+    "compare": ("aggregate over a set of methods", _PROBLEM_FLAGS + _SOLVER_FLAGS + (
+        ("--methods", {"type": _tokens, "default": "slises-ais,slises-uni,spectral-full",
+                       "help": "comma-separated method tokens"}),
+    ) + _AGGREGATE_FLAGS),
+}
 
 
 def build_parser():
+    """The parser, and per subcommand its flag actions by config-file key."""
     parser = _Parser(prog="specsum",
                      description="Finite-sum spectral-gradient benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="freeze a random problem instance")
-    g.add_argument("--config")
-    g.add_argument("--family")
-    g.add_argument("--n", type=int)
-    g.add_argument("--N", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", help="output .npz path")
-
-    r = sub.add_parser("run", help="one solver run, one trace CSV")
-    r.add_argument("--config")
-    _add_problem_flags(r)
-    _add_solver_flags(r)
-    r.add_argument("--seed", type=int)
-    r.add_argument("--out", help="output directory")
-
-    s = sub.add_parser("sweep-m", help="aggregate over a grid of m values")
-    s.add_argument("--config")
-    _add_problem_flags(s)
-    _add_solver_flags(s)
-    s.add_argument("--m-grid", help="comma-separated m values")
-    s.add_argument("--seeds", help="comma-separated seeds")
-    s.add_argument("--aggregate", choices=harness.AGGREGATIONS)
-    s.add_argument("--out", help="output directory")
-
-    c = sub.add_parser("compare", help="aggregate over a set of methods")
-    c.add_argument("--config")
-    _add_problem_flags(c)
-    _add_solver_flags(c)
-    c.add_argument("--methods", help="comma-separated method tokens")
-    c.add_argument("--seeds", help="comma-separated seeds")
-    c.add_argument("--aggregate", choices=harness.AGGREGATIONS)
-    c.add_argument("--out", help="output directory")
-    return parser
+    keyed = {}
+    for name, (summary, flags) in _SUBCOMMANDS.items():
+        default = None if name == "generate" else argparse.SUPPRESS
+        p = sub.add_parser(name, help=summary, argument_default=default)
+        p.add_argument("--config", default=None, help="key = value file of flag values")
+        keyed[name] = (p, {flag[2:]: p.add_argument(flag, **kw) for flag, kw in flags})
+    return parser, keyed
 
 
-def _experiment_spec(st):
-    return harness.ExperimentSpec(
-        family=st.get("family") or "quadratic",
-        n=st.get("n"), N=st.get("N"), problem_seed=st.get("problem-seed"),
-        instance=st.get("instance"), dataset=st.get("dataset"),
-        lam=st.get("lambda"), out_dir=st.get("out"),
-        aggregation=st.get("aggregate"))
+def _apply_config(parser, actions, path):
+    """Make the file's values the parser's defaults: flag > file > default.
+
+    A string default is converted by argparse with the flag's own type.
+    """
+    for key, raw in _read_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
+            continue  # no flag of this subcommand names the key
+        if action.nargs == 0:  # a switch such as --no-reuse
+            if raw.lower() in ("1", "true", "yes", "on"):
+                action.default = action.const
+        elif action.choices is not None and raw not in action.choices:
+            parser.error(f"{path}: {key} = {raw!r} is not one of {', '.join(action.choices)}")
+        else:
+            action.default = raw
 
 
-def _solver_config(st, **overrides):
-    cfg = SolverConfig(
-        method=st.get("method"), m=st.get("m"), S=st.get("S"),
-        eta=st.get("eta"), gamma_min=st.get("gamma-min"),
-        gamma_max=st.get("gamma-max"), delta=st.get("delta"),
-        maxiter=st.get("maxiter"), sampler=st.get("sampler"),
-        eps=st.get("eps"), seed=st.get("seed"),
-        eta0=st.get("eta0"), eta1=st.get("eta1"),
-        beta=st.get("beta"), p=st.get("p"),
-        reuse=not st.get("no-reuse"), damping=not st.get("no-damping"))
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    return cfg
+def _from_flags(cls, args):
+    """A ``cls`` dataclass holding the parsed values that name its fields."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
-def _method_token(token, st):
+_METHOD_TOKENS = {  # compare token -> (method, sampler; None keeps --sampler)
+    "slises-ais": ("slises", "ais"),
+    "slises-uni": ("slises", "uniform"),
+    "slises-uniform": ("slises", "uniform"),
+    "slises": ("slises", None),
+    "slises-modified": ("slises-modified", None),
+    "slises-mod": ("slises-modified", None),
+    "spectral-full": ("spectral-full", None),
+    "sgd": ("sgd", "uniform"),
+    "svrg-bb": ("svrg-bb", "uniform"),
+    "sgd-bb": ("sgd-bb", "uniform"),
+    "sgd-bb-smooth": ("sgd-bb-smooth", "uniform"),
+}
+
+
+def _method_config(token, base):
     """Translate a compare token into a solver config."""
-    damping = not st.get("no-damping")
+    damping = base.damping
     if token.endswith("-nodamp"):
         damping = False
         token = token[: -len("-nodamp")]
-    table = {
-        "slises-ais": ("slises", "ais"),
-        "slises-uni": ("slises", "uniform"),
-        "slises-uniform": ("slises", "uniform"),
-        "slises": ("slises", st.get("sampler")),
-        "slises-modified": ("slises-modified", st.get("sampler")),
-        "slises-mod": ("slises-modified", st.get("sampler")),
-        "spectral-full": ("spectral-full", st.get("sampler")),
-        "sgd": ("sgd", "uniform"),
-        "svrg-bb": ("svrg-bb", "uniform"),
-        "sgd-bb": ("sgd-bb", "uniform"),
-        "sgd-bb-smooth": ("sgd-bb-smooth", "uniform"),
-    }
-    if token not in table:
+    if token not in _METHOD_TOKENS:
         raise ValueError(f"unknown method token {token!r}")
-    method, sampler = table[token]
-    return _solver_config(st, method=method, sampler=sampler, damping=damping)
+    method, sampler = _METHOD_TOKENS[token]
+    return replace(base, method=method, sampler=sampler or base.sampler, damping=damping)
 
 
 def cmd_generate(args):
-    st = Settings(args)
-    family = st.get("family") or "quadratic"
-    n, N = st.get("n"), st.get("N")
-    out = st.get_raw("out")
-    if not n or not N or not out:
+    if not args.n or not args.N or not args.out:
         raise ValueError("generate needs --n, --N and --out FILE")
-    path = harness.generate_instance(family, n, N, st.get("seed"), out)
-    print(path)
+    print(harness.generate_instance(args.family, args.n, args.N, args.seed, args.out))
     return EXIT_OK
 
 
 def cmd_run(args):
-    st = Settings(args)
-    spec = _experiment_spec(st)
+    spec = _from_flags(harness.ExperimentSpec, args)
     problem = spec.build_problem()
-    cfg = _solver_config(st)
-    path, _ = harness.run_single(problem, cfg, st.get("seed"), spec.out_dir)
+    cfg = _from_flags(SolverConfig, args)
+    path, _ = harness.run_single(problem, cfg, cfg.seed, spec.out_dir)
     print(path)
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    st = Settings(args)
-    spec = _experiment_spec(st)
+    spec = _from_flags(harness.ExperimentSpec, args)
     problem = spec.build_problem()
-    base = _solver_config(st)
-    m_values = _int_list(st.get("m-grid"))
-    seeds = _int_list(st.get("seeds"))
-    _, agg = harness.sweep_m(problem, base, m_values, seeds, spec.out_dir,
-                             how=spec.aggregation)
+    _, agg = harness.sweep_m(problem, _from_flags(SolverConfig, args), args.m_grid,
+                             args.seeds, spec.out_dir, how=spec.aggregation)
     print(agg)
     return EXIT_OK
 
 
 def cmd_compare(args):
-    st = Settings(args)
-    spec = _experiment_spec(st)
+    spec = _from_flags(harness.ExperimentSpec, args)
     problem = spec.build_problem()
-    tokens = [t for t in str(st.get("methods")).replace(",", " ").split() if t]
-    configs = [_method_token(tok, st) for tok in tokens]
-    seeds = _int_list(st.get("seeds"))
-    _, agg = harness.compare_methods(problem, configs, seeds, spec.out_dir,
+    base = _from_flags(SolverConfig, args)
+    configs = [_method_config(tok, base) for tok in args.methods]
+    _, agg = harness.compare_methods(problem, configs, args.seeds, spec.out_dir,
                                      how=spec.aggregation)
     print(agg)
     return EXIT_OK
@@ -306,25 +240,27 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, keyed = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(*keyed[args.command], args.config)
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    try:
-        return _COMMANDS[args.command](args)
     except DatasetFormatError as exc:
         print(f"specsum: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"specsum: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"specsum: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"specsum: numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"specsum: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

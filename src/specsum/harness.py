@@ -21,7 +21,7 @@ across processes.  Output files are written atomically (temp + rename).
 
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ AGGREGATIONS = ("per-run", "median", "mean")
 
 @dataclass
 class ExperimentSpec:
-    """Problem source plus the solver configurations and seeds to run."""
+    """Problem source, output directory and seed reduction of an experiment."""
 
     family: str = "quadratic"
     n: int = None
@@ -53,10 +53,7 @@ class ExperimentSpec:
     problem_seed: int = 0
     instance: str = None
     dataset: str = None
-    data_format: str = None
     lam: float = 1e-4
-    configs: list = field(default_factory=list)
-    seeds: list = field(default_factory=lambda: [0])
     out_dir: str = "runs"
     aggregation: str = "median"
 
@@ -64,8 +61,7 @@ class ExperimentSpec:
         if self.instance:
             return load_instance(self.instance)
         if self.dataset:
-            fmt = self.data_format or detect_format(self.dataset)
-            records = load_dataset(self.dataset, fmt)
+            records = load_dataset(self.dataset, detect_format(self.dataset))
             return logistic_problem(records, self.lam)
         if self.family != "quadratic":
             raise ValueError(f"unknown problem family {self.family!r}")
@@ -217,10 +213,6 @@ def write_aggregate(path, grid, columns, header=None):
         lines.append(",".join([_fmt(float(g))] + [_fmt(float(c[i])) for c in cols]))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
-
-
-def read_aggregate(path):
-    return read_trace(path)
 
 
 # ---------------------------------------------------------------------------

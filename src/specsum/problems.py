@@ -61,6 +61,10 @@ class FiniteSumProblem:
         Known exact solution, when available.
     label : str
         Problem name used in trace headers.
+
+    Subclasses also provide vectorized ``batch_value(indices, x)``,
+    ``batch_gradient(indices, x)``, ``full_value(x)`` and
+    ``full_gradient(x)``.
     """
 
     N = 0
@@ -75,23 +79,6 @@ class FiniteSumProblem:
 
     def component_gradient(self, i, x):
         raise NotImplementedError
-
-    def batch_value(self, indices, x):
-        idx = np.asarray(indices, dtype=np.int64)
-        return sum(self.component_value(i, x) for i in idx) / idx.size
-
-    def batch_gradient(self, indices, x):
-        idx = np.asarray(indices, dtype=np.int64)
-        g = np.zeros(self.n)
-        for i in idx:
-            g += self.component_gradient(i, x)
-        return g / idx.size
-
-    def full_value(self, x):
-        return self.batch_value(np.arange(self.N), x)
-
-    def full_gradient(self, x):
-        return self.batch_gradient(np.arange(self.N), x)
 
 
 class QuadraticProblem(FiniteSumProblem):
@@ -351,7 +338,9 @@ def load_dataset(path, format):
     with 1-based indices) or ``"dense-delimited"`` (label in the first
     column, delimiter auto-detected among comma/space/tab).  Raw labels
     are normalized to {-1, +1}: a two-valued label column maps its
-    larger value to +1, otherwise positive labels map to +1.
+    larger value to +1, otherwise positive labels map to +1.  A
+    non-finite label or feature value raises :class:`DatasetFormatError`
+    naming its line.
     """
     aliases = {"sparse": SPARSE_FORMAT, SPARSE_FORMAT: SPARSE_FORMAT,
                "dense": DENSE_FORMAT, DENSE_FORMAT: DENSE_FORMAT}
@@ -366,6 +355,10 @@ def load_dataset(path, format):
         feats, raw = _parse_sparse(lines)
     else:
         feats, raw = _parse_dense(lines)
+    finite = np.isfinite(raw) & np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        lineno = lines[int(np.argmin(finite))][0]
+        raise DatasetFormatError(f"line {lineno}: non-finite label or feature value")
     labels = _normalize_labels(raw)
     N, n = feats.shape
     return DatasetRecords(features=feats, labels=labels, n=n, N=N)

@@ -96,12 +96,14 @@ def ais_update_scores(state, previous_sample, gradient_norms):
     """Overwrite scores of the previously sampled indices.
 
     Each score becomes the component gradient norm at the previous
-    iterate, floored at ``SCORE_FLOOR`` so the score sum stays positive.
+    iterate, floored at ``SCORE_FLOOR`` so the score sum stays positive
+    and finite; a non-finite norm (a diverging run) maps to the floor.
     Duplicated indices keep the last value; all other scores are
     unchanged.
     """
     norms = np.asarray(gradient_norms, dtype=np.float64)
     if norms.shape != (len(previous_sample),):
         raise ValueError("one gradient norm per sampled index is required")
+    norms = np.where(np.isfinite(norms), norms, SCORE_FLOOR)
     for i, gn in zip(previous_sample.indices, norms):
         state.pi[i] = max(float(gn), SCORE_FLOOR)

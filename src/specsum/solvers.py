@@ -37,7 +37,7 @@ svrg-bb / sgd-bb / sgd-bb-smooth
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,16 +179,11 @@ class _Driver:
             indices=tuple(int(i) for i in indices)))
 
     def header(self):
-        cfg = self.config
-        P = self.problem
+        cfg, P = self.config, self.problem
+        params = asdict(cfg)  # field order is the header's key order
+        del params["method"], params["label"]
         return {
-            "method": cfg.method, "label": cfg.display_label(),
-            "m": cfg.m, "S": cfg.S, "eta": cfg.eta,
-            "gamma_min": cfg.gamma_min, "gamma_max": cfg.gamma_max,
-            "delta": cfg.delta, "maxiter": cfg.maxiter,
-            "sampler": cfg.sampler, "eps": cfg.eps, "seed": cfg.seed,
-            "eta0": cfg.eta0, "eta1": cfg.eta1, "beta": cfg.beta, "p": cfg.p,
-            "reuse": cfg.reuse, "damping": cfg.damping,
+            "method": cfg.method, "label": cfg.display_label(), **params,
             "problem": P.label, "N": P.N, "n": P.n,
             "lipschitz": P.lipschitz, "backend": BACKEND,
         }

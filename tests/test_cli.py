@@ -7,6 +7,7 @@ import pytest
 
 from specsum.cli import main
 from specsum.harness import read_trace
+from specsum.problems import generate_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,15 @@ class TestGenerate:
 
     def test_writes_instance(self, instance):
         assert os.path.exists(instance)
+
+    def test_config_file_supplies_dimensions_and_out(self, tmp_path, capsys):
+        out = tmp_path / "cfg.npz"
+        cfgfile = tmp_path / "gen.cfg"
+        cfgfile.write_text(f"n = 2\nN = 4\nseed = 3\nout = {out}\n")
+        assert main(["generate", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out.strip() == str(out)
+        with np.load(out) as data:
+            assert data["A"].shape == (4, 2, 2) and int(data["seed"]) == 3
 
 
 class TestRun:
@@ -49,6 +59,32 @@ class TestRun:
         assert header["m"] == "4"  # config file beats the default 3
         assert header["sampler"] == "ais"
         assert header["eta"] == "0.0001"  # untouched default
+
+    def test_switch_in_config_file(self, instance, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("no-reuse = yes\nmaxiter = 4\n")
+        rc = main(["run", "--instance", instance, "--config", str(cfgfile),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 0
+        header, rows = read_trace(capsys.readouterr().out.strip())
+        assert header["reuse"] == "0" and header["damping"] == "1"
+        assert len(rows["k"]) == 5
+
+    def test_keys_without_a_flag_are_ignored(self, instance, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("m-grid = 1,2\nmethods = sgd\nfrobnicate = 3\nmaxiter = 4\n")
+        rc = main(["run", "--instance", instance, "--config", str(cfgfile),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 0
+        header, _ = read_trace(capsys.readouterr().out.strip())
+        assert header["method"] == "slises" and header["m"] == "3"
+
+    def test_family_key_is_not_read_without_a_flag(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("family = rosenbrock\n")
+        rc = main(["run", "--n", "3", "--N", "5", "--maxiter", "4",
+                   "--config", str(cfgfile), "--out", str(tmp_path / "r")])
+        assert rc == 0
 
     def test_no_reuse_flag(self, instance, tmp_path, capsys):
         out = str(tmp_path / "r")
@@ -100,6 +136,23 @@ class TestSweepAndCompare:
         _, rows = read_trace(capsys.readouterr().out.strip())
         assert set(rows) == {"cum_evals", "slises-ais-m3", "sgd", "svrg-bb"}
 
+    def test_diverging_ais_run_leaves_the_others(self, tmp_path, capsys):
+        # a stiff instance on which slises-modified with AIS and m=2 diverges
+        P = generate_quadratic(5, 20, np.random.default_rng(0))
+        stiff = str(tmp_path / "stiff.npz")
+        np.savez(stiff, A=P.A * 1e3, b=P.b, lipschitz=P.lipschitz * 1e3, seed=0)
+        out = tmp_path / "c"
+        with np.errstate(all="ignore"):
+            rc = main(["compare", "--instance", stiff, "--methods", "slises-modified,sgd",
+                       "--sampler", "ais", "--m", "2", "--seeds", "0", "--out", str(out)])
+        assert rc == 0
+        _, agg = read_trace(capsys.readouterr().out.strip())
+        assert set(agg) == {"cum_evals", "slises-mod-m2-d0.1", "sgd"}
+        _, rows = read_trace(str(out / "slises-mod-m2-d0.1_seed0.csv"))
+        assert len(rows["k"]) < 101 and not np.isfinite(rows["f_full"][-1])
+        assert np.all(np.isfinite(rows["f_full"][:-1]))
+        assert os.path.exists(out / "sgd_seed0.csv")
+
     def test_nodamp_token(self, instance, tmp_path, capsys):
         rc = main(["compare", "--instance", instance,
                    "--methods", "slises-uni,slises-uni-nodamp",
@@ -118,6 +171,18 @@ class TestExitCodes:
         assert main(["compare", "--instance", instance, "--methods", "foo",
                      "--seeds", "0", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("line", ["m = abc", "sampler = halton", "maxiter"])
+    def test_bad_config_value_is_a_usage_error(self, instance, tmp_path, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(line + "\n")
+        assert main(["run", "--instance", instance, "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 1
+
+    def test_missing_config_file_is_an_io_error(self, instance, tmp_path):
+        assert main(["run", "--instance", instance, "--config",
+                     str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
+        assert main(["generate", "--config", str(tmp_path / "missing.cfg")]) == 2
+
     def test_io_errors(self, tmp_path):
         assert main(["run", "--instance", str(tmp_path / "missing.npz"),
                      "--out", str(tmp_path)]) == 2
@@ -127,3 +192,15 @@ class TestExitCodes:
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         assert main(["run", "--dataset", str(empty), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", ["1 1:nan 2:1.0\n0 1:1.0\n", "1,nan,1.0\n0,1.0,2.0\n"])
+    def test_nonfinite_dataset_is_an_io_error(self, tmp_path, text):
+        data = tmp_path / "nan.txt"
+        data.write_text(text)
+        assert main(["run", "--dataset", str(data), "--out", str(tmp_path)]) == 2
+
+    def test_singular_instance_is_a_numerical_fault(self, tmp_path, capsys):
+        inst = str(tmp_path / "zero.npz")
+        np.savez(inst, A=np.zeros((3, 2, 2)), b=np.ones((3, 2)), lipschitz=1.0, seed=0)
+        assert main(["run", "--instance", inst, "--out", str(tmp_path)]) == 3
+        assert "numerical fault" in capsys.readouterr().err

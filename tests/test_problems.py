@@ -253,6 +253,28 @@ class TestDatasetLoader:
         with pytest.raises(DatasetFormatError, match="line 2"):
             load_dataset(str(f), "dense")
 
+    @pytest.mark.parametrize("text,line", [
+        ("1 1:0.5\n1 1:nan 2:1.0\n", "line 2"),
+        ("1 1:0.5\n0 2:inf\n", "line 2"),
+        ("nan 1:0.5\n1 1:1.0\n", "line 1"),
+    ])
+    def test_sparse_nonfinite_values_rejected(self, tmp_path, text, line):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        with pytest.raises(DatasetFormatError, match=line):
+            load_dataset(str(f), "sparse")
+
+    @pytest.mark.parametrize("text,line", [
+        ("1,0.5,2.0\n1,nan,1.0\n", "line 2"),
+        ("1,-inf,2.0\n1,0.5,1.0\n", "line 1"),
+        ("1,0.5,2.0\n\ninf,0.5,1.0\n", "line 3"),
+    ])
+    def test_dense_nonfinite_values_rejected(self, tmp_path, text, line):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        with pytest.raises(DatasetFormatError, match=line):
+            load_dataset(str(f), "dense")
+
     def test_zero_feature_index_rejected(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("1 0:0.5\n")

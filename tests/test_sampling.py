@@ -153,6 +153,13 @@ class TestAisScoreUpdate:
         assert state.pi[1] == 1e-12
         assert state.pi.sum() > 0
 
+    def test_nonfinite_norms_floored(self):
+        state = AisState(pi=np.ones(4))
+        ais_update_scores(state, SampleBatch([0, 1, 2]), [np.nan, np.inf, 2.5])
+        assert np.array_equal(state.pi, [1e-12, 1e-12, 2.5, 1.0])
+        p = ais_probabilities(state, 3)
+        assert np.all(np.isfinite(p)) and p.sum() == pytest.approx(1.0)
+
     def test_duplicate_index_keeps_last(self):
         state = AisState(pi=np.ones(3))
         ais_update_scores(state, SampleBatch([2, 2]), [5.0, 7.0])
