@@ -13,10 +13,10 @@ A run whose reported objective turns non-finite writes that row (the
 float's own 'inf'/'nan' text acts as the sentinel) and the curve stops
 there; other runs in the batch are unaffected.
 
-Cells of a (config x seed) grid are independent: problem oracles are
-immutable and shared read-only, every run owns its generator and meter,
-and each config gets its own seed stream, so callers may fan cells out
-across processes.  Output files are written atomically (temp + rename).
+Cells of a (config x seed) grid run one after another and are
+independent: problem oracles are immutable and shared read-only, every
+run owns its generator and meter, and each config gets its own seed
+stream.  Output files are written atomically (temp + rename).
 """
 
 import os

@@ -35,11 +35,10 @@ class ArmijoContext:
 
 @dataclass
 class LspResult:
-    """Accepted step, trial count, charged evaluations and status."""
+    """Accepted step, trial count and status."""
 
     alpha: float
     trials: int
-    evals_charged: int
     status: str
     phi_alpha: float = np.nan
 
@@ -66,28 +65,25 @@ def interp_candidate(dm, alpha, phi_alpha, phi0):
     return cand
 
 
-def lsp_search(phi, ctx, base_fresh=True, max_trials=MAX_TRIALS):
+def lsp_search(phi, ctx, max_trials=MAX_TRIALS):
     """Find an accepted step in (0, 1] for the 1-D estimator ``phi``.
 
-    ``phi(alpha)`` evaluates the subsample value at the trial point and
-    is expected to charge the evaluation meter itself.  ``base_fresh``
-    states whether ctx.phi0 was freshly evaluated (and charged) by the
-    caller, so the result's ``evals_charged`` counts it.
+    ``phi(alpha)`` evaluates the subsample value at the trial point;
+    whatever it costs is charged by ``phi`` itself.
 
     If ``max_trials`` tests all fail the last trial step is returned
     with status ``budget_exhausted``; the final trial value is reported
     either way so callers can reuse it as the next base value.
     """
-    base = 1 if base_fresh else 0
     alpha = 1.0
     trials = 0
     while True:
         phi_a = float(phi(alpha))
         trials += 1
         if armijo_holds(phi_a, ctx, alpha):
-            return LspResult(alpha, trials, trials + base, ACCEPTED, phi_a)
+            return LspResult(alpha, trials, ACCEPTED, phi_a)
         if trials >= max_trials:
-            return LspResult(alpha, trials, trials + base, BUDGET_EXHAUSTED, phi_a)
+            return LspResult(alpha, trials, BUDGET_EXHAUSTED, phi_a)
         if alpha > 0.1:
             alpha = interp_candidate(ctx.dm, alpha, phi_a, ctx.phi0)
         else:

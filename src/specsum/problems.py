@@ -4,10 +4,9 @@ A problem is the average of N smooth component functions.  Two families
 are provided: sums of strictly convex quadratics with a controlled
 eigenvalue spectrum, and L2-regularized logistic regression over a
 labeled dataset.  Component, subsample-averaged and full values and
-gradients are exposed, together with the evaluation meter used by the
-benchmark cost model (one unit per component inside each estimator
-*value* call; gradients are free, and full values computed for
-reporting are never charged).
+gradients are exposed, together with the cost meter of the benchmark
+cost model, which the estimator entry points at the end of this module
+charge when they are handed one.
 """
 
 from dataclasses import dataclass
@@ -24,21 +23,19 @@ class DatasetFormatError(ValueError):
     """Raised for unreadable, empty, or malformed dataset files."""
 
 
+@dataclass(slots=True)
 class EvalMeter:
-    """Cumulative function-evaluation units.
+    """The two cumulative cost columns of a run.
 
-    Charged ``S`` units each time a size-``S`` subsample value estimate
-    is computed.  Gradient estimates and reporting-only full values do
-    not touch the meter.
+    ``count`` (``cum_evals``) is charged ``S`` units per size-``S``
+    subsample value estimate; ``grad_count`` (``grad_pass_cost``) is
+    charged ``S`` per size-``S`` gradient estimate and ``N`` per full
+    gradient pass.  Values and gradients computed for reporting are
+    never charged.
     """
 
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def charge(self, units):
-        self.count += int(units)
+    count: int = 0
+    grad_count: int = 0
 
 
 def _as_rng(rng):
@@ -365,20 +362,24 @@ def load_dataset(path, format):
 
 
 # ---------------------------------------------------------------------------
-# estimator entry points used by the solvers
+# estimator entry points used by the solvers; each charges ``meter``
+# when one is passed, and reporting passes none
 
 
 def batch_value(problem, sample, x, meter=None):
-    """Subsample-averaged value; charges ``S`` units to the meter."""
+    """Subsample-averaged value; charges ``S`` value units."""
     v = problem.batch_value(sample.indices, x)
     if meter is not None:
-        meter.charge(len(sample.indices))
+        meter.count += len(sample.indices)
     return v
 
 
-def batch_gradient(problem, sample, x):
-    """Subsample-averaged gradient; never touches the meter."""
-    return problem.batch_gradient(sample.indices, x)
+def batch_gradient(problem, sample, x, meter=None):
+    """Subsample-averaged gradient; charges ``S`` gradient units."""
+    g = problem.batch_gradient(sample.indices, x)
+    if meter is not None:
+        meter.grad_count += len(sample.indices)
+    return g
 
 
 def full_value(problem, x):
@@ -386,6 +387,9 @@ def full_value(problem, x):
     return problem.full_value(x)
 
 
-def full_gradient(problem, x):
-    """Exact mean gradient over all components (reporting only, unmetered)."""
-    return problem.full_gradient(x)
+def full_gradient(problem, x, meter=None):
+    """Exact mean gradient over all components; charges ``N`` gradient units."""
+    g = problem.full_gradient(x)
+    if meter is not None:
+        meter.grad_count += problem.N
+    return g

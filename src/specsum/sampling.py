@@ -16,11 +16,9 @@ SCORE_FLOOR = 1e-12
 
 @dataclass
 class SampleBatch:
-    """An index batch of size S, with the iteration it was drawn at."""
+    """An index batch of size S."""
 
     indices: np.ndarray
-    drawn_at: int = 0
-    resampled: bool = True
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -60,15 +58,14 @@ def should_resample(k, m):
     return k % m == 0
 
 
-def uniform_draw(N, S, rng, k=0):
+def uniform_draw(N, S, rng):
     """Draw S distinct indices uniformly among size-S subsets of 0..N-1."""
     if not 1 <= S <= N:
         raise ValueError(f"need 1 <= S <= N, got S={S}, N={N}")
-    idx = rng.choice(N, size=S, replace=False)
-    return SampleBatch(indices=idx, drawn_at=k, resampled=True)
+    return SampleBatch(rng.choice(N, size=S, replace=False))
 
 
-def ais_probabilities(state, k, N=None):
+def ais_probabilities(state, k):
     """Component probabilities at iteration k >= 1.
 
     p_j = (1/k**eps) * pi_j / sum(pi) + (1 - 1/k**eps) / N, which sums
@@ -76,34 +73,32 @@ def ais_probabilities(state, k, N=None):
     """
     if k < 1:
         raise ValueError("iteration counter must be >= 1")
-    if N is None:
-        N = state.pi.size
     total = state.pi.sum()
     if total <= 0:
         raise ValueError("scores must have a positive sum")
     a = float(k) ** -float(state.eps)
-    return a * (state.pi / total) + (1.0 - a) / N
+    return a * (state.pi / total) + (1.0 - a) / state.pi.size
 
 
 def ais_draw(state, k, S, rng):
     """Draw S indices i.i.d. (with replacement) from the decayed scores."""
     p = ais_probabilities(state, k)
-    idx = rng.choice(state.pi.size, size=S, replace=True, p=p)
-    return SampleBatch(indices=idx, drawn_at=k, resampled=True)
+    return SampleBatch(rng.choice(state.pi.size, size=S, replace=True, p=p))
 
 
 def ais_update_scores(state, previous_sample, gradient_norms):
     """Overwrite scores of the previously sampled indices.
 
     Each score becomes the component gradient norm at the previous
-    iterate, floored at ``SCORE_FLOOR`` so the score sum stays positive
-    and finite; a non-finite norm (a diverging run) maps to the floor.
-    Duplicated indices keep the last value; all other scores are
-    unchanged.
+    iterate, clipped into [``SCORE_FLOOR``, max float / (2N)] so the sum
+    of the N scores stays positive and finite; a non-finite norm (a
+    diverging run) maps to the floor.  Duplicated indices keep the last
+    value; all other scores are unchanged.
     """
     norms = np.asarray(gradient_norms, dtype=np.float64)
     if norms.shape != (len(previous_sample),):
         raise ValueError("one gradient norm per sampled index is required")
-    norms = np.where(np.isfinite(norms), norms, SCORE_FLOOR)
+    ceiling = np.finfo(np.float64).max / (2 * state.pi.size)
+    norms = np.clip(np.where(np.isfinite(norms), norms, SCORE_FLOOR), SCORE_FLOOR, ceiling)
     for i, gn in zip(previous_sample.indices, norms):
-        state.pi[i] = max(float(gn), SCORE_FLOOR)
+        state.pi[i] = gn

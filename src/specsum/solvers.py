@@ -1,14 +1,18 @@
 """Iteration drivers for the subsampled spectral method and baselines.
 
-All drivers share one tracing and metering scheme: a run executes
-exactly ``maxiter`` iterations from x0 = 0 and produces a trace with
-``maxiter + 1`` records, the first being the pre-run state (step fields
+All drivers share one tracing and metering scheme: a run that stays
+finite executes ``maxiter`` iterations from x0 = 0 and produces a trace
+with ``maxiter + 1`` records, the first being the pre-run state (step fields
 NaN/zero) and the rest one record per iteration, labeled by the
-iteration index k = 0..maxiter-1.  The evaluation meter counts S units
-per subsample value estimate computed by the algorithm; gradients are
-free.  A separate gradient-pass cost column counts S per stochastic
-gradient and N per full gradient pass, so methods that never evaluate
-function values still expose their cost.
+iteration index k = 0..maxiter-1.  A run whose reported objective
+turns non-finite stops at that row, so its trace ends at the divergence
+sentinel.  One cost meter per run, charged by the ``problems`` estimator
+entry points, keeps both cost columns: ``cum_evals`` counts S units per
+subsample value estimate computed by the algorithm, and
+``grad_pass_cost`` counts S per stochastic gradient and N per full
+gradient pass, so methods that never evaluate function values still
+expose their cost.  AIS runs also charge S per retired batch for the
+component gradients that refresh its scores.
 
 Methods
 -------
@@ -45,7 +49,6 @@ from . import problems, sampling
 from .kernels import BACKEND
 from .linesearch import ArmijoContext, lsp_search
 from .steplength import (
-    MODIFIED,
     STANDARD,
     UNDAMPED,
     DampingPolicy,
@@ -55,15 +58,6 @@ from .steplength import (
     damp,
 )
 
-METHODS = (
-    "slises",
-    "slises-modified",
-    "spectral-full",
-    "sgd",
-    "svrg-bb",
-    "sgd-bb",
-    "sgd-bb-smooth",
-)
 SAMPLERS = ("uniform", "ais")
 
 
@@ -91,7 +85,7 @@ class SolverConfig:
     label: str = None
 
     def validate(self, N=None):
-        if self.method not in METHODS:
+        if self.method not in _DRIVERS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -103,6 +97,8 @@ class SolverConfig:
             raise ValueError("maxiter must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.p is not None and self.p < 1:
+            raise ValueError("p must be >= 1")
         if self.S < 1 or (N is not None and self.S > N):
             raise ValueError(f"need 1 <= S <= N, got S={self.S}")
         if self.method == "slises-modified":
@@ -153,16 +149,12 @@ class RunTrace:
 class _Driver:
     """Shared state, tracing and metering for all methods."""
 
-    def __init__(self, problem, config, rng=None):
-        config.validate(problem.N)
+    def __init__(self, problem, config, rng):
         self.problem = problem
         self.config = config
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
         self.rng = rng
         self.x = np.zeros(problem.n)
         self.meter = problems.EvalMeter()
-        self.grad_passes = 0
         self.k = 0
         self.records = []
         self._append_record(resampled=False, c=np.nan, gamma=np.nan,
@@ -174,7 +166,7 @@ class _Driver:
         self.records.append(IterationRecord(
             k=self.k, resampled=resampled, c=float(c), gamma=float(gamma),
             alpha=float(alpha), lsp_trials=int(trials),
-            cum_evals=self.meter.count, grad_pass_cost=self.grad_passes,
+            cum_evals=self.meter.count, grad_pass_cost=self.meter.grad_count,
             f_full=float(f), grad_norm_full=float(np.linalg.norm(g)),
             indices=tuple(int(i) for i in indices)))
 
@@ -188,11 +180,9 @@ class _Driver:
             "lipschitz": P.lipschitz, "backend": BACKEND,
         }
 
-    def step(self):
-        raise NotImplementedError
-
     def run(self):
-        while self.k < self.config.maxiter:
+        # stop after maxiter steps or at the first non-finite objective
+        while self.k < self.config.maxiter and math.isfinite(self.records[-1].f_full):
             self.step()
         return RunTrace(header=self.header(), records=self.records,
                         final_x=self.x.copy())
@@ -201,56 +191,50 @@ class _Driver:
 class SlisesDriver(_Driver):
     """slises, slises-modified and spectral-full share this loop."""
 
-    def __init__(self, problem, config, rng=None):
+    def __init__(self, problem, config, rng):
         super().__init__(problem, config, rng)
         cfg = self.config
+        # the variant, fixed here: spectral-full keeps the whole index set,
+        # slises-modified takes an unsearched 1/k step at each redraw
+        self._redraws = cfg.method != "spectral-full"
+        self._unit_redraw_steps = cfg.method == "slises-modified"
         if cfg.method == "spectral-full":
             mode, exponent = UNDAMPED, 1.0
-            self.sample = sampling.SampleBatch(np.arange(problem.N), drawn_at=0)
         elif cfg.method == "slises-modified":
-            mode, exponent = MODIFIED, 1.0 + cfg.delta
-            self.sample = None
+            mode, exponent = STANDARD, 1.0 + cfg.delta
         else:
-            mode = STANDARD if cfg.damping else UNDAMPED
-            exponent = 1.0
-            self.sample = None
+            mode, exponent = (STANDARD if cfg.damping else UNDAMPED), 1.0
+        self.sample = None if self._redraws else sampling.SampleBatch(np.arange(problem.N))
         self.policy = DampingPolicy(cfg.gamma_min, cfg.gamma_max, exponent, mode)
         self.sstate = SpectralState()
         self.ais = (sampling.AisState.uniform(problem.N, eps=cfg.eps)
-                    if cfg.sampler == "ais" and cfg.method != "spectral-full"
-                    else None)
+                    if cfg.sampler == "ais" and self._redraws else None)
         self._base_value = None  # cached estimator value at (sample, x)
 
     def _draw(self, k):
         cfg, P = self.config, self.problem
         if self.ais is None:
-            return sampling.uniform_draw(P.N, cfg.S, self.rng, k=k)
+            return sampling.uniform_draw(P.N, cfg.S, self.rng)
         if self.sample is not None:
             # scores take the component gradient norms at the previous
-            # iterate, for the indices of the batch being retired
+            # iterate, for the indices of the batch being retired; these
+            # calls bypass ``problems``, so they are charged here
             norms = [np.linalg.norm(P.component_gradient(i, self.sstate.prev_x))
                      for i in self.sample.indices]
+            self.meter.grad_count += len(self.sample)
             sampling.ais_update_scores(self.ais, self.sample, norms)
-            self.grad_passes += len(self.sample)
-        batch = sampling.ais_draw(self.ais, max(k, 1), cfg.S, self.rng)
-        batch.drawn_at = k
-        return batch
+        return sampling.ais_draw(self.ais, max(k, 1), cfg.S, self.rng)
 
     def step(self):
         cfg, P, k = self.config, self.problem, self.k
-        if cfg.method == "spectral-full":
-            resampled = False
-        elif sampling.should_resample(k, cfg.m):
+        resampled = self._redraws and sampling.should_resample(k, cfg.m)
+        if resampled:
             self.sample = self._draw(k)
             self._base_value = None
-            resampled = True
-        else:
-            resampled = False
 
-        g = problems.batch_gradient(P, self.sample, self.x)
-        self.grad_passes += len(self.sample)
+        g = problems.batch_gradient(P, self.sample, self.x, self.meter)
 
-        if cfg.method == "slises-modified" and resampled:
+        if self._unit_redraw_steps and resampled:
             # measurable scale, unit step, no search
             gamma = 1.0 / max(k, 1)
             c = np.nan
@@ -282,15 +266,13 @@ class SlisesDriver(_Driver):
                         self._base_value = None
                 else:
                     if cfg.reuse and self._base_value is not None:
-                        phi0, fresh = self._base_value, False
+                        phi0 = self._base_value
                     else:
                         phi0 = problems.batch_value(P, self.sample, self.x, self.meter)
-                        fresh = True
                     ctx = ArmijoContext(phi0=phi0, dm=dm, eta=cfg.eta, t=0.5 ** k)
                     x0, sample, meter = self.x, self.sample, self.meter
                     res = lsp_search(
-                        lambda a: problems.batch_value(P, sample, x0 + a * d, meter),
-                        ctx, base_fresh=fresh)
+                        lambda a: problems.batch_value(P, sample, x0 + a * d, meter), ctx)
                     alpha, trials = res.alpha, res.trials
                     self.x = x0 + alpha * d
                     self._base_value = res.phi_alpha
@@ -305,37 +287,52 @@ class SgdDriver(_Driver):
 
     def step(self):
         cfg, P, k = self.config, self.problem, self.k
-        sample = sampling.uniform_draw(P.N, cfg.S, self.rng, k=k)
-        g = problems.batch_gradient(P, sample, self.x)
-        self.grad_passes += len(sample)
+        sample = sampling.uniform_draw(P.N, cfg.S, self.rng)
+        g = problems.batch_gradient(P, sample, self.x, self.meter)
         gamma = 1.0 / max(k, 1)
         self.x = self.x - gamma * g
         self._append_record(True, np.nan, gamma, 1.0, 0, sample.indices)
         self.k += 1
 
 
-class SvrgBbDriver(_Driver):
+class _EpochDriver(_Driver):
+    """Epoch skeleton of the spectral-step baselines.
+
+    Each iteration is one parameter update on a fresh uniform batch, so
+    epoch ``k // p`` opens at every update k that p divides, through the
+    subclass's ``_start_epoch``; p defaults to ``p_per_n`` times the
+    dimension, and the step size ``_eta`` starts at eta0.
+    """
+
+    p_per_n = 1
+
+    def __init__(self, problem, config, rng):
+        super().__init__(problem, config, rng)
+        self._p = config.p if config.p is not None else self.p_per_n * problem.n
+        self._eta0 = config.eta0 if config.eta0 is not None else 0.01
+        self._eta = self._eta0
+
+    def _next_batch(self):
+        """Open an epoch every p-th update, then draw the update's batch."""
+        if self.k % self._p == 0:
+            self._start_epoch()
+        return sampling.uniform_draw(self.problem.N, self.config.S, self.rng)
+
+
+class SvrgBbDriver(_EpochDriver):
     """Variance-reduced steps with spectral epoch step sizes.
 
-    Each epoch of p parameter updates opens with a full gradient at the
-    snapshot; from the second epoch on the step size is
+    Each epoch (p = 2n updates by default) opens with a full gradient at
+    the snapshot; from the second epoch on the step size is
     ||dx||^2 / (dx'dg) / p over consecutive snapshots.
     """
 
-    def __init__(self, problem, config, rng=None):
-        super().__init__(problem, config, rng)
-        self._p = config.p if config.p is not None else 2 * problem.n
-        self._eta0 = config.eta0 if config.eta0 is not None else 0.01
-        self._eta = self._eta0
-        self._t = 0
-        self._snap = None
-        self._snap_g = None
+    p_per_n = 2
+    _snap = _snap_g = None  # previous snapshot and its full gradient
 
     def _start_epoch(self):
-        P = self.problem
         snap = self.x.copy()
-        snap_g = problems.full_gradient(P, snap)
-        self.grad_passes += P.N
+        snap_g = problems.full_gradient(self.problem, snap, self.meter)
         if self._snap is not None:
             dx = snap - self._snap
             dg = snap_g - self._snap_g
@@ -346,23 +343,19 @@ class SvrgBbDriver(_Driver):
         self._snap, self._snap_g = snap, snap_g
 
     def step(self):
-        cfg, P, k = self.config, self.problem, self.k
-        if self._t == 0:
-            self._start_epoch()
-        sample = sampling.uniform_draw(P.N, cfg.S, self.rng, k=k)
-        g_x = problems.batch_gradient(P, sample, self.x)
-        g_snap = problems.batch_gradient(P, sample, self._snap)
-        self.grad_passes += 2 * len(sample)
+        P = self.problem
+        sample = self._next_batch()
+        g_x = problems.batch_gradient(P, sample, self.x, self.meter)
+        g_snap = problems.batch_gradient(P, sample, self._snap, self.meter)
         self.x = self.x - self._eta * (g_x - g_snap + self._snap_g)
-        self._t = (self._t + 1) % self._p
         self._append_record(True, np.nan, self._eta, 1.0, 0, sample.indices)
         self.k += 1
 
 
-class SgdBbDriver(_Driver):
+class SgdBbDriver(_EpochDriver):
     """Spectral epoch step sizes without variance reduction.
 
-    Within each epoch of p updates a recursive average of the
+    Within each epoch (p = n updates by default) a recursive average of the
     stochastic gradients is accumulated with weight beta; from the
     third epoch on the step size is ||dx||^2 / |dx'dg| / p over
     consecutive epoch starts and averaged gradients.  The smoothing
@@ -370,16 +363,11 @@ class SgdBbDriver(_Driver):
     the de-trended sizes e * eta_e, divided by the epoch index.
     """
 
-    def __init__(self, problem, config, rng=None):
+    def __init__(self, problem, config, rng):
         super().__init__(problem, config, rng)
-        self._p = config.p if config.p is not None else problem.n
         self._beta = config.beta if config.beta is not None else 1.0 / self._p
-        self._eta0 = config.eta0 if config.eta0 is not None else 0.01
         self._eta1 = config.eta1 if config.eta1 is not None else 0.01
         self._smooth = config.method == "sgd-bb-smooth"
-        self._t = 0
-        self._epoch = 0
-        self._eta = self._eta0
         self._eta_raw = self._eta0
         self._xt_prev = None
         self._ghat_prev = None
@@ -388,13 +376,11 @@ class SgdBbDriver(_Driver):
         self._log_n = 0
 
     def _start_epoch(self):
-        e = self._epoch
+        e = self.k // self._p
         xt = self.x.copy()
-        if e == 0:
-            self._eta = self._eta_raw = self._eta0
-        elif e == 1:
+        if e == 1:
             self._eta = self._eta_raw = self._eta1
-        else:
+        elif e > 1:
             dx = xt - self._xt_prev
             dg = self._acc - self._ghat_prev
             denom = abs(float(dx @ dg))
@@ -410,18 +396,12 @@ class SgdBbDriver(_Driver):
         self._xt_prev = xt
         self._ghat_prev = self._acc
         self._acc = np.zeros(self.problem.n)
-        self._epoch += 1
 
     def step(self):
-        cfg, P, k = self.config, self.problem, self.k
-        if self._t == 0:
-            self._start_epoch()
-        sample = sampling.uniform_draw(P.N, cfg.S, self.rng, k=k)
-        g = problems.batch_gradient(P, sample, self.x)
-        self.grad_passes += len(sample)
+        sample = self._next_batch()
+        g = problems.batch_gradient(self.problem, sample, self.x, self.meter)
         self.x = self.x - self._eta * g
         self._acc = self._beta * g + (1.0 - self._beta) * self._acc
-        self._t = (self._t + 1) % self._p
         self._append_record(True, np.nan, self._eta, 1.0, 0, sample.indices)
         self.k += 1
 
@@ -438,9 +418,13 @@ _DRIVERS = {
 
 
 def make_solver(problem, config, rng=None):
-    """Instantiate the driver for ``config.method``."""
-    if config.method not in _DRIVERS:
-        raise ValueError(f"unknown method {config.method!r}")
+    """Validate ``config`` and instantiate the driver for its method.
+
+    Without ``rng`` the run draws from a generator seeded by ``config.seed``.
+    """
+    config.validate(problem.N)
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     return _DRIVERS[config.method](problem, config, rng)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 STATIONARY_NORM = 1e-14
 
 STANDARD = "standard"
-MODIFIED = "modified"
 UNDAMPED = "undamped"
 
 
@@ -34,12 +33,10 @@ class SpectralState:
 
     prev_x: np.ndarray = None
     prev_g: np.ndarray = None
-    valid: bool = False
 
     def update(self, x, g):
         self.prev_x = np.array(x, dtype=np.float64, copy=True)
         self.prev_g = np.array(g, dtype=np.float64, copy=True)
-        self.valid = True
 
 
 @dataclass
@@ -56,7 +53,7 @@ class DampingPolicy:
             raise ValueError("need 0 < gamma_min <= 1 <= gamma_max")
         if self.exponent < 1:
             raise ValueError("damping exponent must be >= 1")
-        if self.mode not in (STANDARD, MODIFIED, UNDAMPED):
+        if self.mode not in (STANDARD, UNDAMPED):
             raise ValueError(f"unknown damping mode {self.mode!r}")
 
 

@@ -83,7 +83,6 @@ class TestLspSearch:
         assert res.alpha == 0.5
         assert res.trials == 2
         assert calls == [1.0, 0.5]
-        assert res.evals_charged == 3  # fresh base + two trials
         assert res.phi_alpha == 0.0
 
     def test_large_slack_accepts_unit_step(self):
@@ -97,11 +96,6 @@ class TestLspSearch:
         ctx = ArmijoContext(phi0=1.0, dm=-1.0, eta=1e-4, t=0.0)
         res = lsp_search(lambda a: 0.5, ctx)
         assert (res.alpha, res.trials, res.status) == (1.0, 1, ACCEPTED)
-
-    def test_base_reuse_charging(self):
-        ctx = ArmijoContext(phi0=1.0, dm=-1.0, eta=1e-4, t=0.0)
-        res = lsp_search(lambda a: 0.0, ctx, base_fresh=False)
-        assert res.evals_charged == res.trials == 1
 
     def test_budget_exhausted_returns_last_trial(self):
         ctx = ArmijoContext(phi0=1.0, dm=-1.0, eta=1e-4, t=0.0)

@@ -159,6 +159,18 @@ class TestMeter:
         batch_value(P, SampleBatch([0]), x, meter)
         assert meter.count == 4
 
+    def test_gradient_column_charges_sample_size_and_N(self):
+        rng = np.random.default_rng(9)
+        P = generate_quadratic(3, 10, rng)
+        x = rng.uniform(0, 30, P.n)
+        meter = EvalMeter()
+        batch_gradient(P, SampleBatch([2, 5]), x, meter)
+        assert meter.grad_count == 2
+        full_gradient(P, x, meter)
+        assert meter.grad_count == 2 + P.N
+        batch_value(P, SampleBatch([1]), x, meter)
+        assert (meter.count, meter.grad_count) == (1, 2 + P.N)
+
     def test_gradient_and_reporting_are_free(self):
         rng = np.random.default_rng(8)
         P = generate_quadratic(3, 10, rng)

@@ -58,10 +58,9 @@ class TestUniformDraw:
             uniform_draw(3, 4, np.random.default_rng(0))
 
     def test_determinism(self):
-        a = uniform_draw(20, 5, np.random.default_rng(7), k=3)
-        b = uniform_draw(20, 5, np.random.default_rng(7), k=3)
+        a = uniform_draw(20, 5, np.random.default_rng(7))
+        b = uniform_draw(20, 5, np.random.default_rng(7))
         assert np.array_equal(a.indices, b.indices)
-        assert a.drawn_at == 3 and a.resampled
 
 
 class TestAisProbabilities:
@@ -159,6 +158,15 @@ class TestAisScoreUpdate:
         assert np.array_equal(state.pi, [1e-12, 1e-12, 2.5, 1.0])
         p = ais_probabilities(state, 3)
         assert np.all(np.isfinite(p)) and p.sum() == pytest.approx(1.0)
+
+    def test_huge_norms_keep_the_score_sum_finite(self):
+        state = AisState.uniform(10)
+        ais_update_scores(state, SampleBatch([0, 1]), [1e308, 1e308])
+        assert np.isfinite(state.pi.sum())
+        p = ais_probabilities(state, 2)
+        assert np.all(np.isfinite(p)) and p.sum() == pytest.approx(1.0)
+        batch = ais_draw(state, 2, 4, np.random.default_rng(0))
+        assert len(batch) == 4
 
     def test_duplicate_index_keeps_last(self):
         state = AisState(pi=np.ones(3))

@@ -275,6 +275,27 @@ class TestMeterOracle:
         tr = run_solver(shadow, cfg)
         assert tr.records[-1].cum_evals == expected_S * shadow.value_calls
 
+    # generate_quadratic(3, 12), S=2, maxiter=13: S per stochastic
+    # gradient, S per retired AIS batch (every redraw but the first), N per
+    # full gradient; svrg-bb (p=2n=6) opens 3 epochs at k=0, 6, 12
+    @pytest.mark.parametrize("method,sampler,m,expected", [
+        ("slises", "uniform", 3, 2 * 13),
+        ("slises", "ais", 3, 2 * (13 + 5 - 1)),
+        ("slises-modified", "ais", 2, 2 * (13 + 7 - 1)),
+        ("spectral-full", "uniform", 3, 12 * 13),
+        ("svrg-bb", "uniform", 3, 2 * 2 * 13 + 12 * 3),
+        ("sgd-bb", "uniform", 3, 2 * 13),
+        ("sgd-bb-smooth", "uniform", 3, 2 * 13),
+    ])
+    def test_grad_pass_cost(self, method, sampler, m, expected):
+        P = generate_quadratic(3, 12, np.random.default_rng(0))
+        cfg = SolverConfig(method=method, sampler=sampler, m=m, S=2, maxiter=13)
+        tr = run_solver(P, cfg)
+        costs = [r.grad_pass_cost for r in tr.records]
+        assert costs[0] == 0
+        assert all(a <= b for a, b in zip(costs, costs[1:]))
+        assert costs[-1] == expected
+
     def test_no_reuse_charges_more(self):
         P = generate_quadratic(3, 9, np.random.default_rng(17))
         on = run_solver(P, SolverConfig(maxiter=12, seed=8, reuse=True))
@@ -282,6 +303,20 @@ class TestMeterOracle:
         assert off.records[-1].cum_evals > on.records[-1].cum_evals
         # the iterates themselves are unaffected by the counting mode
         assert [r.f_full for r in on.records] == [r.f_full for r in off.records]
+
+
+class TestDivergence:
+    def test_run_ends_at_sentinel_row(self):
+        # a stiff instance on which slises-modified with AIS and m=2 diverges
+        P = generate_quadratic(5, 20, np.random.default_rng(0))
+        stiff = QuadraticProblem(P.A * 1e3, P.b, lipschitz=P.lipschitz * 1e3)
+        cfg = SolverConfig(method="slises-modified", sampler="ais", m=2, seed=0)
+        with np.errstate(all="ignore"):
+            tr = run_solver(stiff, cfg)
+        f = np.array([r.f_full for r in tr.records])
+        assert len(f) < cfg.maxiter + 1
+        assert not np.isfinite(f[-1])
+        assert np.all(np.isfinite(f[:-1]))
 
 
 class TestReplay:
@@ -311,7 +346,8 @@ class TestConfigValidation:
         P = generate_quadratic(2, 4, np.random.default_rng(20))
         bad = [dict(method="adam"), dict(eta=0.0), dict(eta=1.0), dict(maxiter=0),
                dict(S=0), dict(S=5), dict(m=0), dict(sampler="halton"),
-               dict(eps=0.0), dict(gamma_min=0.0), dict(gamma_max=0.5)]
+               dict(eps=0.0), dict(gamma_min=0.0), dict(gamma_max=0.5),
+               dict(method="svrg-bb", p=0), dict(method="sgd-bb", p=-3)]
         for kw in bad:
             with pytest.raises(ValueError):
                 run_solver(P, SolverConfig(**kw))
