@@ -3,7 +3,11 @@
 
 Times the four batch oracles on representative shapes: single-index
 batches (the default solver configuration hammers these), mid-size
-batches, and full passes.  Run after `pip install -e .`:
+batches, and full passes.  A full pass is timed twice: with the indices
+0..N-1 in order, which reporting, `spectral-full` and the `svrg-bb`
+snapshots pass and the numpy kernels read in place, and with a
+permutation of them (a uniform draw with S = N), which they gather.
+Run after `pip install -e .`:
 
     python benchmarks/bench_kernels.py
 """
@@ -36,8 +40,15 @@ def main():
         feats = rng.standard_normal((N, n))
         labels = np.where(rng.random(N) > 0.5, 1.0, -1.0)
         x = rng.standard_normal(n)
-        for S in (1, 32, N):
-            idx = rng.choice(N, size=S, replace=False).astype(np.int64)
+        index_sets = (
+            ("draw", rng.choice(N, size=1, replace=False)),
+            ("draw", rng.choice(N, size=32, replace=False)),
+            ("0..N-1", np.arange(N)),
+            ("perm", rng.choice(N, size=N, replace=False)),
+        )
+        for kind, idx in index_sets:
+            idx = idx.astype(np.int64)
+            S = idx.size
             cases = [
                 ("quad value", kernels.quad_value_numpy,
                  getattr(kernels, "quad_value_numba", None), (A, b, idx, x)),
@@ -54,14 +65,14 @@ def main():
             for name, f_np, f_nb, args in cases:
                 t_np = _time(f_np, *args, repeat=repeat)
                 t_nb = _time(f_nb, *args, repeat=repeat) if f_nb else np.nan
-                rows.append((name, n, N, S, t_np * 1e6, t_nb * 1e6))
+                rows.append((name, n, N, S, kind, t_np * 1e6, t_nb * 1e6))
 
     print(f"active backend: {kernels.BACKEND}")
-    print(f"{'kernel':<12} {'n':>4} {'N':>5} {'S':>5} {'numpy us':>10} "
+    print(f"{'kernel':<12} {'n':>4} {'N':>5} {'S':>5} {'idx':>7} {'numpy us':>10} "
           f"{'numba us':>10} {'speedup':>8}")
-    for name, n, N, S, t_np, t_nb in rows:
+    for name, n, N, S, kind, t_np, t_nb in rows:
         speed = t_np / t_nb if np.isfinite(t_nb) else np.nan
-        print(f"{name:<12} {n:>4} {N:>5} {S:>5} {t_np:>10.2f} {t_nb:>10.2f} "
+        print(f"{name:<12} {n:>4} {N:>5} {S:>5} {kind:>7} {t_np:>10.2f} {t_nb:>10.2f} "
               f"{speed:>8.2f}")
 
 

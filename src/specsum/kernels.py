@@ -10,6 +10,12 @@ numba is not importable) or ``numpy``.
 Both backends compute the same quantities; summation order differs, so
 results may disagree in the last few ulps.  Within one backend every
 call is deterministic.
+
+A numpy kernel called with ``idx`` exactly 0..N-1 in order (reporting,
+``spectral-full`` and the ``svrg-bb`` snapshots make such calls) reads
+the data arrays in place; any other ``idx`` (a subsample, a permutation,
+a draw with duplicates) gathers a copy of its rows first.  Both paths
+sum the same rows in the same order, so they give the same bits.
 """
 
 import math
@@ -29,32 +35,54 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # numpy implementations
 
 
+def _in_order(idx):
+    """True when ``idx`` is exactly 0..idx.size-1 in order."""
+    return (idx.size > 0 and idx[0] == 0 and idx[-1] == idx.size - 1
+            and bool(np.all(idx[1:] > idx[:-1])))
+
+
 def quad_value_numpy(A, b, idx, x):
     """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``."""
-    dx = x[None, :] - b[idx]
-    return 0.5 * float(np.einsum("ij,ijk,ik->", dx, A[idx], dx)) / idx.size
+    if idx.size == b.shape[0] and _in_order(idx):
+        Ai, bi = A, b
+    else:
+        Ai, bi = A[idx], b[idx]
+    dx = x[None, :] - bi
+    return 0.5 * float(np.einsum("ij,ijk,ik->", dx, Ai, dx)) / idx.size
 
 
 def quad_gradient_numpy(A, b, idx, x):
     """Mean of A_i (x-b_i) over the indices in ``idx``."""
-    dx = x[None, :] - b[idx]
-    return np.einsum("ijk,ik->j", A[idx], dx) / idx.size
+    if idx.size == b.shape[0] and _in_order(idx):
+        Ai, bi = A, b
+    else:
+        Ai, bi = A[idx], b[idx]
+    dx = x[None, :] - bi
+    return np.einsum("ijk,ik->j", Ai, dx) / idx.size
 
 
 def logistic_value_numpy(feats, labels, lam, idx, x):
     """Mean regularized logistic loss over the indices in ``idx``."""
-    z = -labels[idx] * (feats[idx] @ x)
+    if idx.size == labels.size and _in_order(idx):
+        F, y = feats, labels
+    else:
+        F, y = feats[idx], labels[idx]
+    z = -y * (F @ x)
     return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * lam * float(x @ x)
 
 
 def logistic_gradient_numpy(feats, labels, lam, idx, x):
     """Mean regularized logistic loss gradient over ``idx``."""
-    z = -labels[idx] * (feats[idx] @ x)
-    # stable sigmoid(z)
-    sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                   np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-    coef = -labels[idx] * sig
-    return (coef @ feats[idx]) / idx.size + lam * x
+    if idx.size == labels.size and _in_order(idx):
+        F, y = feats, labels
+    else:
+        F, y = feats[idx], labels[idx]
+    z = -y * (F @ x)
+    # stable sigmoid(z); exp(-|z|) never overflows
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    sig = np.where(z >= 0, 1.0 / d, e / d)
+    return ((-y * sig) @ F) / idx.size + lam * x
 
 
 # ---------------------------------------------------------------------------

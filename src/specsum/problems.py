@@ -320,12 +320,22 @@ def _parse_dense(lines):
 
 
 def detect_format(path):
-    """Guess the file format from the first data line (':' means sparse)."""
+    """Guess the file format from the data lines (':' means sparse).
+
+    The guess reads the first line with more than one token: a lone
+    label is a sparse row whose features are all zero, and no dense row
+    has one column.  When every line has one token, the first decides.
+    """
+    first = None
     with open(path) as fh:
         for line in fh:
-            if line.strip():
+            if len(line.replace(",", " ").split()) > 1:
                 return SPARSE_FORMAT if ":" in line else DENSE_FORMAT
-    raise DatasetFormatError(f"{path}: empty dataset file")
+            if first is None and line.strip():
+                first = line
+    if first is None:
+        raise DatasetFormatError(f"{path}: empty dataset file")
+    return SPARSE_FORMAT if ":" in first else DENSE_FORMAT
 
 
 def load_dataset(path, format):

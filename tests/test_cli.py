@@ -104,6 +104,17 @@ class TestRun:
         header, _ = read_trace(capsys.readouterr().out.strip())
         assert header["problem"].startswith("logistic")
 
+    def test_sparse_dataset_whose_first_row_has_no_features(self, tmp_path, capsys):
+        # a lone label is a sparse row with every feature zero
+        data = tmp_path / "zero_row_first.txt"
+        data.write_text("1\n-1 1:0.5 2:1.0\n1 2:2.0\n")
+        rc = main(["run", "--dataset", str(data), "--maxiter", "3", "--S", "2",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 0
+        header, rows = read_trace(capsys.readouterr().out.strip())
+        assert header["problem"].startswith("logistic")
+        assert len(rows["k"]) == 4
+
     def test_generated_problem_run(self, tmp_path, capsys):
         rc = main(["run", "--n", "3", "--N", "5", "--problem-seed", "9",
                    "--maxiter", "4", "--out", str(tmp_path / "r")])

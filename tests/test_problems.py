@@ -312,3 +312,14 @@ class TestDatasetLoader:
         d.write_text("1,0.5\n")
         assert detect_format(str(s)) == "sparse-index-value"
         assert detect_format(str(d)) == "dense-delimited"
+
+    @pytest.mark.parametrize("text, fmt", [
+        ("\n1\n-1 1:0.5 2:1.0\n", "sparse-index-value"),
+        ("1 \n0\n1\t0.5\n", "dense-delimited"),
+        ("1\n0,0.5,1.0\n", "dense-delimited"),
+        ("1\n-1\n", "dense-delimited"),
+    ])
+    def test_format_detection_skips_lone_labels(self, tmp_path, text, fmt):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        assert detect_format(str(f)) == fmt
