@@ -21,6 +21,7 @@ stream.  Output files are written atomically (temp + rename).
 
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -283,13 +284,40 @@ def generate_instance(family, n, N, seed, path):
     return path
 
 
+_INSTANCE_KEYS = ("A", "b", "lipschitz", "seed")
+
+
 def load_instance(path):
-    """Reload a frozen instance bit-exactly."""
-    with np.load(path) as data:
-        A = data["A"]
-        b = data["b"]
-        lip = float(data["lipschitz"])
-        seed = int(data["seed"])
-    N, n = b.shape
-    return QuadraticProblem(A, b, lipschitz=lip,
-                            label=f"quadratic-n{n}-N{N}-seed{seed}")
+    """Reload a frozen instance bit-exactly.
+
+    Raises :class:`DatasetFormatError` naming ``path`` when the file is
+    not an ``.npz`` archive, lacks one of ``A``, ``b``, ``lipschitz``
+    and ``seed``, holds ``A`` and ``b`` of shapes other than (N, n, n)
+    and (N, n) with N, n >= 1, a ``lipschitz`` or ``seed`` that is not
+    a scalar, an array that cannot be read, or a non-numeric or
+    non-finite value.
+    """
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DatasetFormatError(f"{path}: not an .npz archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DatasetFormatError(f"{path}: not an .npz archive")
+    with data:
+        missing = [key for key in _INSTANCE_KEYS if key not in data.files]
+        if missing:
+            raise DatasetFormatError(f"{path}: missing {', '.join(missing)}")
+        try:
+            A, b, lip, seed = (data[key] for key in _INSTANCE_KEYS)
+        except (ValueError, zipfile.BadZipFile) as exc:  # object arrays, bad CRC
+            raise DatasetFormatError(f"{path}: unreadable array: {exc}") from exc
+    N, n = b.shape if b.ndim == 2 else (0, 0)
+    if N < 1 or n < 1 or A.shape != (N, n, n) or lip.shape != () or seed.shape != ():
+        raise DatasetFormatError(
+            f"{path}: expected A (N, n, n), b (N, n) with N, n >= 1 and scalar "
+            f"lipschitz and seed, got {A.shape}, {b.shape}, {lip.shape}, {seed.shape}")
+    for key, arr in zip(_INSTANCE_KEYS, (A, b, lip, seed)):
+        if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+            raise DatasetFormatError(f"{path}: {key} holds a non-numeric or non-finite value")
+    return QuadraticProblem(A, b, lipschitz=float(lip),
+                            label=f"quadratic-n{n}-N{N}-seed{int(seed)}")

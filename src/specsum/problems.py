@@ -10,6 +10,8 @@ charge when they are handed one.
 """
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -244,6 +246,15 @@ def logistic_problem(data, lam=1e-4):
 # ---------------------------------------------------------------------------
 # dataset ingestion
 
+# Characters of text read and converted at a time.  A block's strings and
+# Python numbers are freed before the next block is read.
+_BLOCK_CHARS = 1 << 18
+
+# str.translate table deleting every ASCII character but ':' and ' '
+_SEPARATORS_ONLY = {c: None for c in range(128) if chr(c) not in ": "}
+
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 @dataclass
 class DatasetRecords:
@@ -264,45 +275,102 @@ def _normalize_labels(raw):
     return np.where(np.asarray(raw) > 0, 1.0, -1.0)
 
 
-def _parse_sparse(lines):
-    rows = []
-    max_idx = 0
-    for lineno, line in lines:
+def _read_blocks(fh, linenos):
+    """Yield the stripped non-blank lines of ``fh`` a block at a time.
+
+    A block holds whole lines totalling about ``_BLOCK_CHARS`` characters.
+    Each is yielded with an array of its line numbers, and that same array
+    is appended to ``linenos``.
+    """
+    lineno = 0
+    while raw := fh.readlines(_BLOCK_CHARS):
+        nums, lines = [], []
+        for lineno, line in enumerate(map(str.strip, raw), start=lineno + 1):
+            if line:
+                nums.append(lineno)
+                lines.append(line)
+        if lines:
+            linenos.append(np.array(nums))
+            yield linenos[-1], lines
+
+
+def _sparse_bulk(lines):
+    """One block of sparse rows, converted without a Python loop over tokens.
+
+    Raises ValueError or OverflowError for any block the row-by-row
+    reader must look at.  Deleting every other ASCII character from the
+    space-joined feature tokens leaves ``": : ... :"`` exactly when each
+    token holds one ``:`` and nothing non-ASCII; the index and value
+    strings are then those ``tok.split(":", 1)`` gives, and ``int`` and
+    ``float`` convert them as the row-by-row reader does.
+    """
+    heads = list(map(str.split, lines, repeat(None), repeat(1)))
+    labels = np.array(list(map(float, map(itemgetter(0), heads))))
+    toks = " ".join([h[1] for h in heads if len(h) == 2]).split()
+    flat = " ".join(toks)
+    if flat.translate(_SEPARATORS_ONLY) != (": " * len(toks))[:-1]:
+        raise ValueError("a token without exactly one ':'")
+    parts = flat.replace(" ", ":").split(":") if toks else []
+    cols = np.array(list(map(int, parts[0::2])), dtype=np.int64)
+    if cols.size and cols.min() < 1:
+        raise ValueError("feature index must be >= 1")
+    vals = np.array(list(map(float, parts[1::2])))
+    # a label holds no ':' (float rejects it), so ':' counts the features
+    counts = np.array(list(map(str.count, lines, repeat(":"))))
+    return labels, counts, cols, vals, int(cols.max()) if cols.size else 0
+
+
+def _sparse_rows(nums, lines):
+    """One block of sparse rows, read row by row; names the first bad line."""
+    labels, counts, idx, vals = [], [], [], []
+    for lineno, line in zip(nums, lines):
         toks = line.split()
         try:
-            label = float(toks[0])
-            pairs = []
+            labels.append(float(toks[0]))
             for tok in toks[1:]:
                 istr, vstr = tok.split(":", 1)
                 j = int(istr)
                 if j < 1:
                     raise ValueError("feature index must be >= 1")
-                pairs.append((j, float(vstr)))
-        except (ValueError, IndexError) as exc:
+                idx.append(j)
+                vals.append(float(vstr))
+        except ValueError as exc:
             raise DatasetFormatError(f"line {lineno}: malformed sparse row: {exc}") from exc
-        rows.append((label, pairs))
-        if pairs:
-            max_idx = max(max_idx, max(j for j, _ in pairs))
-    feats = np.zeros((len(rows), max_idx))
-    raw = np.empty(len(rows))
-    for r, (label, pairs) in enumerate(rows):
-        raw[r] = label
-        for j, v in pairs:
-            feats[r, j - 1] = v
-    return feats, raw
+        counts.append(len(toks) - 1)
+    hi = max(idx, default=0)
+    # no matrix is that wide: np.zeros raises once every line is read
+    cols = np.array(idx, dtype=np.int64) if hi <= _INT64_MAX else None
+    return np.array(labels), np.array(counts), cols, np.array(vals), hi
 
 
-def _parse_dense(lines):
-    first = lines[0][1]
-    if "," in first:
-        delim = ","
-    elif "\t" in first:
-        delim = "\t"
-    else:
-        delim = None  # any whitespace
+def _parse_sparse(blocks):
+    """Feature matrix and raw labels of the sparse rows in ``blocks``."""
+    parsed = []
+    for nums, lines in blocks:
+        try:
+            parsed.append(_sparse_bulk(lines))
+        except (ValueError, OverflowError):
+            parsed.append(_sparse_rows(nums, lines))
+    n = max(hi for *_, hi in parsed)
+    feats = np.zeros((sum(labels.size for labels, *_ in parsed), n))
+    flat = feats.reshape(-1)
+    start = 0
+    for labels, counts, cols, vals, _ in parsed:
+        at = np.repeat(np.arange(start, start + labels.size) * n, counts) + (cols - 1)
+        if not (np.diff(at) > 0).all():
+            # numpy does not say which write to a repeated position lands
+            # last, so keep the row's last value for each position here
+            at, last = np.unique(at[::-1], return_index=True)
+            vals = vals[::-1][last]
+        flat[at] = vals
+        start += labels.size
+    return feats, np.concatenate([labels for labels, *_ in parsed])
+
+
+def _dense_rows(nums, lines, delim, width):
+    """One block of dense rows, read row by row; names the first bad line."""
     rows = []
-    width = None
-    for lineno, line in lines:
+    for lineno, line in zip(nums, lines):
         toks = [t for t in line.split(delim) if t != ""]
         try:
             vals = [float(t) for t in toks]
@@ -315,8 +383,19 @@ def _parse_dense(lines):
         elif len(vals) != width:
             raise DatasetFormatError(f"line {lineno}: expected {width} columns, got {len(vals)}")
         rows.append(vals)
-    arr = np.asarray(rows)
-    return arr[:, 1:].copy(), arr[:, 0].copy()
+    return np.array(rows)
+
+
+def _parse_dense(blocks):
+    """Feature matrix and raw labels of the dense rows in ``blocks``."""
+    parsed = []
+    for nums, lines in blocks:
+        if not parsed:  # the first row fixes the delimiter; None is any whitespace
+            delim = "," if "," in lines[0] else "\t" if "\t" in lines[0] else None
+        width = parsed[0].shape[1] if parsed else None
+        parsed.append(_dense_rows(nums, lines, delim, width))
+    return (np.concatenate([p[:, 1:] for p in parsed]),
+            np.concatenate([p[:, 0] for p in parsed]))
 
 
 def detect_format(path):
@@ -346,25 +425,34 @@ def load_dataset(path, format):
     column, delimiter auto-detected among comma/space/tab).  Raw labels
     are normalized to {-1, +1}: a two-valued label column maps its
     larger value to +1, otherwise positive labels map to +1.  A
-    non-finite label or feature value raises :class:`DatasetFormatError`
-    naming its line.
+    malformed row raises :class:`DatasetFormatError` naming its line;
+    so does a non-finite label or feature value, once every row is parsed.
+
+    The file is read in blocks of whole lines, about 256k characters
+    each, so memory is the feature matrix plus, for sparse rows, one
+    index and one value per stored entry.  Sparse blocks are converted
+    in bulk; dense rows are converted one at a time.
     """
     aliases = {"sparse": SPARSE_FORMAT, SPARSE_FORMAT: SPARSE_FORMAT,
                "dense": DENSE_FORMAT, DENSE_FORMAT: DENSE_FORMAT}
     if format not in aliases:
         raise ValueError(f"unknown dataset format {format!r}")
-    fmt = aliases[format]
+    parse = _parse_sparse if aliases[format] == SPARSE_FORMAT else _parse_dense
+    linenos = []
     with open(path) as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty dataset file")
-    if fmt == SPARSE_FORMAT:
-        feats, raw = _parse_sparse(lines)
-    else:
-        feats, raw = _parse_dense(lines)
+        blocks = _read_blocks(fh, linenos)
+        first = next(blocks, None)
+        if first is None:
+            raise DatasetFormatError(f"{path}: empty dataset file")
+        try:
+            feats, raw = parse(chain([first], blocks))
+        except DatasetFormatError:
+            for _ in fh:  # decode the rest: an undecodable byte is reported first
+                pass
+            raise
     finite = np.isfinite(raw) & np.isfinite(feats).all(axis=1)
     if not finite.all():
-        lineno = lines[int(np.argmin(finite))][0]
+        lineno = np.concatenate(linenos)[np.argmin(finite)]
         raise DatasetFormatError(f"line {lineno}: non-finite label or feature value")
     labels = _normalize_labels(raw)
     N, n = feats.shape

@@ -9,6 +9,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src
 
 from specsum import kernels
 
+# property tests draw the same examples on every run and keep no database,
+# so the suite stays deterministic and bounded in time; without the test
+# extra installed, the modules that use hypothesis are skipped
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("specsum", derandomize=True, database=None,
+                              deadline=None, max_examples=60)
+    settings.load_profile("specsum")
+
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():

@@ -210,6 +210,18 @@ class TestExitCodes:
         data.write_text(text)
         assert main(["run", "--dataset", str(data), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("arrays", [
+        {"A": np.full((3, 2, 2), np.nan), "b": np.ones((3, 2)), "lipschitz": 1.0, "seed": 0},
+        {"A": np.tile(np.eye(2), (3, 1, 1)), "lipschitz": 1.0, "seed": 0},
+    ])
+    def test_malformed_instance_is_an_io_error(self, tmp_path, capsys, arrays):
+        inst = str(tmp_path / "bad.npz")
+        np.savez(inst, **arrays)
+        out = tmp_path / "out"
+        assert main(["compare", "--instance", inst, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"specsum: {inst}: ")
+        assert not out.exists()
+
     def test_singular_instance_is_a_numerical_fault(self, tmp_path, capsys):
         inst = str(tmp_path / "zero.npz")
         np.savez(inst, A=np.zeros((3, 2, 2)), b=np.ones((3, 2)), lipschitz=1.0, seed=0)

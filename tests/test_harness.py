@@ -16,7 +16,7 @@ from specsum.harness import (
     trace_curve,
     write_trace,
 )
-from specsum.problems import generate_quadratic
+from specsum.problems import DatasetFormatError, generate_quadratic
 from specsum.solvers import IterationRecord, RunTrace, SolverConfig
 
 
@@ -166,6 +166,79 @@ class TestInstances:
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_instance("logistic", 2, 3, 0, str(tmp_path / "x.npz"))
+
+
+def _instance_arrays():
+    P = generate_quadratic(3, 4, np.random.default_rng(2))
+    return {"A": P.A, "b": P.b, "lipschitz": P.lipschitz, "seed": 2}
+
+
+def _with(**changes):
+    arrays = _instance_arrays()
+    arrays.update(changes)
+    return {k: v for k, v in arrays.items() if v is not None}
+
+
+class TestMalformedInstances:
+    """A malformed frozen instance is rejected when it is loaded, naming the file."""
+
+    @pytest.mark.parametrize("arrays, message", [
+        (_with(A=None), "missing A"),
+        (_with(b=None), "missing b"),
+        (_with(lipschitz=None, seed=None), "missing lipschitz, seed"),
+        (_with(A=np.zeros((4, 3, 2))), "expected A (N, n, n)"),
+        (_with(b=np.zeros((4, 2))), "expected A (N, n, n)"),
+        (_with(b=np.zeros(12)), "expected A (N, n, n)"),
+        (_with(A=np.zeros((0, 3, 3)), b=np.zeros((0, 3))), "expected A (N, n, n)"),
+        (_with(lipschitz=np.ones(2)), "scalar"),
+        (_with(A=np.full((4, 3, 3), np.nan)), "A holds a non-numeric or non-finite value"),
+        (_with(b=np.full((4, 3), -np.inf)), "b holds a non-numeric or non-finite value"),
+        (_with(lipschitz=np.inf), "lipschitz holds a non-numeric or non-finite value"),
+        (_with(seed=np.nan), "seed holds a non-numeric or non-finite value"),
+        (_with(A=np.full((4, 3, 3), "a")), "A holds a non-numeric or non-finite value"),
+    ])
+    def test_bad_arrays_rejected(self, tmp_path, arrays, message):
+        path = str(tmp_path / "bad.npz")
+        np.savez(path, **arrays)
+        with pytest.raises(DatasetFormatError) as err:
+            load_instance(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    @pytest.mark.parametrize("name, content", [
+        ("text.npz", b"A = 1\n"),
+        ("empty.npz", b""),
+        ("truncated.npz", None),
+        ("array.npy", None),
+    ])
+    def test_non_npz_file_rejected(self, tmp_path, name, content):
+        path = tmp_path / name
+        if name == "truncated.npz":
+            np.savez(str(path), **_instance_arrays())
+            content = path.read_bytes()[:64]
+        if name == "array.npy":
+            np.save(str(path), np.ones(3))
+        else:
+            path.write_bytes(content)
+        with pytest.raises(DatasetFormatError, match="not an .npz archive"):
+            load_instance(str(path))
+
+    def test_unreadable_array_rejected(self, tmp_path):
+        objects = str(tmp_path / "objects.npz")
+        np.savez(objects, **_with(seed=np.array([2], dtype=object).reshape(())))
+        corrupt = tmp_path / "corrupt.npz"
+        np.savez(str(corrupt), **_instance_arrays())
+        raw = bytearray(corrupt.read_bytes())
+        raw[200] ^= 0xFF  # inside A's data: its CRC no longer matches
+        corrupt.write_bytes(bytes(raw))
+        for path in (objects, str(corrupt)):
+            with pytest.raises(DatasetFormatError, match="unreadable array"):
+                load_instance(path)
+
+    def test_well_formed_instance_still_loads(self, tmp_path):
+        path = str(tmp_path / "ok.npz")
+        np.savez(path, **_instance_arrays())
+        P = load_instance(path)
+        assert np.array_equal(P.A, _instance_arrays()["A"]) and P.label.endswith("seed2")
 
 
 class TestGenerationSpeed:

@@ -1,10 +1,18 @@
 """Line search: relaxed Armijo test, safeguarded interpolation, search loop."""
 
+import itertools
+
 import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specsum.linesearch import (
     ACCEPTED,
     BUDGET_EXHAUSTED,
+    MAX_TRIALS,
     ArmijoContext,
     armijo_holds,
     interp_candidate,
@@ -150,3 +158,24 @@ class TestLspSearch:
             res = lsp_search(phi, ctx)
             assert res.status == ACCEPTED
             assert armijo_holds(phi(res.alpha), ctx, res.alpha)
+
+
+FINITE = st.floats(-1e6, 1e6)
+
+
+class TestSearchPostconditions:
+    @given(values=st.lists(st.floats(), min_size=1, max_size=8),
+           phi0=FINITE, dm=st.floats(-1e6, 0.0), eta=st.floats(1e-6, 0.99),
+           t=st.floats(0.0, 1e3), max_trials=st.integers(1, MAX_TRIALS))
+    def test_status_trials_and_step(self, values, phi0, dm, eta, t, max_trials):
+        # trial values cycle through arbitrary floats, nan and inf included
+        trial = itertools.cycle(values)
+        ctx = ArmijoContext(phi0=phi0, dm=dm, eta=eta, t=t)
+        res = lsp_search(lambda a: next(trial), ctx, max_trials=max_trials)
+        assert 1 <= res.trials <= max_trials
+        assert 0.0 < res.alpha <= 1.0
+        if res.status == ACCEPTED:
+            assert armijo_holds(res.phi_alpha, ctx, res.alpha)
+        else:
+            assert res.status == BUDGET_EXHAUSTED
+            assert res.trials == max_trials

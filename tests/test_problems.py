@@ -1,10 +1,16 @@
 """Problem oracles: generator recipe, gradients, estimators, ingestion."""
 
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from specsum import problems
 from specsum.problems import (
     DatasetFormatError,
     EvalMeter,
@@ -323,3 +329,207 @@ class TestDatasetLoader:
         f = tmp_path / "d.txt"
         f.write_text(text)
         assert detect_format(str(f)) == fmt
+
+
+# ---------------------------------------------------------------------------
+# block reader against the row-by-row reading it replaced
+
+
+def reference_load(path, fmt):
+    """Features and labels of a well-formed file, read line by line and
+    token by token; a repeated index keeps its last value."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if fmt == "sparse":
+        rows = []
+        for line in lines:
+            toks = line.split()
+            pairs = [tok.split(":", 1) for tok in toks[1:]]
+            rows.append((float(toks[0]), [(int(i), float(v)) for i, v in pairs]))
+        n = max((j for _, pairs in rows for j, _ in pairs), default=0)
+        feats = np.zeros((len(rows), n))
+        raw = np.empty(len(rows))
+        for r, (label, pairs) in enumerate(rows):
+            raw[r] = label
+            for j, v in pairs:
+                feats[r, j - 1] = v
+    else:
+        delim = "," if "," in lines[0] else "\t" if "\t" in lines[0] else None
+        arr = np.array([[float(t) for t in line.split(delim) if t != ""] for line in lines])
+        feats, raw = arr[:, 1:].copy(), arr[:, 0].copy()
+    values = sorted(set(raw))
+    if len(values) == 2:
+        return feats, np.where(raw == values[1], 1.0, -1.0)
+    return feats, np.where(raw > 0, 1.0, -1.0)
+
+
+LABEL_TEXT = st.sampled_from(["1", "-1", "0", "2", "+1", "1.0", "-0.5", "3"])
+VALUE_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-999, 999).map(str),
+    st.floats(-1e6, 1e6).map("{:+.6g}".format),
+)
+BLANKS = st.sampled_from(["", "", "\n", "  \n", "\t\r\n"])
+ENDS = st.sampled_from(["\n", "\r\n"])
+# small blocks put rows on both sides of block boundaries
+BLOCK_CHARS = st.one_of(st.integers(1, 120), st.just(problems._BLOCK_CHARS))
+
+
+@st.composite
+def sparse_files(draw):
+    """Rows with unsorted and repeated indices, label-only rows, runs of
+    spaces and tabs, blank lines and CRLF endings."""
+    out = []
+    for _ in range(draw(st.integers(1, 12))):
+        pairs = draw(st.lists(st.tuples(st.integers(1, 12), VALUE_TEXT), max_size=6))
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        row = sep.join([draw(LABEL_TEXT)] + [f"{j}:{v}" for j, v in pairs])
+        out.append(draw(BLANKS) + draw(st.sampled_from(["", " ", "\t"])) + row + draw(ENDS))
+    return "".join(out)
+
+
+@st.composite
+def dense_files(draw):
+    """Rows of one width; comma rows may hold spaces and empty fields."""
+    delim = draw(st.sampled_from([",", "\t", " "]))
+    joins = {",": [",", ", ", ",,", " ,"], "\t": ["\t", "\t\t", "\t "], " ": [" ", "  "]}
+    width = draw(st.integers(2, 5))
+    out = []
+    for _ in range(draw(st.integers(1, 12))):
+        toks = [draw(LABEL_TEXT)] + [draw(VALUE_TEXT) for _ in range(width - 1)]
+        row = draw(st.sampled_from(joins[delim])).join(toks)
+        if delim == ",":
+            row += draw(st.sampled_from(["", ","]))
+        out.append(draw(BLANKS) + row + draw(ENDS))
+    return "".join(out)
+
+
+@pytest.fixture(scope="module")
+def data_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity") / "data.txt"
+
+
+def load_in_blocks(path, fmt, block_chars):
+    with patch.object(problems, "_BLOCK_CHARS", block_chars):
+        return load_dataset(str(path), fmt)
+
+
+class TestBlockReaderParity:
+    @given(text=sparse_files(), block_chars=BLOCK_CHARS)
+    def test_sparse_arrays_equal_the_row_by_row_reading(self, data_file, text, block_chars):
+        data_file.write_bytes(text.encode())
+        got = load_in_blocks(data_file, "sparse", block_chars)
+        feats, labels = reference_load(data_file, "sparse")
+        assert got.features.shape == feats.shape and got.features.flags.c_contiguous
+        assert got.features.tobytes() == feats.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+        assert (got.N, got.n) == feats.shape
+
+    @given(text=dense_files(), block_chars=BLOCK_CHARS)
+    def test_dense_arrays_equal_the_row_by_row_reading(self, data_file, text, block_chars):
+        data_file.write_bytes(text.encode())
+        got = load_in_blocks(data_file, "dense", block_chars)
+        feats, labels = reference_load(data_file, "dense")
+        assert got.features.shape == feats.shape and got.features.flags.c_contiguous
+        assert got.features.tobytes() == feats.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+
+    def test_last_repeated_index_wins_across_unsorted_rows(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("1 3:1.0 1:2.0 3:-0.0\n-1 2:5.0 2:6.0 1:7.0\n1\n")
+        for block_chars in (1, 1 << 18):
+            data = load_in_blocks(f, "sparse", block_chars)
+            assert data.features.tobytes() == np.array(
+                [[2.0, 0.0, -0.0], [7.0, 6.0, 0.0], [0.0, 0.0, 0.0]]).tobytes()
+
+
+# nine rows padded to one length, read three rows to a block
+PADDED = 24
+THREE_ROWS = 3 * (PADDED + 1) - 1
+
+
+def padded_file(path, rows):
+    path.write_text("".join(row.ljust(PADDED) + "\n" for row in rows))
+    return path
+
+
+class TestBlockReaderErrors:
+    @pytest.mark.parametrize("row, message", [
+        ("1 oops", "not enough values to unpack (expected 2, got 1)"),
+        ("1 0:1", "feature index must be >= 1"),
+        ("1 1:2:3", "could not convert string to float: '2:3'"),
+        ("1 :5", "invalid literal for int() with base 10: ''"),
+        ("1 3:", "could not convert string to float: ''"),
+        ("abc 1:2", "could not convert string to float: 'abc'"),
+    ])
+    @pytest.mark.parametrize("lineno", [1, 3, 4, 6, 7, 9])
+    def test_sparse_message_and_line(self, tmp_path, row, message, lineno):
+        rows = ["1 1:0.5 2:0.25"] * 9
+        rows[lineno - 1] = row
+        f = padded_file(tmp_path / "d.txt", rows)
+        for block_chars in (THREE_ROWS, 1 << 18):
+            with pytest.raises(DatasetFormatError) as err:
+                load_in_blocks(f, "sparse", block_chars)
+            assert str(err.value) == f"line {lineno}: malformed sparse row: {message}"
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,abc", "malformed dense row: could not convert string to float: 'abc'"),
+        ("1, ,0.5", "malformed dense row: could not convert string to float: ' '"),
+        ("1", "expected label plus at least one feature"),
+        ("1,,", "expected label plus at least one feature"),
+        ("1,0.5,0.5", "expected 2 columns, got 3"),
+    ])
+    @pytest.mark.parametrize("lineno", [3, 4, 6, 7, 9])
+    def test_dense_message_and_line(self, tmp_path, row, message, lineno):
+        rows = ["1,0.5"] * 9
+        rows[lineno - 1] = row
+        f = padded_file(tmp_path / "d.txt", rows)
+        for block_chars in (THREE_ROWS, 1 << 18):
+            with pytest.raises(DatasetFormatError) as err:
+                load_in_blocks(f, "dense", block_chars)
+            assert str(err.value) == f"line {lineno}: {message}"
+
+    def test_ragged_rows_that_fill_a_block_exactly_are_rejected(self, tmp_path):
+        rows = ["1,0.5"] * 9
+        rows[3:5] = ["1,0.5,0.5", "1"]
+        f = padded_file(tmp_path / "d.txt", rows)
+        for block_chars in (THREE_ROWS, 1 << 18):
+            with pytest.raises(DatasetFormatError) as err:
+                load_in_blocks(f, "dense", block_chars)
+            assert str(err.value) == "line 4: expected 2 columns, got 3"
+
+    @pytest.mark.parametrize("fmt, early, late, message", [
+        ("sparse", "1 1:nan", "1 oops",
+         "line 8: malformed sparse row: not enough values to unpack (expected 2, got 1)"),
+        ("dense", "1,inf", "1,0.5,2", "line 8: expected 2 columns, got 3"),
+    ])
+    def test_malformed_row_is_reported_before_an_earlier_nonfinite_value(
+            self, tmp_path, fmt, early, late, message):
+        good = "1 1:0.5" if fmt == "sparse" else "1,0.5"
+        rows = [good, early] + [good] * 5 + [late, good]
+        f = padded_file(tmp_path / "d.txt", rows)
+        for block_chars in (THREE_ROWS, 1 << 18):
+            with pytest.raises(DatasetFormatError) as err:
+                load_in_blocks(f, fmt, block_chars)
+            assert str(err.value) == message
+        rows[7] = good
+        padded_file(f, rows)
+        with pytest.raises(DatasetFormatError, match="^line 2: non-finite"):
+            load_in_blocks(f, fmt, THREE_ROWS)
+
+    def test_undecodable_byte_after_a_malformed_row_is_reported_first(self, tmp_path):
+        f = tmp_path / "d.txt"
+        # the bad byte lies beyond the first chunk the text layer decodes
+        f.write_bytes(b"1 oops\n" + b"1 1:0.5\n" * 4000 + b"1 1:\xff\n")
+        for block_chars in (THREE_ROWS, 1 << 18):
+            with pytest.raises(UnicodeDecodeError):
+                load_in_blocks(f, "sparse", block_chars)
+
+    def test_index_too_wide_for_any_matrix_fails_after_every_row_is_read(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("1 99999999999999999999:1\n" + "1 1:0.5\n" * 9)
+        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+            load_in_blocks(f, "sparse", THREE_ROWS)
+        f.write_text("1 99999999999999999999:1\n" + "1 1:0.5\n" * 8 + "1 oops\n")
+        with pytest.raises(DatasetFormatError, match="^line 10: "):
+            load_in_blocks(f, "sparse", THREE_ROWS)

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
 from specsum.problems import batch_gradient, generate_quadratic
 from specsum.sampling import SampleBatch
 from specsum.steplength import (
+    STANDARD,
     UNDAMPED,
     DampingPolicy,
     SpectralState,
@@ -94,6 +99,19 @@ class TestDamp:
             g = damp(c, k, policy)
             kk = max(k, 1) ** 1.5
             assert policy.gamma_min / kk <= g <= policy.gamma_max / kk
+
+
+    @given(c=st.floats(), k=st.integers(0, 10**9),
+           gamma_min=st.floats(1e-300, 1.0),
+           gamma_max=st.floats(1.0, 1e300), exponent=st.floats(1.0, 4.0),
+           mode=st.sampled_from([STANDARD, UNDAMPED]))
+    def test_range_for_any_coefficient_and_policy(self, c, k, gamma_min, gamma_max,
+                                                   exponent, mode):
+        policy = DampingPolicy(gamma_min=gamma_min, gamma_max=gamma_max,
+                               exponent=exponent, mode=mode)
+        g = damp(c, k, policy)
+        assert np.isfinite(g)
+        assert gamma_min / max(k, 1) ** exponent <= g <= gamma_max
 
 
 class TestDampingPolicy:
