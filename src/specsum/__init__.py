@@ -9,6 +9,7 @@ from .problems import (
     EvalMeter,
     FiniteSumProblem,
     LogisticProblem,
+    NonFiniteInstanceError,
     QuadraticProblem,
     batch_gradient,
     batch_value,

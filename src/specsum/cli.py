@@ -19,7 +19,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 I/O error
 (including malformed or non-finite dataset values and malformed frozen
 instances), 3 numerical fault outside the recorded sentinels (a singular
 instance, reported by numpy as ``LinAlgError``, or an
-``ArithmeticError``).
+``ArithmeticError`` such as an instance whose aggregates overflow).
 """
 
 import argparse

@@ -1,38 +1,25 @@
 """Hot numeric kernels: subsample-averaged values and gradients.
 
-Every solver iteration funnels through these four functions (the line
-search evaluates the value kernel once per trial step), so they carry
-numba ``@njit`` implementations with pure-numpy twins.  The active
-backend is chosen once at import time from the ``SPECSUM_BACKEND``
-environment variable: ``numba`` (default, falls back to numpy when
-numba is not importable) or ``numpy``.
+Every solver iteration funnels through these functions (the line
+search evaluates the value kernel once per trial step).  They are
+vectorized numpy; ``BACKEND`` names that implementation in trace
+headers.  Every call is deterministic.
 
-Both backends compute the same quantities; summation order differs, so
-results may disagree in the last few ulps.  Within one backend every
-call is deterministic.
+A kernel called with ``idx`` exactly 0..N-1 in order (``spectral-full``
+and the ``svrg-bb`` snapshots make such calls) reads the data arrays in
+place; any other ``idx`` (a subsample, a permutation, a draw with
+duplicates) gathers a copy of its rows first.  Both paths sum the same
+rows in the same order, so they give the same bits.
 
-A numpy kernel called with ``idx`` exactly 0..N-1 in order (reporting,
-``spectral-full`` and the ``svrg-bb`` snapshots make such calls) reads
-the data arrays in place; any other ``idx`` (a subsample, a permutation,
-a draw with duplicates) gathers a copy of its rows first.  Both paths
-sum the same rows in the same order, so they give the same bits.
+``logistic_report`` is the full-index value and gradient of one trace
+row: it computes the margins once and hands them to the same loss and
+gradient formulas as ``logistic_value`` and ``logistic_gradient``, so
+its results carry their bits.
 """
-
-import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
+BACKEND = "numpy"
 
 
 def _in_order(idx):
@@ -41,7 +28,7 @@ def _in_order(idx):
             and bool(np.all(idx[1:] > idx[:-1])))
 
 
-def quad_value_numpy(A, b, idx, x):
+def quad_value(A, b, idx, x):
     """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``."""
     if idx.size == b.shape[0] and _in_order(idx):
         Ai, bi = A, b
@@ -51,7 +38,7 @@ def quad_value_numpy(A, b, idx, x):
     return 0.5 * float(np.einsum("ij,ijk,ik->", dx, Ai, dx)) / idx.size
 
 
-def quad_gradient_numpy(A, b, idx, x):
+def quad_gradient(A, b, idx, x):
     """Mean of A_i (x-b_i) over the indices in ``idx``."""
     if idx.size == b.shape[0] and _in_order(idx):
         Ai, bi = A, b
@@ -61,97 +48,39 @@ def quad_gradient_numpy(A, b, idx, x):
     return np.einsum("ijk,ik->j", Ai, dx) / idx.size
 
 
-def logistic_value_numpy(feats, labels, lam, idx, x):
-    """Mean regularized logistic loss over the indices in ``idx``."""
+def _logistic_rows(feats, labels, idx):
     if idx.size == labels.size and _in_order(idx):
-        F, y = feats, labels
-    else:
-        F, y = feats[idx], labels[idx]
-    z = -y * (F @ x)
+        return feats, labels
+    return feats[idx], labels[idx]
+
+
+def _logistic_loss(z, lam, x):
+    """Mean of log(1 + exp(z_i)) plus the regularizer."""
     return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * lam * float(x @ x)
 
 
-def logistic_gradient_numpy(feats, labels, lam, idx, x):
-    """Mean regularized logistic loss gradient over ``idx``."""
-    if idx.size == labels.size and _in_order(idx):
-        F, y = feats, labels
-    else:
-        F, y = feats[idx], labels[idx]
-    z = -y * (F @ x)
+def _logistic_grad(z, F, y, lam, x):
+    """Mean loss gradient over the rows of margins ``z`` plus lam*x."""
     # stable sigmoid(z); exp(-|z|) never overflows
     e = np.exp(-np.abs(z))
     d = 1.0 + e
     sig = np.where(z >= 0, 1.0 / d, e / d)
-    return ((-y * sig) @ F) / idx.size + lam * x
+    return ((-y * sig) @ F) / z.size + lam * x
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def quad_value_numba(A, b, idx, x):
-        total = 0.0
-        for t in range(idx.size):
-            i = idx[t]
-            dx = x - b[i]
-            total += 0.5 * np.dot(dx, np.dot(A[i], dx))
-        return total / idx.size
-
-    @njit(cache=True)
-    def quad_gradient_numba(A, b, idx, x):
-        g = np.zeros(x.size)
-        for t in range(idx.size):
-            i = idx[t]
-            g += np.dot(A[i], x - b[i])
-        return g / idx.size
-
-    @njit(cache=True)
-    def logistic_value_numba(feats, labels, lam, idx, x):
-        total = 0.0
-        for t in range(idx.size):
-            i = idx[t]
-            z = -labels[i] * np.dot(feats[i], x)
-            if z > 0.0:
-                total += z + math.log1p(math.exp(-z))
-            else:
-                total += math.log1p(math.exp(z))
-        return total / idx.size + 0.5 * lam * np.dot(x, x)
-
-    @njit(cache=True)
-    def logistic_gradient_numba(feats, labels, lam, idx, x):
-        g = np.zeros(x.size)
-        for t in range(idx.size):
-            i = idx[t]
-            z = -labels[i] * np.dot(feats[i], x)
-            if z >= 0.0:
-                sig = 1.0 / (1.0 + math.exp(-z))
-            else:
-                e = math.exp(z)
-                sig = e / (1.0 + e)
-            g += (-labels[i] * sig) * feats[i]
-        return g / idx.size + lam * x
+def logistic_value(feats, labels, lam, idx, x):
+    """Mean regularized logistic loss over the indices in ``idx``."""
+    F, y = _logistic_rows(feats, labels, idx)
+    return _logistic_loss(-y * (F @ x), lam, x)
 
 
-def _pick_backend():
-    requested = os.environ.get("SPECSUM_BACKEND", "numba").lower()
-    if requested not in ("numba", "numpy"):
-        raise ValueError(f"SPECSUM_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-    if requested == "numba" and not _HAVE_NUMBA:
-        return "numpy"
-    return requested
+def logistic_gradient(feats, labels, lam, idx, x):
+    """Mean regularized logistic loss gradient over ``idx``."""
+    F, y = _logistic_rows(feats, labels, idx)
+    return _logistic_grad(-y * (F @ x), F, y, lam, x)
 
 
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    quad_value = quad_value_numba
-    quad_gradient = quad_gradient_numba
-    logistic_value = logistic_value_numba
-    logistic_gradient = logistic_gradient_numba
-else:
-    quad_value = quad_value_numpy
-    quad_gradient = quad_gradient_numpy
-    logistic_value = logistic_value_numpy
-    logistic_gradient = logistic_gradient_numpy
+def logistic_report(feats, labels, lam, x):
+    """Full value and gradient, from one pass over the data in place."""
+    z = -labels * (feats @ x)
+    return _logistic_loss(z, lam, x), _logistic_grad(z, feats, labels, lam, x)

@@ -6,7 +6,10 @@ eigenvalue spectrum, and L2-regularized logistic regression over a
 labeled dataset.  Component, subsample-averaged and full values and
 gradients are exposed, together with the cost meter of the benchmark
 cost model, which the estimator entry points at the end of this module
-charge when they are handed one.
+charge when they are handed one.  Each problem's ``report(x)`` returns
+the full value and gradient of one trace row in one pass over the data,
+with the bits of ``full_value`` and ``full_gradient``; it is never
+charged.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,10 @@ class DatasetFormatError(ValueError):
     """Raised for unreadable, empty, or malformed dataset files."""
 
 
+class NonFiniteInstanceError(ArithmeticError):
+    """Raised when an aggregate of a quadratic instance is not finite."""
+
+
 @dataclass(slots=True)
 class EvalMeter:
     """The two cumulative cost columns of a run.
@@ -38,6 +45,12 @@ class EvalMeter:
 
     count: int = 0
     grad_count: int = 0
+
+
+def _require_finite(**quantities):
+    for name, value in quantities.items():
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteInstanceError(f"{name} of the quadratic instance is not finite")
 
 
 def _as_rng(rng):
@@ -63,7 +76,9 @@ class FiniteSumProblem:
 
     Subclasses also provide vectorized ``batch_value(indices, x)``,
     ``batch_gradient(indices, x)``, ``full_value(x)`` and
-    ``full_gradient(x)``.
+    ``full_gradient(x)``, and ``report(x) -> (f, g)``: the full value
+    and gradient of one trace row, computed together with exactly the
+    bits of ``full_value(x)`` and ``full_gradient(x)``.
     """
 
     N = 0
@@ -86,7 +101,9 @@ class QuadraticProblem(FiniteSumProblem):
     ``A`` has shape (N, n, n) with each slice symmetric positive
     definite; ``b`` has shape (N, n).  Full values and gradients use
     precomputed aggregates (mean matrix, mean A_i b_i and a constant),
-    so reporting costs O(n^2) regardless of N.
+    so reporting costs O(n^2) regardless of N.  An aggregate or a
+    minimizer that is not finite (the data overflow when summed) raises
+    :class:`NonFiniteInstanceError`.
     """
 
     def __init__(self, A, b, lipschitz=None, label="quadratic"):
@@ -98,14 +115,17 @@ class QuadraticProblem(FiniteSumProblem):
         self.b = b
         self.N, self.n = b.shape
         self.label = label
-        Ab = np.einsum("ijk,ik->ij", A, b)
-        self._mean_A = A.mean(axis=0)
-        self._mean_Ab = Ab.mean(axis=0)
-        self._const = 0.5 * float(np.einsum("ij,ij->", b, Ab)) / self.N
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            Ab = np.einsum("ijk,ik->ij", A, b)
+            self._mean_A = A.mean(axis=0)
+            self._mean_Ab = Ab.mean(axis=0)
+            self._const = 0.5 * float(np.einsum("ij,ij->", b, Ab)) / self.N
+        _require_finite(_mean_A=self._mean_A, _mean_Ab=self._mean_Ab, _const=self._const)
         if lipschitz is None:
             lipschitz = max(float(np.linalg.eigvalsh(Ai)[-1]) for Ai in A)
         self.lipschitz = float(lipschitz)
         self.minimizer = self._solve_minimizer()
+        _require_finite(minimizer=self.minimizer)
         self.optimal_value = self.full_value(self.minimizer)
 
     def _solve_minimizer(self):
@@ -143,6 +163,12 @@ class QuadraticProblem(FiniteSumProblem):
     def full_gradient(self, x):
         x = np.asarray(x, dtype=np.float64)
         return self._mean_A @ x - self._mean_Ab
+
+    def report(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        Mx = self._mean_A @ x
+        f = 0.5 * float(x @ Mx) - float(x @ self._mean_Ab) + self._const
+        return f, Mx - self._mean_Ab
 
 
 class LogisticProblem(FiniteSumProblem):
@@ -199,6 +225,10 @@ class LogisticProblem(FiniteSumProblem):
 
     def full_gradient(self, x):
         return self.batch_gradient(self._all, x)
+
+    def report(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return kernels.logistic_report(self.features, self.labels, self.lam, x)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +490,8 @@ def load_dataset(path, format):
 
 
 # ---------------------------------------------------------------------------
-# estimator entry points used by the solvers; each charges ``meter``
-# when one is passed, and reporting passes none
+# estimator entry points; each charges ``meter`` when one is passed
+# (trace reporting calls each problem's uncharged ``report`` instead)
 
 
 def batch_value(problem, sample, x, meter=None):
@@ -481,7 +511,7 @@ def batch_gradient(problem, sample, x, meter=None):
 
 
 def full_value(problem, x):
-    """Exact mean value over all components (reporting only, unmetered)."""
+    """Exact mean value over all components; never charged."""
     return problem.full_value(x)
 
 

@@ -161,8 +161,7 @@ class _Driver:
                             alpha=np.nan, trials=0, indices=())
 
     def _append_record(self, resampled, c, gamma, alpha, trials, indices):
-        f = problems.full_value(self.problem, self.x)
-        g = problems.full_gradient(self.problem, self.x)
+        f, g = self.problem.report(self.x)
         self.records.append(IterationRecord(
             k=self.k, resampled=resampled, c=float(c), gamma=float(gamma),
             alpha=float(alpha), lsp_trials=int(trials),

@@ -2,12 +2,9 @@ import os
 import sys
 
 import numpy as np
-import pytest
 
 # allow running the suite from a bare checkout, without installation
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
-
-from specsum import kernels
 
 # property tests draw the same examples on every run and keep no database,
 # so the suite stays deterministic and bounded in time; without the test
@@ -20,21 +17,6 @@ else:
     settings.register_profile("specsum", derandomize=True, database=None,
                               deadline=None, max_examples=60)
     settings.load_profile("specsum")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so no single test pays for it."""
-    A = np.tile(np.eye(2), (2, 1, 1))
-    b = np.zeros((2, 2))
-    idx = np.array([0], dtype=np.int64)
-    x = np.ones(2)
-    kernels.quad_value(A, b, idx, x)
-    kernels.quad_gradient(A, b, idx, x)
-    feats = np.ones((2, 2))
-    labels = np.array([1.0, -1.0])
-    kernels.logistic_value(feats, labels, 1e-4, idx, x)
-    kernels.logistic_gradient(feats, labels, 1e-4, idx, x)
 
 
 def make_logistic(n, N, seed, lam=1e-4):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specsum.cli import main
-from specsum.harness import read_trace
+from specsum.harness import generate_instance, read_trace
 from specsum.problems import generate_quadratic
 
 
@@ -220,6 +220,19 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["compare", "--instance", inst, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"specsum: {inst}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_overflowing_instance_is_a_numerical_fault(self, tmp_path, capsys, command):
+        # every entry is finite, but the mean matrix overflows
+        inst = generate_instance("quadratic", 3, 8, 0, str(tmp_path / "inst.npz"))
+        with np.load(inst) as data:
+            arrays = dict(data)
+        np.savez(inst, **{**arrays, "A": arrays["A"] * 1e306})
+        out = tmp_path / "out"
+        assert main([command, "--instance", inst, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "specsum: numerical fault: _mean_A of the quadratic instance is not finite\n"
         assert not out.exists()
 
     def test_singular_instance_is_a_numerical_fault(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Problem oracles: generator recipe, gradients, estimators, ingestion."""
 
 import itertools
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -15,6 +16,7 @@ from specsum.problems import (
     DatasetFormatError,
     EvalMeter,
     LogisticProblem,
+    QuadraticProblem,
     batch_gradient,
     batch_value,
     detect_format,
@@ -329,6 +331,65 @@ class TestDatasetLoader:
         f = tmp_path / "d.txt"
         f.write_text(text)
         assert detect_format(str(f)) == fmt
+
+
+class TestNonFiniteInstance:
+    @pytest.mark.parametrize("A, b, name", [
+        (np.full((8, 2, 2), 1e308), np.ones((8, 2)), "_mean_A"),
+        (np.ones((2, 1, 1)), np.full((2, 1), 1e308), "_mean_Ab"),
+        (np.ones((1, 1, 1)), np.full((1, 1), 1e200), "_const"),
+    ])
+    def test_overflowing_aggregate_is_named(self, A, b, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(problems.NonFiniteInstanceError, match=f"^{name} "):
+                QuadraticProblem(A, b, lipschitz=1.0)
+
+    def test_non_finite_minimizer_is_named(self):
+        with patch.object(QuadraticProblem, "_solve_minimizer",
+                          return_value=np.array([np.inf])):
+            with pytest.raises(problems.NonFiniteInstanceError, match="^minimizer "):
+                QuadraticProblem(np.ones((1, 1, 1)), np.ones((1, 1)), lipschitz=1.0)
+
+
+# ---------------------------------------------------------------------------
+# report(x) against the two full oracles it fuses
+
+SIZES = st.sampled_from([1, 9, 41])
+
+
+def wide_margin_problem(N, lam, seed, margins, n=4):
+    """Logistic problem whose margins -y_i a_i'x at the returned x are
+    ``margins``, up to rounding."""
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((N, n))
+    labels = np.where(rng.random(N) > 0.5, 1.0, -1.0)
+    x = rng.standard_normal(n)
+    x[0] = 1.0 + abs(x[0])
+    feats[:, 0] = (-labels * np.asarray(margins) - feats[:, 1:] @ x[1:]) / x[0]
+    return LogisticProblem(feats, labels, lam), x
+
+
+def assert_report_matches_full_oracles(P, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f, g = P.report(x)
+        assert f == full_value(P, x)
+        assert np.array_equal(g, full_gradient(P, x))
+
+
+class TestReport:
+    @given(N=SIZES, lam=st.sampled_from([0.0, 1e-4]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_logistic_bits(self, N, lam, seed, data):
+        margins = data.draw(st.lists(st.floats(-800.0, 800.0), min_size=N, max_size=N))
+        assert_report_matches_full_oracles(*wide_margin_problem(N, lam, seed, margins))
+
+    @given(N=SIZES, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_quadratic_bits(self, N, seed, scale):
+        rng = np.random.default_rng(seed)
+        P = generate_quadratic(4, N, rng)
+        assert_report_matches_full_oracles(P, rng.standard_normal(4) * scale)
 
 
 # ---------------------------------------------------------------------------
