@@ -16,10 +16,11 @@ or ``compare`` that is neither given nor in the file leaves its field
 at that default.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 I/O error
-(including malformed or non-finite dataset values and malformed frozen
-instances), 3 numerical fault outside the recorded sentinels (a singular
-instance, reported by numpy as ``LinAlgError``, or an
-``ArithmeticError`` such as an instance whose aggregates overflow).
+(including malformed, non-finite or overflowing dataset values and
+malformed frozen instances), 3 numerical fault outside the recorded
+sentinels (a singular instance, reported by numpy as ``LinAlgError``,
+or an ``ArithmeticError`` such as an instance whose aggregates
+overflow).
 """
 
 import argparse

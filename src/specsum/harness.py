@@ -19,6 +19,7 @@ run owns its generator and meter, and each config gets its own seed
 stream.  Output files are written atomically (temp + rename).
 """
 
+import math
 import os
 import tempfile
 import zipfile
@@ -109,16 +110,14 @@ def _atomic_write(path, text):
 
 
 def write_trace(trace, path):
-    """Write one run as CSV; returns the path."""
+    """Write one run as CSV, each field as ``_fmt`` spells it; returns the path."""
     lines = [f"# {key} = {_fmt(val)}" for key, val in trace.header.items()]
     lines.append(",".join(TRACE_COLUMNS))
-    for rec in trace.records:
-        lines.append(",".join((
-            _fmt(rec.k), _fmt(rec.resampled), _fmt(rec.c), _fmt(rec.gamma),
-            _fmt(rec.alpha), _fmt(rec.lsp_trials), _fmt(rec.cum_evals),
-            _fmt(rec.grad_pass_cost), _fmt(rec.f_full),
-            _fmt(rec.grad_norm_full))))
-        if not np.isfinite(rec.f_full):
+    for r in trace.records:
+        lines.append(f"{r.k},{r.resampled:d},{r.c!r},{r.gamma!r},{r.alpha!r},"
+                     f"{r.lsp_trials},{r.cum_evals},{r.grad_pass_cost},"
+                     f"{r.f_full!r},{r.grad_norm_full!r}")
+        if not math.isfinite(r.f_full):
             break  # the curve ends at the divergence sentinel
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -209,9 +208,9 @@ def aggregate_curves(curves_by_label, how="median"):
 def write_aggregate(path, grid, columns, header=None):
     lines = [f"# {key} = {_fmt(val)}" for key, val in (header or {}).items()]
     lines.append(",".join(["cum_evals"] + list(columns)))
-    cols = list(columns.values())
-    for i, g in enumerate(grid):
-        lines.append(",".join([_fmt(float(g))] + [_fmt(float(c[i])) for c in cols]))
+    cols = [np.asarray(c, dtype=np.float64).tolist() for c in columns.values()]
+    for row in zip(np.asarray(grid, dtype=np.float64).tolist(), *cols):
+        lines.append(",".join(map(repr, row)))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 

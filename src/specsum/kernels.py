@@ -5,11 +5,12 @@ search evaluates the value kernel once per trial step).  They are
 vectorized numpy; ``BACKEND`` names that implementation in trace
 headers.  Every call is deterministic.
 
-A kernel called with ``idx`` exactly 0..N-1 in order (``spectral-full``
-and the ``svrg-bb`` snapshots make such calls) reads the data arrays in
-place; any other ``idx`` (a subsample, a permutation, a draw with
-duplicates) gathers a copy of its rows first.  Both paths sum the same
-rows in the same order, so they give the same bits.
+A kernel called with ``idx`` an ascending run lo, lo+1, ..., hi inside
+0..N-1 (every S=1 draw, every full-index call and any draw that
+happens to be consecutive) reads those rows in place, through a slice;
+any other ``idx`` (a permutation, a draw with duplicates or gaps)
+gathers a copy of its rows first.  Both paths sum the same rows in the
+same order, so they give the same bits.
 
 ``logistic_report`` is the full-index value and gradient of one trace
 row: it computes the margins once and hands them to the same loss and
@@ -22,36 +23,29 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _in_order(idx):
-    """True when ``idx`` is exactly 0..idx.size-1 in order."""
-    return (idx.size > 0 and idx[0] == 0 and idx[-1] == idx.size - 1
-            and bool(np.all(idx[1:] > idx[:-1])))
+def _rows(idx, N):
+    """``slice(lo, hi + 1)`` when ``idx`` is the run lo..hi inside 0..N-1,
+    so indexing reads the rows in place; ``idx`` itself otherwise."""
+    if idx.size:
+        lo, hi = int(idx[0]), int(idx[-1])
+        if (0 <= lo and hi < N and hi - lo == idx.size - 1
+                and (idx.size == 1 or bool(np.all(idx[1:] > idx[:-1])))):
+            return slice(lo, hi + 1)
+    return idx
 
 
 def quad_value(A, b, idx, x):
     """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``."""
-    if idx.size == b.shape[0] and _in_order(idx):
-        Ai, bi = A, b
-    else:
-        Ai, bi = A[idx], b[idx]
-    dx = x[None, :] - bi
-    return 0.5 * float(np.einsum("ij,ijk,ik->", dx, Ai, dx)) / idx.size
+    r = _rows(idx, b.shape[0])
+    dx = x[None, :] - b[r]
+    return 0.5 * float(np.einsum("ij,ijk,ik->", dx, A[r], dx)) / idx.size
 
 
 def quad_gradient(A, b, idx, x):
     """Mean of A_i (x-b_i) over the indices in ``idx``."""
-    if idx.size == b.shape[0] and _in_order(idx):
-        Ai, bi = A, b
-    else:
-        Ai, bi = A[idx], b[idx]
-    dx = x[None, :] - bi
-    return np.einsum("ijk,ik->j", Ai, dx) / idx.size
-
-
-def _logistic_rows(feats, labels, idx):
-    if idx.size == labels.size and _in_order(idx):
-        return feats, labels
-    return feats[idx], labels[idx]
+    r = _rows(idx, b.shape[0])
+    dx = x[None, :] - b[r]
+    return np.einsum("ijk,ik->j", A[r], dx) / idx.size
 
 
 def _logistic_loss(z, lam, x):
@@ -70,13 +64,14 @@ def _logistic_grad(z, F, y, lam, x):
 
 def logistic_value(feats, labels, lam, idx, x):
     """Mean regularized logistic loss over the indices in ``idx``."""
-    F, y = _logistic_rows(feats, labels, idx)
-    return _logistic_loss(-y * (F @ x), lam, x)
+    r = _rows(idx, labels.size)
+    return _logistic_loss(-labels[r] * (feats[r] @ x), lam, x)
 
 
 def logistic_gradient(feats, labels, lam, idx, x):
     """Mean regularized logistic loss gradient over ``idx``."""
-    F, y = _logistic_rows(feats, labels, idx)
+    r = _rows(idx, labels.size)
+    F, y = feats[r], labels[r]
     return _logistic_grad(-y * (F @ x), F, y, lam, x)
 
 

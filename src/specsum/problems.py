@@ -456,7 +456,8 @@ def load_dataset(path, format):
     are normalized to {-1, +1}: a two-valued label column maps its
     larger value to +1, otherwise positive labels map to +1.  A
     malformed row raises :class:`DatasetFormatError` naming its line;
-    so does a non-finite label or feature value, once every row is parsed.
+    so does, once every row is parsed, the first row with a non-finite
+    label or feature value or a squared norm that overflows.
 
     The file is read in blocks of whole lines, about 256k characters
     each, so memory is the feature matrix plus, for sparse rows, one
@@ -480,9 +481,17 @@ def load_dataset(path, format):
             for _ in fh:  # decode the rest: an undecodable byte is reported first
                 pass
             raise
-    finite = np.isfinite(raw) & np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        lineno = np.concatenate(linenos)[np.argmin(finite)]
+    # the row sums of LogisticProblem's lipschitz, one block of rows at a
+    # time, so that no temporary the size of the matrix is made
+    with np.errstate(over="ignore"):  # checked below
+        sq_norms = np.concatenate([np.sum(rows**2, axis=1)
+                                   for rows in np.array_split(feats, len(linenos))])
+    ok = np.isfinite(raw) & np.isfinite(sq_norms)
+    if not ok.all():
+        j = np.argmin(ok)
+        lineno = np.concatenate(linenos)[j]
+        if np.isfinite(raw[j]) and np.isfinite(feats[j]).all():
+            raise DatasetFormatError(f"line {lineno}: squared feature norm overflows")
         raise DatasetFormatError(f"line {lineno}: non-finite label or feature value")
     labels = _normalize_labels(raw)
     N, n = feats.shape

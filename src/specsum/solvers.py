@@ -124,7 +124,8 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """One trace row; ``indices`` is kept in memory only."""
+    """One trace row; ``indices``, the row's batch copied into a tuple of
+    Python ints, is kept in memory only."""
 
     k: int
     resampled: bool
@@ -158,7 +159,7 @@ class _Driver:
         self.k = 0
         self.records = []
         self._append_record(resampled=False, c=np.nan, gamma=np.nan,
-                            alpha=np.nan, trials=0, indices=())
+                            alpha=np.nan, trials=0, indices=np.empty(0, dtype=np.int64))
 
     def _append_record(self, resampled, c, gamma, alpha, trials, indices):
         f, g = self.problem.report(self.x)
@@ -166,8 +167,8 @@ class _Driver:
             k=self.k, resampled=resampled, c=float(c), gamma=float(gamma),
             alpha=float(alpha), lsp_trials=int(trials),
             cum_evals=self.meter.count, grad_pass_cost=self.meter.grad_count,
-            f_full=float(f), grad_norm_full=float(np.linalg.norm(g)),
-            indices=tuple(int(i) for i in indices)))
+            f_full=float(f), grad_norm_full=math.sqrt(g @ g),  # np.linalg.norm's bits
+            indices=tuple(indices.tolist())))
 
     def header(self):
         cfg, P = self.config, self.problem

@@ -17,6 +17,7 @@ inputs are non-finite; ``anchor_coefficient`` returns ``None`` for a
 ``None``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,20 +66,20 @@ def bb_coefficient(s, y):
     the damping clip maps it to gamma_min.
     """
     ss = float(np.dot(s, s))
-    if not np.isfinite(ss) or ss == 0.0:
+    if not math.isfinite(ss) or ss == 0.0:
         return None
     sy = float(np.dot(s, y))
-    if not np.isfinite(sy):
+    if not math.isfinite(sy):
         return None
     if sy == 0.0:
-        return np.inf
+        return math.inf
     return ss / sy
 
 
 def anchor_coefficient(g):
     """Gradient-norm anchor 1/||g||, or ``None`` when stationary."""
-    gn = float(np.linalg.norm(g))
-    if not np.isfinite(gn) or gn <= STATIONARY_NORM:
+    gn = math.sqrt(g @ g)  # np.linalg.norm's formula for a float vector
+    if not math.isfinite(gn) or gn <= STATIONARY_NORM:
         return None
     return 1.0 / gn
 
@@ -89,8 +90,8 @@ def damp(c, k, policy):
     ``inf`` clips to gamma_max, negative values to gamma_min.  The
     ``undamped`` mode skips the division and returns the clipped value.
     """
-    if np.isnan(c):
-        c = np.inf
+    if math.isnan(c):
+        c = math.inf
     clipped = min(policy.gamma_max, max(policy.gamma_min, c))
     if policy.mode == UNDAMPED:
         return clipped

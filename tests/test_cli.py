@@ -210,6 +210,16 @@ class TestExitCodes:
         data.write_text(text)
         assert main(["run", "--dataset", str(data), "--out", str(tmp_path)]) == 2
 
+    def test_overflowing_dataset_is_an_io_error(self, tmp_path, capsys):
+        # every value is finite, but the second row's squared norm overflows
+        data = tmp_path / "huge.txt"
+        data.write_text("1 1:0.5 2:1.0\n0 1:1e200\n1 2:0.25\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--dataset", str(data), "--methods", "slises-uni,sgd,svrg-bb",
+                     "--maxiter", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "specsum: line 2: squared feature norm overflows\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("arrays", [
         {"A": np.full((3, 2, 2), np.nan), "b": np.ones((3, 2)), "lipschitz": 1.0, "seed": 0},
         {"A": np.tile(np.eye(2), (3, 1, 1)), "lipschitz": 1.0, "seed": 0},

@@ -1,0 +1,105 @@
+"""Pinned trace bytes: three tiny CLI invocations against recorded digests.
+
+Each invocation writes its traces and its aggregate into a fresh
+directory, and the SHA-256 of every file written must equal the digest
+recorded for it.  A change that claims byte-identical traces is checked
+here on an S=1 ``sweep-m``, a ``spectral-full`` run on a frozen instance
+and a logistic ``compare`` over a sparse dataset.
+
+The bits of a floating-point reduction depend on the numpy build and
+the BLAS kernels it picks, so the digests hold only for the numpy
+version, BLAS library and machine architecture they were recorded with;
+on any other the test skips and says which one differs.
+"""
+
+import hashlib
+import os
+import platform
+
+import numpy as np
+import pytest
+
+from specsum.cli import main
+from specsum.harness import generate_instance
+
+PINNED = {"numpy": "2.4.6", "blas": "scipy-openblas", "machine": "x86_64"}
+
+
+def _environment():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, ValueError):
+        blas = None
+    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+
+
+def _sparse_dataset(path):
+    """60 rows of 5 features at about half density, every value repr'd."""
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal(5)
+    lines = []
+    for _ in range(60):
+        a = rng.standard_normal(5) * (rng.random(5) < 0.5)
+        label = 1 if float(a @ w) + 0.3 * rng.standard_normal() > 0 else 0
+        feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(a) if v)
+        lines.append(f"{label} {feats}".rstrip())
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _sweep(tmp_path):
+    return ["sweep-m", "--n", "6", "--N", "40", "--problem-seed", "3",
+            "--m-grid", "1,3", "--seeds", "0,1", "--maxiter", "40"]
+
+
+def _spectral_full(tmp_path):
+    inst = generate_instance("quadratic", 4, 12, 5, str(tmp_path / "inst.npz"))
+    return ["run", "--instance", inst, "--method", "spectral-full", "--maxiter", "30"]
+
+
+def _logistic_compare(tmp_path):
+    data = _sparse_dataset(tmp_path / "data.txt")
+    return ["compare", "--dataset", data, "--methods",
+            "slises-ais,slises-uni,sgd,svrg-bb", "--seeds", "0", "--maxiter", "20",
+            "--S", "3"]
+
+
+INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
+               "logistic-compare": _logistic_compare}
+
+DIGESTS = {
+    "logistic-compare": {
+        "compare.csv": "e1ab736f091511b93b0e37f59d1064467229a95e2727edf589a2aceb6bc02926",
+        "sgd_seed0.csv": "27946c8e657b51f71d1899f919bb46a640a6c4ff06f84c8a4e3422b46d5e9773",
+        "slises-ais-m3_seed0.csv": "2a8afe737bf9d046af9a92b505e50e5045ba24116f8e335c0632d8d1a457daac",
+        "slises-uni-m3_seed0.csv": "295bcc4876dd9c1ac18c68f25b1f8f15b2d2281f3c851509c3775224f5a076ae",
+        "svrg-bb_seed0.csv": "0993847b85e488540177cb8e1ecf05a4d9a0ede54e51d87eea1b16a49213b28a",
+    },
+    "spectral-full": {
+        "spectral-full_seed0.csv": "1548f0e0bbad1d0f8df12f6084b395e358a8e8f535cee00da8842b701f6efa13",
+    },
+    "sweep-m": {
+        "m=1_seed0.csv": "78788fd03fc25603caf9ddbc285916031e81fdc338db702a1b402616b75a182a",
+        "m=1_seed1.csv": "3b84525e83416e20a0d5c22afbcfac46c469df857951e16f8a465beabdf1b30b",
+        "m=3_seed0.csv": "fae247e71485ea1af53d919af9e362c5bdd126d2788d8f8d7643cfd72cf44a4d",
+        "m=3_seed1.csv": "4b1af062d8d2ef9315dcd5e4df62ee85c851e2738671d6625f5ffa011dd0597a",
+        "sweep_m.csv": "e3835e644c412cd72c5c3a928b9fad607f3f87e72d5a4e6b3862d6bb8d1eebc1",
+    },
+}
+
+
+def digests(name, tmp_path):
+    """SHA-256 of every file one invocation writes, keyed by file name."""
+    out = tmp_path / "out"
+    assert main(INVOCATIONS[name](tmp_path) + ["--out", str(out)]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_trace_bytes_match_the_recorded_digests(name, tmp_path):
+    env = _environment()
+    differs = {k: v for k, v in env.items() if v != PINNED[k]}
+    if differs:
+        pytest.skip(f"digests were recorded with {PINNED}; this host has {differs}")
+    assert digests(name, tmp_path) == DIGESTS[name]

@@ -1,10 +1,18 @@
 """Trace persistence, aggregation math, frozen instances."""
 
+import math
+
 import numpy as np
 import pytest
 
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
 from specsum.harness import (
+    TRACE_COLUMNS,
     ExperimentSpec,
+    _fmt,
     aggregate_curves,
     compare_methods,
     generate_instance,
@@ -14,6 +22,7 @@ from specsum.harness import (
     run_single,
     sweep_m,
     trace_curve,
+    write_aggregate,
     write_trace,
 )
 from specsum.problems import DatasetFormatError, generate_quadratic
@@ -69,6 +78,58 @@ class TestTraceRoundTrip:
         evals, f = trace_curve(rows)
         assert list(evals) == [0.0, 2.0]
         assert list(f) == [5.0, 9.0]
+
+
+# floats that repr spells in every way it can: nan, signed infinities and
+# zeros, subnormals and the largest finite values; ints past int64
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e16, 1e-7]),
+)
+INTS = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 10**40))
+RECORDS = st.builds(
+    IterationRecord, k=INTS, resampled=st.booleans(), c=FLOATS, gamma=FLOATS,
+    alpha=FLOATS, lsp_trials=INTS, cum_evals=INTS, grad_pass_cost=INTS,
+    f_full=FLOATS, grad_norm_full=FLOATS)
+FIELDS = ("k", "resampled", "c", "gamma", "alpha", "lsp_trials", "cum_evals",
+          "grad_pass_cost", "f_full", "grad_norm_full")
+
+
+def data_lines(path):
+    return [line for line in open(path).read().splitlines() if not line.startswith("#")]
+
+
+class TestRowFormatting:
+    """Each written row is the ``_fmt`` of its fields, joined by commas."""
+
+    @given(st.lists(RECORDS, min_size=1, max_size=6))
+    def test_trace_rows(self, tmp_path_factory, records):
+        path = str(tmp_path_factory.mktemp("t") / "t.csv")
+        write_trace(RunTrace(header={"method": "slises"}, records=records,
+                             final_x=np.zeros(1)), path)
+        expected = []
+        for rec in records:
+            expected.append(",".join(_fmt(getattr(rec, f)) for f in FIELDS))
+            if not math.isfinite(rec.f_full):
+                break
+        assert data_lines(path) == [",".join(TRACE_COLUMNS)] + expected
+
+    @given(st.integers(1, 6).flatmap(lambda rows: st.tuples(
+        st.one_of(st.lists(FLOATS, min_size=rows, max_size=rows).map(np.array),
+                  st.lists(st.integers(-2**63, 2**63 - 1), min_size=rows,
+                           max_size=rows).map(lambda v: np.array(v, dtype=np.int64))),
+        st.lists(st.lists(FLOATS, min_size=rows, max_size=rows).map(np.array),
+                 min_size=1, max_size=3))))
+    def test_aggregate_rows(self, tmp_path_factory, drawn):
+        grid, cols = drawn
+        columns = {f"c{j}": c for j, c in enumerate(cols)}
+        path = str(tmp_path_factory.mktemp("a") / "a.csv")
+        write_aggregate(path, grid, columns, {"experiment": "compare"})
+        expected = [",".join([_fmt(float(g))] + [_fmt(float(c[i])) for c in cols])
+                    for i, g in enumerate(grid)]
+        assert data_lines(path) == [",".join(["cum_evals"] + list(columns))] + expected
 
 
 class TestAggregation:

@@ -1,4 +1,4 @@
-"""The kernels read full-index calls in place with the bits of a gather."""
+"""The kernels read ascending index runs in place with the bits of a gather."""
 
 import tracemalloc
 import warnings
@@ -28,7 +28,7 @@ class TestBackendSelection:
 
 
 # The kernels as formulas over gathered rows: the reference whose
-# bits the in-place full-index path must reproduce.
+# bits the in-place path for ascending runs must reproduce.
 
 
 def gathered_quad_value(A, b, idx, x):
@@ -76,7 +76,19 @@ def wide_margin_inputs(seed, n=4, N=41):
     return feats, labels, x
 
 
+def run_index(N, S, where):
+    """The ascending run of S indices at the start, middle or end of 0..N-1."""
+    lo = {"start": 0, "middle": (N - S) // 2, "end": N - S}[where]
+    return np.arange(lo, lo + S, dtype=np.int64)
+
+
+RUNS = [(S, where) for S in (1, 2, "N") for where in ("start", "middle", "end")]
+
+
 class TestFullIndexBits:
+    """Full-index calls and any run lo..lo+S-1, read in place, give the
+    bits of the gathered formula."""
+
     @pytest.mark.parametrize("N", [1, 9])
     @pytest.mark.parametrize("which", ["arange", "permutation", "duplicates", "subsample"])
     def test_quadratic_kernels_match_gather(self, N, which):
@@ -101,9 +113,73 @@ class TestFullIndexBits:
             assert v == gathered_logistic_value(feats, labels, 1e-4, idx, x)
             assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, idx, x))
 
+    @pytest.mark.parametrize("S, where", RUNS)
+    @pytest.mark.parametrize("n", [1, 5, 7, 20])
+    def test_quadratic_runs(self, n, S, where):
+        for seed in range(3):
+            A, b, _, _, x, _ = random_inputs(seed, n=n, N=9)
+            idx = run_index(9, 9 if S == "N" else S, where)
+            assert (kernels.quad_value(A, b, idx, x)
+                    == gathered_quad_value(A, b, idx, x))
+            assert np.array_equal(kernels.quad_gradient(A, b, idx, x),
+                                  gathered_quad_gradient(A, b, idx, x))
+
+    @pytest.mark.parametrize("S, where", RUNS)
+    @pytest.mark.parametrize("n", [2, 5, 7, 50])
+    def test_logistic_runs(self, n, S, where):
+        for seed in range(3):
+            feats, labels, x = wide_margin_inputs(seed, n=n)
+            N = labels.size
+            idx = run_index(N, N if S == "N" else S, where)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                v = kernels.logistic_value(feats, labels, 1e-4, idx, x)
+                g = kernels.logistic_gradient(feats, labels, 1e-4, idx, x)
+            assert v == gathered_logistic_value(feats, labels, 1e-4, idx, x)
+            assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, idx, x))
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 50])
+    def test_logistic_report(self, n):
+        for seed in range(3):
+            feats, labels, x = wide_margin_inputs(seed, n=n)
+            full = np.arange(labels.size)
+            v, g = kernels.logistic_report(feats, labels, 1e-4, x)
+            assert v == gathered_logistic_value(feats, labels, 1e-4, full, x)
+            assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, full, x))
+
+    @pytest.mark.parametrize("n", [1, 5, 7, 20, 50, 100])
+    def test_runs_at_random_offsets(self, n):
+        rng = np.random.default_rng(n)
+        A, b, feats, labels, x, _ = random_inputs(n, n=n, N=20)
+        for _ in range(20):
+            S = int(rng.integers(1, 9))
+            idx = np.arange(S) + int(rng.integers(0, 21 - S))
+            assert (kernels.quad_value(A, b, idx, x)
+                    == gathered_quad_value(A, b, idx, x))
+            assert np.array_equal(kernels.quad_gradient(A, b, idx, x),
+                                  gathered_quad_gradient(A, b, idx, x))
+            assert (kernels.logistic_value(feats, labels, 1e-4, idx, x)
+                    == gathered_logistic_value(feats, labels, 1e-4, idx, x))
+            assert np.array_equal(kernels.logistic_gradient(feats, labels, 1e-4, idx, x),
+                                  gathered_logistic_gradient(feats, labels, 1e-4, idx, x))
+
+    def test_index_sets_that_are_no_runs_keep_numpy_indexing(self):
+        A, b, feats, labels, x, _ = random_inputs(0, N=9)
+        for idx in (np.array([9]), np.array([8, 9])):
+            with pytest.raises(IndexError):
+                kernels.quad_gradient(A, b, idx, x)
+            with pytest.raises(IndexError):
+                kernels.logistic_value(feats, labels, 1e-4, idx, x)
+        # not runs, though the ends are S-1 apart; [-1, 0] wraps to rows 8, 0
+        for idx in (np.array([-1, 0]), np.array([2, 4, 3, 5]), np.array([1, 1, 3, 4])):
+            assert np.array_equal(kernels.quad_gradient(A, b, idx, x),
+                                  gathered_quad_gradient(A, b, idx, x))
+            assert (kernels.logistic_value(feats, labels, 1e-4, idx, x)
+                    == gathered_logistic_value(feats, labels, 1e-4, idx, x))
+
 
 class TestFullIndexInPlace:
-    """A full-index call must not copy the data it reads."""
+    """A full-index or single-row call must not copy the data it reads."""
 
     @staticmethod
     def peak_bytes(kernel, *args):
@@ -140,3 +216,20 @@ class TestFullIndexInPlace:
         peak = self.peak_bytes(kernels.logistic_report, feats, labels, 1e-4,
                                rng.standard_normal(50))
         assert peak < 0.5 * feats.nbytes
+
+    # the S=1 call of the default batch size, at a row other than the first;
+    # quad_value's three-operand einsum and the logistic gradient's n-vectors
+    # allocate a row's worth of their own, so these two kernels show the copy
+    @pytest.mark.parametrize("kernel", ["quad_gradient", "logistic_value"])
+    def test_single_row_call_copies_no_row(self, kernel):
+        rng = np.random.default_rng(0)
+        if kernel == "quad_gradient":
+            A = rng.standard_normal((30, 100, 100))
+            args, row = (A, rng.standard_normal((30, 100))), A[0].nbytes
+        else:
+            feats = rng.standard_normal((30, 2000))
+            args = (feats, np.where(rng.random(30) > 0.5, 1.0, -1.0), 1e-4)
+            row = feats[0].nbytes
+        x = rng.standard_normal(args[0].shape[-1])
+        peak = self.peak_bytes(getattr(kernels, kernel), *args, np.array([17]), x)
+        assert peak < row

@@ -295,6 +295,29 @@ class TestDatasetLoader:
         with pytest.raises(DatasetFormatError, match=line):
             load_dataset(str(f), "dense")
 
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("sparse", "1 1:0.5\n0 1:1e200 2:1.0\n1 2:0.25\n",
+         "line 2: squared feature norm overflows"),
+        ("dense", "1,0.5,1e160\n0,1e160,1.0\n", "line 1: squared feature norm overflows"),
+        # the first bad row is named, whichever way it is bad
+        ("sparse", "1 1:0.5\n1 1:1e200\n1 1:nan\n", "line 2: squared feature norm overflows"),
+        ("sparse", "1 1:nan\n1 1:1e200\n", "line 1: non-finite label or feature value"),
+    ])
+    def test_overflowing_squared_row_norm_rejected(self, tmp_path, fmt, text, message):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DatasetFormatError) as err:
+                load_dataset(str(f), fmt)
+        assert str(err.value) == message
+
+    def test_largest_finite_squared_row_norm_accepted(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("1 1:1e154 2:1.0\n0 1:1.0\n")
+        P = logistic_problem(load_dataset(str(f), "sparse"))
+        assert np.isfinite(P.lipschitz)
+
     def test_zero_feature_index_rejected(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("1 0:0.5\n")
@@ -475,12 +498,31 @@ def load_in_blocks(path, fmt, block_chars):
         return load_dataset(str(path), fmt)
 
 
+def overflow_message(path, feats):
+    """The error for the first row whose squared norm overflows, or None."""
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(np.sum(feats**2, axis=1)))
+    if not bad.size:
+        return None
+    with open(path) as fh:
+        linenos = [i for i, ln in enumerate(fh, start=1) if ln.strip()]
+    return f"line {linenos[bad[0]]}: squared feature norm overflows"
+
+
 class TestBlockReaderParity:
+    """Finite values whose squares overflow are drawn too: then the file
+    must be rejected, naming the first such row."""
+
     @given(text=sparse_files(), block_chars=BLOCK_CHARS)
     def test_sparse_arrays_equal_the_row_by_row_reading(self, data_file, text, block_chars):
         data_file.write_bytes(text.encode())
-        got = load_in_blocks(data_file, "sparse", block_chars)
         feats, labels = reference_load(data_file, "sparse")
+        if message := overflow_message(data_file, feats):
+            with pytest.raises(DatasetFormatError) as err:
+                load_in_blocks(data_file, "sparse", block_chars)
+            assert str(err.value) == message
+            return
+        got = load_in_blocks(data_file, "sparse", block_chars)
         assert got.features.shape == feats.shape and got.features.flags.c_contiguous
         assert got.features.tobytes() == feats.tobytes()
         assert got.labels.tobytes() == labels.tobytes()
@@ -489,8 +531,13 @@ class TestBlockReaderParity:
     @given(text=dense_files(), block_chars=BLOCK_CHARS)
     def test_dense_arrays_equal_the_row_by_row_reading(self, data_file, text, block_chars):
         data_file.write_bytes(text.encode())
-        got = load_in_blocks(data_file, "dense", block_chars)
         feats, labels = reference_load(data_file, "dense")
+        if message := overflow_message(data_file, feats):
+            with pytest.raises(DatasetFormatError) as err:
+                load_in_blocks(data_file, "dense", block_chars)
+            assert str(err.value) == message
+            return
+        got = load_in_blocks(data_file, "dense", block_chars)
         assert got.features.shape == feats.shape and got.features.flags.c_contiguous
         assert got.features.tobytes() == feats.tobytes()
         assert got.labels.tobytes() == labels.tobytes()

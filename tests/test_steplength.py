@@ -1,5 +1,8 @@
 """Spectral coefficients, anchors and the damped step scale."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -154,3 +157,20 @@ class TestSpectralState:
         x[0] = 99.0
         assert st.prev_x[0] == 1.0
         assert np.array_equal(st.prev_g, [2.0, 2.0, 2.0])
+
+
+class TestNorm:
+    """``math.sqrt(g @ g)``, the norm of the anchor and of every trace row,
+    has the bits of ``np.linalg.norm(g)``."""
+
+    @given(st.lists(st.one_of(st.floats(allow_subnormal=True),
+                              st.sampled_from([-0.0, 5e-324, 1e154, 1e200])),
+                    min_size=1, max_size=200))
+    def test_sqrt_of_dot_is_norm(self, values):
+        g = np.array(values)
+        with np.errstate(all="ignore"):  # inf and nan entries, overflowing squares
+            ours, ref = math.sqrt(g @ g), float(np.linalg.norm(g))
+        if math.isnan(ref):
+            assert math.isnan(ours)
+        else:
+            assert struct.pack("<d", ours) == struct.pack("<d", ref)
