@@ -13,9 +13,15 @@ gathers a copy of its rows first.  Both paths sum the same rows in the
 same order, so they give the same bits.
 
 ``logistic_report`` is the full-index value and gradient of one trace
-row: it computes the margins once and hands them to the same loss and
-gradient formulas as ``logistic_value`` and ``logistic_gradient``, so
-its results carry their bits.
+row.  It computes the margins z and exp(-|z|) once and shares them
+between the two.  Its gradient carries ``logistic_gradient``'s bits.
+Its value takes each row's loss log(1 + exp(z)) as
+max(z, 0) + log1p(exp(-|z|)), the formula ``np.logaddexp`` evaluates,
+on numpy's vectorized ``maximum`` and ``log1p`` instead of
+``logaddexp``'s scalar loop; it is within a few ULP of
+``logistic_value``, not bit-equal.  The charged ``logistic_value``
+keeps ``np.logaddexp``: its bits steer the line search, and at the
+rounding floor a change of bits there changes a run's costs.
 """
 
 import numpy as np
@@ -48,34 +54,39 @@ def quad_gradient(A, b, idx, x):
     return np.einsum("ijk,ik->j", A[r], dx) / idx.size
 
 
-def _logistic_loss(z, lam, x):
-    """Mean of log(1 + exp(z_i)) plus the regularizer."""
-    return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * lam * float(x @ x)
-
-
-def _logistic_grad(z, F, y, lam, x):
-    """Mean loss gradient over the rows of margins ``z`` plus lam*x."""
-    # stable sigmoid(z); exp(-|z|) never overflows
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    sig = np.where(z >= 0, 1.0 / d, e / d)
+def _logistic_grad(z, e, F, y, lam, x):
+    """Mean loss gradient over the rows of margins ``z`` plus lam*x;
+    ``e`` is exp(-|z|), which never overflows."""
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)  # stable sigmoid(z)
     return ((-y * sig) @ F) / z.size + lam * x
 
 
 def logistic_value(feats, labels, lam, idx, x):
     """Mean regularized logistic loss over the indices in ``idx``."""
     r = _rows(idx, labels.size)
-    return _logistic_loss(-labels[r] * (feats[r] @ x), lam, x)
+    z = -labels[r] * (feats[r] @ x)
+    return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * lam * float(x @ x)
 
 
 def logistic_gradient(feats, labels, lam, idx, x):
     """Mean regularized logistic loss gradient over ``idx``."""
     r = _rows(idx, labels.size)
     F, y = feats[r], labels[r]
-    return _logistic_grad(-y * (F @ x), F, y, lam, x)
+    z = -y * (F @ x)
+    return _logistic_grad(z, np.exp(-np.abs(z)), F, y, lam, x)
+
+
+def _log1p_exp(z, e):
+    """log(1 + exp(z)) per element, given ``e`` = exp(-|z|): the formula
+    ``np.logaddexp(0, z)`` evaluates, max(z, 0) + log1p(e)."""
+    loss = np.log1p(e)
+    loss += np.maximum(z, 0.0)
+    return loss
 
 
 def logistic_report(feats, labels, lam, x):
     """Full value and gradient, from one pass over the data in place."""
     z = -labels * (feats @ x)
-    return _logistic_loss(z, lam, x), _logistic_grad(z, feats, labels, lam, x)
+    e = np.exp(-np.abs(z))
+    f = float(np.mean(_log1p_exp(z, e))) + 0.5 * lam * float(x @ x)
+    return f, _logistic_grad(z, e, feats, labels, lam, x)

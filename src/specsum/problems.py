@@ -9,7 +9,9 @@ cost model, which the estimator entry points at the end of this module
 charge when they are handed one.  Each problem's ``report(x)`` returns
 the full value and gradient of one trace row in one pass over the data,
 with the bits of ``full_value`` and ``full_gradient``; it is never
-charged.
+charged.  The logistic full value is the report's: it is within a few
+ULP of the charged estimator ``batch_value`` on the full index, which
+keeps ``np.logaddexp`` (see :mod:`specsum.kernels`).
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ class DatasetFormatError(ValueError):
 
 
 class NonFiniteInstanceError(ArithmeticError):
-    """Raised when an aggregate of a quadratic instance is not finite."""
+    """Raised when an aggregate of a problem instance is not finite."""
 
 
 @dataclass(slots=True)
@@ -47,10 +49,10 @@ class EvalMeter:
     grad_count: int = 0
 
 
-def _require_finite(**quantities):
+def _require_finite(kind, **quantities):
     for name, value in quantities.items():
         if not np.all(np.isfinite(value)):
-            raise NonFiniteInstanceError(f"{name} of the quadratic instance is not finite")
+            raise NonFiniteInstanceError(f"{name} of the {kind} instance is not finite")
 
 
 def _as_rng(rng):
@@ -78,7 +80,9 @@ class FiniteSumProblem:
     ``batch_gradient(indices, x)``, ``full_value(x)`` and
     ``full_gradient(x)``, and ``report(x) -> (f, g)``: the full value
     and gradient of one trace row, computed together with exactly the
-    bits of ``full_value(x)`` and ``full_gradient(x)``.
+    bits of ``full_value(x)`` and ``full_gradient(x)``.  The full
+    gradient has the bits of ``batch_gradient`` on the full index; the
+    full value need only be within rounding of ``batch_value`` there.
     """
 
     N = 0
@@ -120,12 +124,13 @@ class QuadraticProblem(FiniteSumProblem):
             self._mean_A = A.mean(axis=0)
             self._mean_Ab = Ab.mean(axis=0)
             self._const = 0.5 * float(np.einsum("ij,ij->", b, Ab)) / self.N
-        _require_finite(_mean_A=self._mean_A, _mean_Ab=self._mean_Ab, _const=self._const)
+        _require_finite("quadratic", _mean_A=self._mean_A, _mean_Ab=self._mean_Ab,
+                        _const=self._const)
         if lipschitz is None:
             lipschitz = max(float(np.linalg.eigvalsh(Ai)[-1]) for Ai in A)
         self.lipschitz = float(lipschitz)
         self.minimizer = self._solve_minimizer()
-        _require_finite(minimizer=self.minimizer)
+        _require_finite("quadratic", minimizer=self.minimizer)
         self.optimal_value = self.full_value(self.minimizer)
 
     def _solve_minimizer(self):
@@ -175,7 +180,10 @@ class LogisticProblem(FiniteSumProblem):
     """L2-regularized logistic regression over labeled feature rows.
 
     f_i(x) = log(1 + exp(-y_i * a_i'x)) + 0.5*lam*||x||^2 with labels
-    y_i in {-1, +1}.
+    y_i in {-1, +1}.  ``lipschitz`` is lam + max_i ||a_i||^2 / 4; one
+    that is not finite (a feature whose square overflows) raises
+    :class:`NonFiniteInstanceError`.  ``full_value`` is the value
+    ``report`` returns.
     """
 
     def __init__(self, features, labels, lam, label="logistic"):
@@ -192,7 +200,8 @@ class LogisticProblem(FiniteSumProblem):
         self.lam = float(lam)
         self.N, self.n = features.shape
         self.label = label
-        self.lipschitz = self.lam + 0.25 * float(np.max(np.sum(features**2, axis=1)))
+        self.lipschitz = self.lam + 0.25 * float(np.max(_squared_row_norms(features)))
+        _require_finite("logistic", lipschitz=self.lipschitz)
         self._all = np.arange(self.N, dtype=np.int64)
 
     def component_value(self, i, x):
@@ -221,7 +230,7 @@ class LogisticProblem(FiniteSumProblem):
         return kernels.logistic_gradient(self.features, self.labels, self.lam, idx, x)
 
     def full_value(self, x):
-        return self.batch_value(self._all, x)
+        return self.report(x)[0]
 
     def full_gradient(self, x):
         return self.batch_gradient(self._all, x)
@@ -233,6 +242,24 @@ class LogisticProblem(FiniteSumProblem):
 
 # ---------------------------------------------------------------------------
 # problem construction
+
+# Matrix elements squared at a time by _squared_row_norms.
+_NORM_BLOCK = 1 << 16
+
+
+def _squared_row_norms(features):
+    """Squared Euclidean norm of each row of ``features``.
+
+    The rows are squared and summed a block at a time, so no temporary
+    the size of the matrix is made.  Each row's sum does not depend on
+    the blocking.  A norm that overflows is inf, without a warning.
+    """
+    sq = np.empty(features.shape[0])
+    step = max(1, _NORM_BLOCK // max(1, features.shape[1]))
+    with np.errstate(over="ignore"):  # the callers check
+        for lo in range(0, sq.size, step):
+            sq[lo:lo + step] = np.sum(features[lo:lo + step] ** 2, axis=1)
+    return sq
 
 
 def generate_quadratic(n, N, rng):
@@ -481,12 +508,7 @@ def load_dataset(path, format):
             for _ in fh:  # decode the rest: an undecodable byte is reported first
                 pass
             raise
-    # the row sums of LogisticProblem's lipschitz, one block of rows at a
-    # time, so that no temporary the size of the matrix is made
-    with np.errstate(over="ignore"):  # checked below
-        sq_norms = np.concatenate([np.sum(rows**2, axis=1)
-                                   for rows in np.array_split(feats, len(linenos))])
-    ok = np.isfinite(raw) & np.isfinite(sq_norms)
+    ok = np.isfinite(raw) & np.isfinite(_squared_row_norms(feats))
     if not ok.all():
         j = np.argmin(ok)
         lineno = np.concatenate(linenos)[j]

@@ -46,6 +46,13 @@ def gathered_logistic_value(feats, labels, lam, idx, x):
     return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * lam * float(x @ x)
 
 
+def reported_logistic_value(feats, labels, lam, x):
+    # the report's loss; np.logaddexp(0, z) evaluates the same formula
+    z = -labels * (feats @ x)
+    loss = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return float(np.mean(loss)) + 0.5 * lam * float(x @ x)
+
+
 def gathered_logistic_gradient(feats, labels, lam, idx, x):
     z = -labels[idx] * (feats[idx] @ x)
     sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
@@ -65,13 +72,14 @@ def index_sets(N, rng):
     }
 
 
-def wide_margin_inputs(seed, n=4, N=41):
-    # z_i = -y_i a_i'x spread over [-800, 800], past where exp(|z|) overflows
+def wide_margin_inputs(seed, n=4, N=41, span=800.0):
+    # z_i = -y_i a_i'x spread over [-span, span]; at the default span, past
+    # where exp(|z|) overflows
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((N, n))
     labels = np.where(rng.random(N) > 0.5, 1.0, -1.0)
     x = rng.standard_normal(n)
-    z = np.linspace(-800.0, 800.0, N)
+    z = np.linspace(-span, span, N)
     feats[:, 0] = (-labels * z - feats[:, 1:] @ x[1:]) / x[0]
     return feats, labels, x
 
@@ -144,7 +152,7 @@ class TestFullIndexBits:
             feats, labels, x = wide_margin_inputs(seed, n=n)
             full = np.arange(labels.size)
             v, g = kernels.logistic_report(feats, labels, 1e-4, x)
-            assert v == gathered_logistic_value(feats, labels, 1e-4, full, x)
+            assert v == reported_logistic_value(feats, labels, 1e-4, x)
             assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, full, x))
 
     @pytest.mark.parametrize("n", [1, 5, 7, 20, 50, 100])
@@ -176,6 +184,44 @@ class TestFullIndexBits:
                                   gathered_quad_gradient(A, b, idx, x))
             assert (kernels.logistic_value(feats, labels, 1e-4, idx, x)
                     == gathered_logistic_value(feats, labels, 1e-4, idx, x))
+
+
+def ulps(a, b):
+    """|a - b| in units in the last place of ``b``; ``b`` finite."""
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+class TestReportedLoss:
+    """The report's loss max(z, 0) + log1p(exp(-|z|)) stays within
+    rounding of np.logaddexp(0, z), which the charged estimator keeps."""
+
+    def test_elements_match_logaddexp_to_two_ulp(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate([np.linspace(-800.0, 800.0, 4001), rng.uniform(-40.0, 40.0, 4000),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kernels._log1p_exp(z, np.exp(-np.abs(z)))
+        with np.errstate(invalid="ignore"):  # logaddexp flags a nan margin
+            ref = np.logaddexp(0.0, z)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+        assert ulps(got[finite], ref[finite]).max() <= 2
+
+    @pytest.mark.parametrize("span", [1.0, 5.0, 800.0])
+    @pytest.mark.parametrize("N", [1, 3, 1001])
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_report_matches_the_full_index_estimators(self, n, N, span):
+        for seed in range(10):
+            feats, labels, x = wide_margin_inputs(seed, n=n, N=N, span=span)
+            full = np.arange(labels.size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                v, g = kernels.logistic_report(feats, labels, 1e-4, x)
+                ref = kernels.logistic_value(feats, labels, 1e-4, full, x)
+                assert np.array_equal(g, kernels.logistic_gradient(feats, labels, 1e-4, full, x))
+            assert ulps(v, ref) <= 4
 
 
 class TestFullIndexInPlace:

@@ -1,6 +1,7 @@
 """Problem oracles: generator recipe, gradients, estimators, ingestion."""
 
 import itertools
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -213,6 +214,33 @@ class TestLogistic:
         feats = np.array([[1.0, 2.0], [3.0, 0.0]])
         P = LogisticProblem(feats, np.array([1.0, -1.0]), lam=1e-4)
         assert P.lipschitz == pytest.approx(1e-4 + 9.0 / 4.0, rel=1e-14)
+
+    def test_overflowing_squared_row_norm_raises(self):
+        feats = np.array([[1e200, 1.0], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(problems.NonFiniteInstanceError,
+                               match="^lipschitz of the logistic instance is not finite$"):
+                LogisticProblem(feats, np.array([1.0, -1.0]), 1e-4)
+
+    def test_lipschitz_has_the_bits_of_the_whole_matrix_sum(self):
+        # rows squared a block at a time, the last block short
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((3001, 50)) * rng.uniform(0.0, 100.0, size=(3001, 1))
+        P = LogisticProblem(feats, np.where(rng.random(3001) > 0.5, 1.0, -1.0), 1e-4)
+        assert P.lipschitz == 1e-4 + 0.25 * float(np.max(np.sum(feats**2, axis=1)))
+
+    def test_constructor_makes_no_temporary_the_size_of_the_features(self):
+        rng = np.random.default_rng(0)
+        feats = rng.standard_normal((20000, 50))
+        labels = np.where(rng.random(20000) > 0.5, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            LogisticProblem(feats, labels, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * feats.nbytes
 
     def test_large_arguments_stay_finite(self):
         P = make_logistic(3, 5, seed=10)
