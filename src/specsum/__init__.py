@@ -13,6 +13,7 @@ from .problems import (
     QuadraticProblem,
     batch_gradient,
     batch_value,
+    component_gradient_norms,
     full_gradient,
     full_value,
     generate_quadratic,
@@ -21,7 +22,6 @@ from .problems import (
 )
 from .sampling import (
     AisState,
-    SampleBatch,
     ais_draw,
     ais_probabilities,
     ais_update_scores,

@@ -159,14 +159,10 @@ def run_single(problem, config, seed, out_dir, stream=0):
 # aggregation
 
 
-def trace_curve(trace_or_rows):
+def trace_curve(trace):
     """(cum_evals, f_full) pairs of a run, cut at the first non-finite f."""
-    if isinstance(trace_or_rows, dict):
-        evals = np.asarray(trace_or_rows["cum_evals"], dtype=np.float64)
-        f = np.asarray(trace_or_rows["f_full"], dtype=np.float64)
-    else:
-        evals = np.array([r.cum_evals for r in trace_or_rows.records], dtype=np.float64)
-        f = np.array([r.f_full for r in trace_or_rows.records], dtype=np.float64)
+    evals = np.array([r.cum_evals for r in trace.records], dtype=np.float64)
+    f = np.array([r.f_full for r in trace.records], dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
         evals, f = evals[: bad[0]], f[: bad[0]]
@@ -296,20 +292,23 @@ def load_instance(path):
     a scalar, an array that cannot be read, or a non-numeric or
     non-finite value.
     """
-    try:
-        data = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise DatasetFormatError(f"{path}: not an .npz archive: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise DatasetFormatError(f"{path}: not an .npz archive")
-    with data:
-        missing = [key for key in _INSTANCE_KEYS if key not in data.files]
-        if missing:
-            raise DatasetFormatError(f"{path}: missing {', '.join(missing)}")
+    # the file is ours to close: numpy leaves it open when a truncated
+    # archive makes it raise
+    with open(path, "rb") as fh:
         try:
-            A, b, lip, seed = (data[key] for key in _INSTANCE_KEYS)
-        except (ValueError, zipfile.BadZipFile) as exc:  # object arrays, bad CRC
-            raise DatasetFormatError(f"{path}: unreadable array: {exc}") from exc
+            data = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DatasetFormatError(f"{path}: not an .npz archive: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DatasetFormatError(f"{path}: not an .npz archive")
+        with data:
+            missing = [key for key in _INSTANCE_KEYS if key not in data.files]
+            if missing:
+                raise DatasetFormatError(f"{path}: missing {', '.join(missing)}")
+            try:
+                A, b, lip, seed = (data[key] for key in _INSTANCE_KEYS)
+            except (ValueError, zipfile.BadZipFile) as exc:  # object arrays, bad CRC
+                raise DatasetFormatError(f"{path}: unreadable array: {exc}") from exc
     N, n = b.shape if b.ndim == 2 else (0, 0)
     if N < 1 or n < 1 or A.shape != (N, n, n) or lip.shape != () or seed.shape != ():
         raise DatasetFormatError(

@@ -5,8 +5,10 @@ are provided: sums of strictly convex quadratics with a controlled
 eigenvalue spectrum, and L2-regularized logistic regression over a
 labeled dataset.  Component, subsample-averaged and full values and
 gradients are exposed, together with the cost meter of the benchmark
-cost model, which the estimator entry points at the end of this module
-charge when they are handed one.  Each problem's ``report(x)`` returns
+cost model.  The estimator entry points at the end of this module take
+a batch as its index array and are the only code that charges the
+meter, when they are handed one; that includes the component gradient
+norms that refresh the AIS scores.  Each problem's ``report(x)`` returns
 the full value and gradient of one trace row in one pass over the data,
 with the bits of ``full_value`` and ``full_gradient``; it is never
 charged.  The logistic full value is the report's: it is within a few
@@ -81,8 +83,11 @@ class FiniteSumProblem:
     ``full_gradient(x)``, and ``report(x) -> (f, g)``: the full value
     and gradient of one trace row, computed together with exactly the
     bits of ``full_value(x)`` and ``full_gradient(x)``.  The full
-    gradient has the bits of ``batch_gradient`` on the full index; the
-    full value need only be within rounding of ``batch_value`` there.
+    oracles need only agree with the batch estimators on the full index
+    within rounding: the logistic full gradient is ``batch_gradient`` on
+    the full index, bit for bit, but the quadratic full oracles use
+    precomputed aggregates and differ from both estimators in the last
+    bits.
     """
 
     N = 0
@@ -522,23 +527,33 @@ def load_dataset(path, format):
 
 # ---------------------------------------------------------------------------
 # estimator entry points; each charges ``meter`` when one is passed
-# (trace reporting calls each problem's uncharged ``report`` instead)
+# (trace reporting calls each problem's uncharged ``report`` instead).
+# ``indices`` is the batch: an index array, or any sequence of indices.
 
 
-def batch_value(problem, sample, x, meter=None):
+def batch_value(problem, indices, x, meter=None):
     """Subsample-averaged value; charges ``S`` value units."""
-    v = problem.batch_value(sample.indices, x)
+    v = problem.batch_value(indices, x)
     if meter is not None:
-        meter.count += len(sample.indices)
+        meter.count += len(indices)
     return v
 
 
-def batch_gradient(problem, sample, x, meter=None):
+def batch_gradient(problem, indices, x, meter=None):
     """Subsample-averaged gradient; charges ``S`` gradient units."""
-    g = problem.batch_gradient(sample.indices, x)
+    g = problem.batch_gradient(indices, x)
     if meter is not None:
-        meter.grad_count += len(sample.indices)
+        meter.grad_count += len(indices)
     return g
+
+
+def component_gradient_norms(problem, indices, x, meter=None):
+    """``np.linalg.norm`` of each listed component gradient, one
+    ``component_gradient`` call per index; charges ``S`` gradient units."""
+    norms = np.array([np.linalg.norm(problem.component_gradient(i, x)) for i in indices])
+    if meter is not None:
+        meter.grad_count += len(indices)
+    return norms
 
 
 def full_value(problem, x):

@@ -1,10 +1,12 @@
 """Subsample schedules and samplers.
 
 The solvers redraw their index batch every ``m``-th iteration and reuse
-it in between.  Two samplers are provided: uniform over size-S subsets
-(without replacement), and adaptive importance sampling whose
-nonuniform component probabilities are built from stored gradient norms
-and decay toward uniform at rate 1/k**eps.
+it in between.  A batch is the int64 index array the generator draws;
+the solvers pass it unchanged to the oracles and to their trace records.
+Two samplers are provided: uniform over size-S subsets (without
+replacement), and adaptive importance sampling whose nonuniform
+component probabilities are built from stored gradient norms and decay
+toward uniform at rate 1/k**eps.
 """
 
 from dataclasses import dataclass
@@ -12,19 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SCORE_FLOOR = 1e-12
-
-
-@dataclass
-class SampleBatch:
-    """An index batch of size S."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-
-    def __len__(self):
-        return self.indices.size
 
 
 @dataclass
@@ -62,7 +51,7 @@ def uniform_draw(N, S, rng):
     """Draw S distinct indices uniformly among size-S subsets of 0..N-1."""
     if not 1 <= S <= N:
         raise ValueError(f"need 1 <= S <= N, got S={S}, N={N}")
-    return SampleBatch(rng.choice(N, size=S, replace=False))
+    return rng.choice(N, size=S, replace=False)
 
 
 def ais_probabilities(state, k):
@@ -83,10 +72,10 @@ def ais_probabilities(state, k):
 def ais_draw(state, k, S, rng):
     """Draw S indices i.i.d. (with replacement) from the decayed scores."""
     p = ais_probabilities(state, k)
-    return SampleBatch(rng.choice(state.pi.size, size=S, replace=True, p=p))
+    return rng.choice(state.pi.size, size=S, replace=True, p=p)
 
 
-def ais_update_scores(state, previous_sample, gradient_norms):
+def ais_update_scores(state, previous_indices, gradient_norms):
     """Overwrite scores of the previously sampled indices.
 
     Each score becomes the component gradient norm at the previous
@@ -96,9 +85,9 @@ def ais_update_scores(state, previous_sample, gradient_norms):
     value; all other scores are unchanged.
     """
     norms = np.asarray(gradient_norms, dtype=np.float64)
-    if norms.shape != (len(previous_sample),):
+    if norms.shape != (len(previous_indices),):
         raise ValueError("one gradient norm per sampled index is required")
     ceiling = np.finfo(np.float64).max / (2 * state.pi.size)
     norms = np.clip(np.where(np.isfinite(norms), norms, SCORE_FLOOR), SCORE_FLOOR, ceiling)
-    for i, gn in zip(previous_sample.indices, norms):
+    for i, gn in zip(previous_indices, norms):
         state.pi[i] = gn

@@ -6,13 +6,15 @@ with ``maxiter + 1`` records, the first being the pre-run state (step fields
 NaN/zero) and the rest one record per iteration, labeled by the
 iteration index k = 0..maxiter-1.  A run whose reported objective
 turns non-finite stops at that row, so its trace ends at the divergence
-sentinel.  One cost meter per run, charged by the ``problems`` estimator
-entry points, keeps both cost columns: ``cum_evals`` counts S units per
-subsample value estimate computed by the algorithm, and
+sentinel.  One cost meter per run, charged only by the ``problems``
+estimator entry points, keeps both cost columns: ``cum_evals`` counts S
+units per subsample value estimate computed by the algorithm, and
 ``grad_pass_cost`` counts S per stochastic gradient and N per full
 gradient pass, so methods that never evaluate function values still
 expose their cost.  AIS runs also charge S per retired batch for the
-component gradients that refresh its scores.
+component gradient norms that refresh its scores.  A batch is the index
+array the sampler returns (``spectral-full`` holds ``arange(N)``); it
+is passed as is to the oracles and to the trace records.
 
 Methods
 -------
@@ -49,8 +51,6 @@ from . import problems, sampling
 from .kernels import BACKEND
 from .linesearch import ArmijoContext, lsp_search
 from .steplength import (
-    STANDARD,
-    UNDAMPED,
     DampingPolicy,
     SpectralState,
     anchor_coefficient,
@@ -124,8 +124,9 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """One trace row; ``indices``, the row's batch copied into a tuple of
-    Python ints, is kept in memory only."""
+    """One trace row.  ``indices``, kept in memory only, is the row's batch
+    array itself, shared with the driver and never written, so compare
+    it with ``np.array_equal``."""
 
     k: int
     resampled: bool
@@ -137,7 +138,7 @@ class IterationRecord:
     grad_pass_cost: int
     f_full: float
     grad_norm_full: float
-    indices: tuple = field(default=(), repr=False)
+    indices: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -168,7 +169,7 @@ class _Driver:
             alpha=float(alpha), lsp_trials=int(trials),
             cum_evals=self.meter.count, grad_pass_cost=self.meter.grad_count,
             f_full=float(f), grad_norm_full=math.sqrt(g @ g),  # np.linalg.norm's bits
-            indices=tuple(indices.tolist())))
+            indices=indices))
 
     def header(self):
         cfg, P = self.config, self.problem
@@ -198,14 +199,12 @@ class SlisesDriver(_Driver):
         # slises-modified takes an unsearched 1/k step at each redraw
         self._redraws = cfg.method != "spectral-full"
         self._unit_redraw_steps = cfg.method == "slises-modified"
-        if cfg.method == "spectral-full":
-            mode, exponent = UNDAMPED, 1.0
-        elif cfg.method == "slises-modified":
-            mode, exponent = STANDARD, 1.0 + cfg.delta
-        else:
-            mode, exponent = (STANDARD if cfg.damping else UNDAMPED), 1.0
-        self.sample = None if self._redraws else sampling.SampleBatch(np.arange(problem.N))
-        self.policy = DampingPolicy(cfg.gamma_min, cfg.gamma_max, exponent, mode)
+        if cfg.method == "slises-modified":
+            exponent = 1.0 + cfg.delta
+        else:  # exponent 0 leaves the clipped coefficient undamped
+            exponent = 1.0 if self._redraws and cfg.damping else 0.0
+        self.sample = None if self._redraws else np.arange(problem.N)
+        self.policy = DampingPolicy(cfg.gamma_min, cfg.gamma_max, exponent)
         self.sstate = SpectralState()
         self.ais = (sampling.AisState.uniform(problem.N, eps=cfg.eps)
                     if cfg.sampler == "ais" and self._redraws else None)
@@ -217,11 +216,9 @@ class SlisesDriver(_Driver):
             return sampling.uniform_draw(P.N, cfg.S, self.rng)
         if self.sample is not None:
             # scores take the component gradient norms at the previous
-            # iterate, for the indices of the batch being retired; these
-            # calls bypass ``problems``, so they are charged here
-            norms = [np.linalg.norm(P.component_gradient(i, self.sstate.prev_x))
-                     for i in self.sample.indices]
-            self.meter.grad_count += len(self.sample)
+            # iterate, for the indices of the batch being retired
+            norms = problems.component_gradient_norms(
+                P, self.sample, self.sstate.prev_x, self.meter)
             sampling.ais_update_scores(self.ais, self.sample, norms)
         return sampling.ais_draw(self.ais, max(k, 1), cfg.S, self.rng)
 
@@ -278,7 +275,7 @@ class SlisesDriver(_Driver):
                     self._base_value = res.phi_alpha
 
         self._append_record(resampled, np.nan if c is None else c, gamma,
-                            alpha, trials, self.sample.indices)
+                            alpha, trials, self.sample)
         self.k += 1
 
 
@@ -291,7 +288,7 @@ class SgdDriver(_Driver):
         g = problems.batch_gradient(P, sample, self.x, self.meter)
         gamma = 1.0 / max(k, 1)
         self.x = self.x - gamma * g
-        self._append_record(True, np.nan, gamma, 1.0, 0, sample.indices)
+        self._append_record(True, np.nan, gamma, 1.0, 0, sample)
         self.k += 1
 
 
@@ -348,7 +345,7 @@ class SvrgBbDriver(_EpochDriver):
         g_x = problems.batch_gradient(P, sample, self.x, self.meter)
         g_snap = problems.batch_gradient(P, sample, self._snap, self.meter)
         self.x = self.x - self._eta * (g_x - g_snap + self._snap_g)
-        self._append_record(True, np.nan, self._eta, 1.0, 0, sample.indices)
+        self._append_record(True, np.nan, self._eta, 1.0, 0, sample)
         self.k += 1
 
 
@@ -402,7 +399,7 @@ class SgdBbDriver(_EpochDriver):
         g = problems.batch_gradient(self.problem, sample, self.x, self.meter)
         self.x = self.x - self._eta * g
         self._acc = self._beta * g + (1.0 - self._beta) * self._acc
-        self._append_record(True, np.nan, self._eta, 1.0, 0, sample.indices)
+        self._append_record(True, np.nan, self._eta, 1.0, 0, sample)
         self.k += 1
 
 

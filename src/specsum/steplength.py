@@ -24,9 +24,6 @@ import numpy as np
 
 STATIONARY_NORM = 1e-14
 
-STANDARD = "standard"
-UNDAMPED = "undamped"
-
 
 @dataclass
 class SpectralState:
@@ -42,20 +39,18 @@ class SpectralState:
 
 @dataclass
 class DampingPolicy:
-    """Clip bounds, damping exponent and mode for the step scale."""
+    """Clip bounds and damping exponent for the step scale; exponent 0
+    leaves the clipped coefficient undamped."""
 
     gamma_min: float = 1e-8
     gamma_max: float = 1e8
     exponent: float = 1.0
-    mode: str = STANDARD
 
     def __post_init__(self):
         if not 0 < self.gamma_min <= 1 <= self.gamma_max:
             raise ValueError("need 0 < gamma_min <= 1 <= gamma_max")
-        if self.exponent < 1:
-            raise ValueError("damping exponent must be >= 1")
-        if self.mode not in (STANDARD, UNDAMPED):
-            raise ValueError(f"unknown damping mode {self.mode!r}")
+        if not (self.exponent == 0 or self.exponent >= 1):
+            raise ValueError("damping exponent must be 0 (undamped) or >= 1")
 
 
 def bb_coefficient(s, y):
@@ -87,12 +82,10 @@ def anchor_coefficient(g):
 def damp(c, k, policy):
     """Clip the coefficient and divide by max(k, 1)**exponent.
 
-    ``inf`` clips to gamma_max, negative values to gamma_min.  The
-    ``undamped`` mode skips the division and returns the clipped value.
+    ``inf`` clips to gamma_max, negative values to gamma_min.  Exponent
+    0 divides by 1.0, which returns the clipped value unchanged.
     """
     if math.isnan(c):
         c = math.inf
     clipped = min(policy.gamma_max, max(policy.gamma_min, c))
-    if policy.mode == UNDAMPED:
-        return clipped
     return clipped / max(k, 1) ** policy.exponent

@@ -20,6 +20,7 @@ all) and asserts the criterion at its stated tolerance:
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from specsum.problems import (
     batch_value,
     generate_quadratic,
 )
-from specsum.sampling import AisState, SampleBatch, ais_probabilities
+from specsum.sampling import AisState, ais_probabilities
 from specsum.solvers import SolverConfig, run_solver
 from specsum.steplength import bb_coefficient
 
@@ -105,7 +106,7 @@ def test_criterion_01_line_search_contract(quad_pool, logistic_pool):
             P = logistic_pool[t % len(logistic_pool)]
             x = rng.standard_normal(P.n) * 2.0
         S = int(rng.integers(1, P.N + 1))
-        sample = SampleBatch(rng.choice(P.N, size=S, replace=False))
+        sample = rng.choice(P.N, size=S, replace=False)
         g = batch_gradient(P, sample, x)
         if np.linalg.norm(g) < 1e-10:
             continue
@@ -136,7 +137,7 @@ def test_criterion_02_interpolation_exactness():
         P = QuadraticProblem(np.eye(3)[None] * rng.uniform(1, 5),
                              rng.uniform(1, 31, (1, 3)))
         x = rng.uniform(-5, 40, 3)
-        sample = SampleBatch([0])
+        sample = [0]
         g = batch_gradient(P, sample, x)
         v = rng.standard_normal(3)
         if v @ g > 0:
@@ -162,12 +163,12 @@ def test_criterion_03_spectral_coefficient_rayleigh_bound(quad_pool):
     for t in range(500):
         P = quad_pool[t % len(quad_pool)]
         S = int(rng.integers(1, P.N + 1))
-        sample = SampleBatch(rng.choice(P.N, size=S, replace=False))
+        sample = rng.choice(P.N, size=S, replace=False)
         x = rng.uniform(0, 32, P.n)
         s = rng.standard_normal(P.n)
         y = batch_gradient(P, sample, x + s) - batch_gradient(P, sample, x)
         inv_c = 1.0 / bb_coefficient(s, y)
-        w = np.linalg.eigvalsh(P.A[sample.indices].mean(axis=0))
+        w = np.linalg.eigvalsh(P.A[sample].mean(axis=0))
         if not (w[0] * (1 - 1e-10) <= inv_c <= w[-1] * (1 + 1e-10)):
             worst = f"case {t}: 1/c={inv_c} spectrum=[{w[0]}, {w[-1]}]"
             break
@@ -365,8 +366,8 @@ def test_criterion_13_cli_determinism(tmp_path):
             "--m", "3", "--maxiter", "25", "--seed", "9", "--out", out]
     assert cli_main(argv) == 0
     trace_path = os.path.join(out, "slises-ais-m3_seed9.csv")
-    first = open(trace_path, "rb").read()
+    first = Path(trace_path).read_bytes()
     assert cli_main(argv) == 0
-    second = open(trace_path, "rb").read()
+    second = Path(trace_path).read_bytes()
     verdict(13, "repeated runs byte-identical", t0,
             first == second and len(first) > 0)

@@ -1,6 +1,7 @@
 """Command line contract: subcommands, config precedence, exit codes."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,9 +126,10 @@ class TestRun:
         argv = ["run", "--instance", instance, "--method", "slises",
                 "--sampler", "ais", "--maxiter", "8", "--seed", "3", "--out", out]
         assert main(argv) == 0
-        first = open(os.path.join(out, "slises-ais-m3_seed3.csv"), "rb").read()
+        trace = Path(out, "slises-ais-m3_seed3.csv")
+        first = trace.read_bytes()
         assert main(argv) == 0
-        second = open(os.path.join(out, "slises-ais-m3_seed3.csv"), "rb").read()
+        second = trace.read_bytes()
         assert first == second
 
 

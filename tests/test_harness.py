@@ -1,6 +1,9 @@
 """Trace persistence, aggregation math, frozen instances."""
 
+import gc
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,13 +57,14 @@ class TestTraceRoundTrip:
         cfg = SolverConfig(method="slises", sampler="ais", maxiter=7)
         p1, _ = run_single(tiny_problem, cfg, seed=5, out_dir=str(tmp_path / "a"))
         p2, _ = run_single(tiny_problem, cfg, seed=5, out_dir=str(tmp_path / "b"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_distinct_streams_differ(self, tiny_problem, tmp_path):
         cfg = SolverConfig(method="slises", maxiter=7)
         _, t0 = run_single(tiny_problem, cfg, seed=5, out_dir=str(tmp_path), stream=0)
         _, t1 = run_single(tiny_problem, cfg, seed=5, out_dir=str(tmp_path), stream=1)
-        assert [r.indices for r in t0.records] != [r.indices for r in t1.records]
+        assert not all(np.array_equal(r0.indices, r1.indices)
+                       for r0, r1 in zip(t0.records, t1.records, strict=True))
 
     def test_divergence_sentinel_ends_curve(self, tmp_path):
         recs = [
@@ -71,11 +75,11 @@ class TestTraceRoundTrip:
         ]
         trace = RunTrace(header={"method": "slises"}, records=recs, final_x=np.zeros(1))
         path = write_trace(trace, str(tmp_path / "t.csv"))
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "inf" in text
         header, rows = read_trace(path)
         assert len(rows["k"]) == 3  # rows after the sentinel are dropped
-        evals, f = trace_curve(rows)
+        evals, f = trace_curve(trace)
         assert list(evals) == [0.0, 2.0]
         assert list(f) == [5.0, 9.0]
 
@@ -98,7 +102,7 @@ FIELDS = ("k", "resampled", "c", "gamma", "alpha", "lsp_trials", "cum_evals",
 
 
 def data_lines(path):
-    return [line for line in open(path).read().splitlines() if not line.startswith("#")]
+    return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
 
 
 class TestRowFormatting:
@@ -280,8 +284,12 @@ class TestMalformedInstances:
             np.save(str(path), np.ones(3))
         else:
             path.write_bytes(content)
-        with pytest.raises(DatasetFormatError, match="not an .npz archive"):
-            load_instance(str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DatasetFormatError, match="not an .npz archive"):
+                load_instance(str(path))
+            gc.collect()  # a file left open warns when it is collected
+        assert [w.message for w in caught if w.category is ResourceWarning] == []
 
     def test_unreadable_array_rejected(self, tmp_path):
         objects = str(tmp_path / "objects.npz")

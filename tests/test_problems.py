@@ -20,6 +20,7 @@ from specsum.problems import (
     QuadraticProblem,
     batch_gradient,
     batch_value,
+    component_gradient_norms,
     detect_format,
     full_gradient,
     full_value,
@@ -27,7 +28,6 @@ from specsum.problems import (
     load_dataset,
     logistic_problem,
 )
-from specsum.sampling import SampleBatch
 
 from conftest import make_logistic
 
@@ -101,7 +101,7 @@ class TestValuesAndGradients:
         rng = np.random.default_rng(2)
         P = generate_quadratic(4, 7, rng)
         x = rng.uniform(0, 30, P.n)
-        sample = SampleBatch(np.arange(P.N))
+        sample = np.arange(P.N)
         assert batch_value(P, sample, x) == pytest.approx(full_value(P, x), rel=1e-12)
         assert batch_gradient(P, sample, x) == pytest.approx(full_gradient(P, x), rel=1e-10)
 
@@ -110,7 +110,7 @@ class TestValuesAndGradients:
         P = generate_quadratic(4, 6, rng)
         x = rng.uniform(0, 30, P.n)
         meter = EvalMeter()
-        v = batch_value(P, SampleBatch([2]), x, meter)
+        v = batch_value(P, [2], x, meter)
         dx = x - P.b[2]
         assert v == pytest.approx(0.5 * dx @ P.A[2] @ dx, rel=1e-14)
         assert meter.count == 1
@@ -135,11 +135,11 @@ class TestValuesAndGradients:
         Q = make_logistic(4, 9, seed=6)
         for prob in (P, Q):
             for _ in range(5):
-                sample = SampleBatch(rng.choice(prob.N, size=3, replace=False))
+                sample = rng.choice(prob.N, size=3, replace=False)
                 x = rng.standard_normal(prob.n) * 4
                 h = 1e-6 * (1 + np.linalg.norm(x))
                 g = batch_gradient(prob, sample, x)
-                fd = central_diff(lambda y: prob.batch_value(sample.indices, y), x, h)
+                fd = central_diff(lambda y: prob.batch_value(sample, y), x, h)
                 assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
     def test_uniform_estimator_unbiased_by_enumeration(self):
@@ -149,11 +149,11 @@ class TestValuesAndGradients:
         x = rng.uniform(0, 30, P.n)
         for S in (1, 2, 3):
             subsets = list(itertools.combinations(range(P.N), S))
-            g = sum(batch_gradient(P, SampleBatch(list(s)), x) for s in subsets)
+            g = sum(batch_gradient(P, list(s), x) for s in subsets)
             g /= len(subsets)
             full = full_gradient(P, x)
             assert np.linalg.norm(g - full) <= 1e-12 * max(1.0, np.linalg.norm(full))
-            v = sum(batch_value(P, SampleBatch(list(s)), x) for s in subsets) / len(subsets)
+            v = sum(batch_value(P, list(s), x) for s in subsets) / len(subsets)
             assert v == pytest.approx(full_value(P, x), rel=1e-12)
 
 
@@ -163,9 +163,9 @@ class TestMeter:
         P = generate_quadratic(3, 10, rng)
         x = rng.uniform(0, 30, P.n)
         meter = EvalMeter()
-        batch_value(P, SampleBatch([1, 4, 7]), x, meter)
+        batch_value(P, [1, 4, 7], x, meter)
         assert meter.count == 3
-        batch_value(P, SampleBatch([0]), x, meter)
+        batch_value(P, [0], x, meter)
         assert meter.count == 4
 
     def test_gradient_column_charges_sample_size_and_N(self):
@@ -173,12 +173,28 @@ class TestMeter:
         P = generate_quadratic(3, 10, rng)
         x = rng.uniform(0, 30, P.n)
         meter = EvalMeter()
-        batch_gradient(P, SampleBatch([2, 5]), x, meter)
+        batch_gradient(P, [2, 5], x, meter)
         assert meter.grad_count == 2
         full_gradient(P, x, meter)
         assert meter.grad_count == 2 + P.N
-        batch_value(P, SampleBatch([1]), x, meter)
+        batch_value(P, [1], x, meter)
         assert (meter.count, meter.grad_count) == (1, 2 + P.N)
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
+    def test_component_gradient_norms_charge_gradient_units(self, family):
+        rng = np.random.default_rng(10)
+        P = (generate_quadratic(3, 10, rng) if family == "quadratic"
+             else make_logistic(3, 10, seed=10))
+        x = rng.standard_normal(P.n) * 5
+        batch = np.array([4, 0, 4, 9])
+        meter = EvalMeter()
+        norms = component_gradient_norms(P, batch, x, meter)
+        expected = [np.linalg.norm(P.component_gradient(i, x)) for i in batch]
+        assert norms.tobytes() == np.array(expected).tobytes()
+        assert (meter.count, meter.grad_count) == (0, 4)
+        listed = component_gradient_norms(P, [4, 0, 4, 9], x, meter)
+        assert listed.tobytes() == norms.tobytes()
+        assert (meter.count, meter.grad_count) == (0, 8)
 
     def test_gradient_and_reporting_are_free(self):
         rng = np.random.default_rng(8)
@@ -186,7 +202,7 @@ class TestMeter:
         x = rng.uniform(0, 30, P.n)
         meter = EvalMeter()
         for _ in range(5):
-            batch_gradient(P, SampleBatch([2, 5]), x)
+            batch_gradient(P, [2, 5], x)
         full_value(P, x)
         full_gradient(P, x)
         assert meter.count == 0

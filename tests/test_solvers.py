@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specsum.problems import QuadraticProblem, batch_gradient, generate_quadratic
-from specsum.sampling import SampleBatch, should_resample
+from specsum.sampling import should_resample
 from specsum.solvers import SolverConfig, make_solver, run_solver
 
 
@@ -88,7 +88,7 @@ class TestCoefficientRegime:
             xs.append(drv.x.copy())
             drv.step()
             rec = drv.records[-1]
-            gs.append(batch_gradient(P, SampleBatch(list(rec.indices)), xs[-1]))
+            gs.append(batch_gradient(P, rec.indices, xs[-1]))
         return drv.records[1:], xs, gs
 
     def test_anchor_at_redraws_bb_between(self):
@@ -128,7 +128,7 @@ class TestCoefficientRegime:
         records = tr.records[1:]
         for k, rec in enumerate(records):
             if not rec.resampled:
-                assert rec.indices == records[k - 1].indices
+                assert rec.indices is records[k - 1].indices
 
     def test_ais_sampler_runs_and_updates_scores(self):
         P = generate_quadratic(3, 10, np.random.default_rng(5))
@@ -174,6 +174,13 @@ class TestSpectralFull:
         assert tr.records[-1].cum_evals == P.N * shadow.value_calls
         assert tr.records[-1].cum_evals >= P.N * (cfg.maxiter + 1)
 
+    def test_rows_share_one_full_index_array(self):
+        P = generate_quadratic(3, 7, np.random.default_rng(7))
+        tr = run_solver(P, SolverConfig(method="spectral-full", maxiter=6, seed=0))
+        batch = tr.records[1].indices
+        assert batch.dtype == np.int64 and np.array_equal(batch, np.arange(P.N))
+        assert all(rec.indices is batch for rec in tr.records[1:])
+
     def test_deterministic_across_seeds(self):
         P = generate_quadratic(3, 6, np.random.default_rng(8))
         t1 = run_solver(P, SolverConfig(method="spectral-full", maxiter=8, seed=1))
@@ -184,6 +191,15 @@ class TestSpectralFull:
         P = generate_quadratic(5, 10, np.random.default_rng(9))
         tr = run_solver(P, SolverConfig(method="spectral-full", maxiter=120, seed=0))
         assert min(r.grad_norm_full for r in tr.records) <= 1e-6
+
+
+@pytest.mark.parametrize("method,damping,exponent", [
+    ("slises", True, 1.0), ("slises", False, 0.0), ("spectral-full", True, 0.0),
+    ("slises-modified", True, 1.25), ("slises-modified", False, 1.25)])
+def test_damping_exponent_per_method(method, damping, exponent):
+    P = generate_quadratic(2, 4, np.random.default_rng(0))
+    cfg = SolverConfig(method=method, damping=damping, delta=0.25)
+    assert make_solver(P, cfg).policy.exponent == exponent
 
 
 class TestSgd:
@@ -330,6 +346,8 @@ class TestReplay:
         t2 = run_solver(P, cfg)
         assert np.array_equal(t1.final_x, t2.final_x)
         assert t1.records == t2.records
+        assert all(np.array_equal(a.indices, b.indices)
+                   for a, b in zip(t1.records, t2.records, strict=True))
 
     def test_stepwise_equals_run(self):
         P = generate_quadratic(3, 8, np.random.default_rng(19))
@@ -339,6 +357,8 @@ class TestReplay:
         for _ in range(cfg.maxiter):
             drv.step()
         assert drv.records == whole.records
+        assert all(np.array_equal(a.indices, b.indices)
+                   for a, b in zip(drv.records, whole.records, strict=True))
 
 
 class TestConfigValidation:

@@ -11,10 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specsum.problems import batch_gradient, generate_quadratic
-from specsum.sampling import SampleBatch
 from specsum.steplength import (
-    STANDARD,
-    UNDAMPED,
     DampingPolicy,
     SpectralState,
     anchor_coefficient,
@@ -77,7 +74,7 @@ class TestDamp:
         assert damp(np.nan, 4, WIDE) == pytest.approx(1e8 / 4)
 
     def test_undamped_mode_keeps_clipped_value(self):
-        policy = DampingPolicy(mode=UNDAMPED)
+        policy = DampingPolicy(exponent=0.0)
         assert damp(5.0, 10, policy) == 5.0
         assert damp(-3.0, 10, policy) == policy.gamma_min
 
@@ -106,12 +103,12 @@ class TestDamp:
 
     @given(c=st.floats(), k=st.integers(0, 10**9),
            gamma_min=st.floats(1e-300, 1.0),
-           gamma_max=st.floats(1.0, 1e300), exponent=st.floats(1.0, 4.0),
-           mode=st.sampled_from([STANDARD, UNDAMPED]))
+           gamma_max=st.floats(1.0, 1e300),
+           exponent=st.one_of(st.just(0.0), st.floats(1.0, 4.0)))
     def test_range_for_any_coefficient_and_policy(self, c, k, gamma_min, gamma_max,
-                                                   exponent, mode):
+                                                   exponent):
         policy = DampingPolicy(gamma_min=gamma_min, gamma_max=gamma_max,
-                               exponent=exponent, mode=mode)
+                               exponent=exponent)
         g = damp(c, k, policy)
         assert np.isfinite(g)
         assert gamma_min / max(k, 1) ** exponent <= g <= gamma_max
@@ -126,7 +123,7 @@ class TestDampingPolicy:
         with pytest.raises(ValueError):
             DampingPolicy(gamma_max=0.5)
         with pytest.raises(ValueError):
-            DampingPolicy(mode="sideways")
+            DampingPolicy(exponent=0.5)
 
 
 class TestSweepingSpectrum:
@@ -137,12 +134,12 @@ class TestSweepingSpectrum:
         P = generate_quadratic(6, 10, rng)
         for _ in range(50):
             S = int(rng.integers(1, P.N + 1))
-            sample = SampleBatch(rng.choice(P.N, size=S, replace=False))
+            sample = rng.choice(P.N, size=S, replace=False)
             x = rng.uniform(0, 32, P.n)
             s = rng.standard_normal(P.n)
             y = batch_gradient(P, sample, x + s) - batch_gradient(P, sample, x)
             c = bb_coefficient(s, y)
-            H = P.A[sample.indices].mean(axis=0)
+            H = P.A[sample].mean(axis=0)
             w = np.linalg.eigvalsh(H)
             assert 1.0 / c >= w[0] * (1 - 1e-10)
             assert 1.0 / c <= w[-1] * (1 + 1e-10)
