@@ -15,12 +15,12 @@ Solver and problem defaults are declared once, as the field defaults of
 or ``compare`` that is neither given nor in the file leaves its field
 at that default.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 I/O error
-(including malformed, non-finite or overflowing dataset values and
-malformed frozen instances), 3 numerical fault outside the recorded
-sentinels (a singular instance, reported by numpy as ``LinAlgError``,
-or an ``ArithmeticError`` such as an instance whose aggregates
-overflow).
+Exit codes: 0 success, 1 usage/configuration error (a repeated run
+included), 2 I/O error (malformed, non-finite or overflowing dataset
+values, too large a feature index, malformed frozen instances), 3
+numerical fault outside the recorded sentinels (a singular instance,
+reported by numpy as ``LinAlgError``, or an ``ArithmeticError`` such as
+an instance whose aggregates overflow).
 """
 
 import argparse
@@ -111,7 +111,7 @@ _AGGREGATE_FLAGS = (
 # SUPPRESS, so an absent flag leaves its dataclass field at its default
 _SUBCOMMANDS = {
     "generate": ("freeze a random problem instance", (
-        ("--family", {"default": harness.ExperimentSpec.family}),
+        ("--family", {"default": "quadratic"}),
         ("--n", {"type": int}),
         ("--N", {"type": int}),
         ("--seed", {"type": int, "default": harness.ExperimentSpec.problem_seed}),
@@ -186,15 +186,15 @@ _METHOD_TOKENS = {  # compare token -> (method, sampler; None keeps --sampler)
 
 
 def _method_config(token, base):
-    """Translate a compare token into a solver config."""
-    damping = base.damping
-    if token.endswith("-nodamp"):
-        damping = False
-        token = token[: -len("-nodamp")]
-    if token not in _METHOD_TOKENS:
+    """Translate a compare token into a solver config; only slises reads ``-nodamp``."""
+    core = token.removesuffix("-nodamp")
+    if core not in _METHOD_TOKENS:
         raise ValueError(f"unknown method token {token!r}")
-    method, sampler = _METHOD_TOKENS[token]
-    return replace(base, method=method, sampler=sampler or base.sampler, damping=damping)
+    method, sampler = _METHOD_TOKENS[core]
+    if core != token and method != "slises":
+        raise ValueError(f"method token {token!r}: -nodamp applies only to slises tokens")
+    return replace(base, method=method, sampler=sampler or base.sampler,
+                   damping=base.damping and core == token)
 
 
 def cmd_generate(args):

@@ -13,12 +13,18 @@ A run whose reported objective turns non-finite writes that row (the
 float's own 'inf'/'nan' text acts as the sentinel) and the curve stops
 there; other runs in the batch are unaffected.
 
-Cells of a (config x seed) grid run one after another and are
-independent: problem oracles are immutable and shared read-only, every
-run owns its generator and meter, and each config gets its own seed
-stream.  Output files are written atomically (temp + rename).
+``sweep_m`` and ``compare_methods`` run one protocol and differ only in
+their configs and the experiment they name.  Before the first run every
+config is validated and every run named, as ``<label>_seed<seed>.csv``:
+a repeated label or seed is refused, so no run overwrites another, and
+so is a negative seed.  The cells of the (config x seed) grid then run
+one after another and are independent: problem oracles are immutable
+and shared read-only, every run owns its generator and meter, and each
+config gets its own seed stream.  Traces, aggregates and frozen
+instances are written atomically (temp + rename).
 """
 
+import contextlib
 import math
 import os
 import tempfile
@@ -49,7 +55,6 @@ AGGREGATIONS = ("per-run", "median", "mean")
 class ExperimentSpec:
     """Problem source, output directory and seed reduction of an experiment."""
 
-    family: str = "quadratic"
     n: int = None
     N: int = None
     problem_seed: int = 0
@@ -65,8 +70,6 @@ class ExperimentSpec:
         if self.dataset:
             records = load_dataset(self.dataset, detect_format(self.dataset))
             return logistic_problem(records, self.lam)
-        if self.family != "quadratic":
-            raise ValueError(f"unknown problem family {self.family!r}")
         if not self.n or not self.N:
             raise ValueError("generated problems need both n and N")
         return generate_quadratic(self.n, self.N,
@@ -95,13 +98,15 @@ def _fmt(v):
     return str(v)
 
 
-def _atomic_write(path, text):
+@contextlib.contextmanager
+def _atomic_write(path, mode="w"):
+    """A temp file beside ``path``, renamed over it when the block succeeds."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".csv")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,7 +124,8 @@ def write_trace(trace, path):
                      f"{r.f_full!r},{r.grad_norm_full!r}")
         if not math.isfinite(r.f_full):
             break  # the curve ends at the divergence sentinel
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with _atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -207,7 +213,8 @@ def write_aggregate(path, grid, columns, header=None):
     cols = [np.asarray(c, dtype=np.float64).tolist() for c in columns.values()]
     for row in zip(np.asarray(grid, dtype=np.float64).tolist(), *cols):
         lines.append(",".join(map(repr, row)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with _atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -215,41 +222,44 @@ def write_aggregate(path, grid, columns, header=None):
 # experiment protocols
 
 
-def _run_cells(problem, configs, seeds, out_dir):
-    """Run the (config x seed) grid; one independent stream per config."""
-    curves = {}
+def _run_grid(experiment, problem, configs, seeds, out_dir, how):
+    """Run the (config x seed) grid, one seed stream per config, and write
+    its aggregate ``<experiment>.csv``; nothing runs unless every config is
+    valid and every run has its own name."""
+    labels = [cfg.display_label() for cfg in configs]
+    for cfg in configs:
+        cfg.validate(problem.N)
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"{experiment}: seeds must be >= 0, got {min(seeds)}")
+    for what, names in (("label", labels), ("seed", [int(s) for s in seeds])):
+        repeated = sorted({x for x in names if names.count(x) > 1})
+        if repeated:
+            raise ValueError(f"{experiment}: run {what} {', '.join(map(str, repeated))} "
+                             "is repeated; every run needs its own trace file")
     paths = []
-    for stream, cfg in enumerate(configs):
-        label = cfg.display_label()
-        curves[label] = []
+    curves = {label: [] for label in labels}
+    for stream, (label, cfg) in enumerate(zip(labels, configs)):
         for seed in seeds:
             path, trace = run_single(problem, cfg, seed, out_dir, stream=stream)
             paths.append(path)
             curves[label].append(trace_curve(trace))
-    return paths, curves
+            del trace  # free its records before the next run or the aggregate
+    grid, columns = aggregate_curves(curves, how)
+    header = {"experiment": experiment, "problem": problem.label,
+              "seeds": " ".join(str(s) for s in seeds), "aggregation": how}
+    name = experiment.replace("-", "_") + ".csv"
+    return paths, write_aggregate(os.path.join(out_dir, name), grid, columns, header)
 
 
 def sweep_m(problem, base_config, m_values, seeds, out_dir, how="median"):
     """Runs of the base config for each m, reduced onto one aggregate."""
-    if any(m < 1 for m in m_values):
-        raise ValueError("m values must be >= 1")
     configs = [replace(base_config, m=int(m), label=f"m={m}") for m in m_values]
-    paths, curves = _run_cells(problem, configs, seeds, out_dir)
-    grid, columns = aggregate_curves(curves, how)
-    header = {"experiment": "sweep-m", "problem": problem.label,
-              "seeds": " ".join(str(s) for s in seeds), "aggregation": how}
-    agg = write_aggregate(os.path.join(out_dir, "sweep_m.csv"), grid, columns, header)
-    return paths, agg
+    return _run_grid("sweep-m", problem, configs, seeds, out_dir, how)
 
 
 def compare_methods(problem, configs, seeds, out_dir, how="median"):
     """Runs of each config on the shared problem, one aggregate column each."""
-    paths, curves = _run_cells(problem, configs, seeds, out_dir)
-    grid, columns = aggregate_curves(curves, how)
-    header = {"experiment": "compare", "problem": problem.label,
-              "seeds": " ".join(str(s) for s in seeds), "aggregation": how}
-    agg = write_aggregate(os.path.join(out_dir, "compare.csv"), grid, columns, header)
-    return paths, agg
+    return _run_grid("compare", problem, configs, seeds, out_dir, how)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +273,8 @@ def generate_instance(family, n, N, seed, path):
     problem = generate_quadratic(n, N, np.random.default_rng(seed))
     if not path.endswith(".npz"):
         path = path + ".npz"
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".npz")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, A=problem.A, b=problem.b,
-                     lipschitz=problem.lipschitz, seed=seed)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_write(path, "wb") as fh:
+        np.savez(fh, A=problem.A, b=problem.b, lipschitz=problem.lipschitz, seed=seed)
     return path
 
 

@@ -401,7 +401,7 @@ def _sparse_rows(nums, lines):
         counts.append(len(toks) - 1)
     hi = max(idx, default=0)
     # no matrix is that wide: np.zeros raises once every line is read
-    cols = np.array(idx, dtype=np.int64) if hi <= _INT64_MAX else None
+    cols = np.array(idx, dtype=np.int64 if hi <= _INT64_MAX else object)
     return np.array(labels), np.array(counts), cols, np.array(vals), hi
 
 
@@ -410,14 +410,21 @@ def _parse_sparse(blocks):
     parsed = []
     for nums, lines in blocks:
         try:
-            parsed.append(_sparse_bulk(lines))
+            parsed.append((nums, *_sparse_bulk(lines)))
         except (ValueError, OverflowError):
-            parsed.append(_sparse_rows(nums, lines))
+            parsed.append((nums, *_sparse_rows(nums, lines)))
     n = max(hi for *_, hi in parsed)
-    feats = np.zeros((sum(labels.size for labels, *_ in parsed), n))
+    rows = sum(labels.size for _, labels, *_ in parsed)
+    try:
+        feats = np.zeros((rows, n))
+    except (ValueError, MemoryError) as exc:  # too wide to index, or to hold
+        nums, _, counts, cols, _, _ = next(p for p in parsed if p[-1] == n)
+        lineno = np.repeat(nums, counts)[np.argmax(cols == n)]
+        raise DatasetFormatError(
+            f"line {lineno}: feature index {n} is too large for a feature matrix: {exc}") from exc
     flat = feats.reshape(-1)
     start = 0
-    for labels, counts, cols, vals, _ in parsed:
+    for _, labels, counts, cols, vals, _ in parsed:
         at = np.repeat(np.arange(start, start + labels.size) * n, counts) + (cols - 1)
         if not (np.diff(at) > 0).all():
             # numpy does not say which write to a repeated position lands
@@ -426,7 +433,7 @@ def _parse_sparse(blocks):
             vals = vals[::-1][last]
         flat[at] = vals
         start += labels.size
-    return feats, np.concatenate([labels for labels, *_ in parsed])
+    return feats, np.concatenate([labels for _, labels, *_ in parsed])
 
 
 def _dense_rows(nums, lines, delim, width):

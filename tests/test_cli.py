@@ -135,6 +135,13 @@ class TestRun:
 
 class TestSweepAndCompare:
     def test_sweep_m(self, instance, tmp_path, capsys):
+        # a repeated m or seed, or an invalid m after a valid one, is
+        # refused before any file is written
+        for grid, seeds in (("3,3", "0"), ("1,2", "0,0"), ("1,0", "0")):
+            out = tmp_path / "refused"
+            assert main(["sweep-m", "--instance", instance, "--m-grid", grid,
+                         "--seeds", seeds, "--maxiter", "5", "--out", str(out)]) == 1
+            assert not out.exists()
         rc = main(["sweep-m", "--instance", instance, "--m-grid", "1,2",
                    "--seeds", "0,1", "--maxiter", "5", "--out", str(tmp_path / "s")])
         assert rc == 0
@@ -142,6 +149,20 @@ class TestSweepAndCompare:
         assert set(rows) == {"cum_evals", "m=1", "m=2"}
 
     def test_compare(self, instance, tmp_path, capsys):
+        # two tokens of one label, a repeated or negative seed, or an
+        # invalid config after a valid one (slises-mod needs m > 1) is
+        # refused before any file is written
+        for methods, extra in (
+                ("slises-uni,slises-mod,slises-uniform", []),
+                ("slises-uni,slises-uniform,slises-mod,slises-mod-nodamp,"
+                 "spectral-full-nodamp", []),
+                ("slises-uni,sgd", ["--seeds", "0,0"]),
+                ("slises-uni,sgd", ["--seeds", "0,-1"]),
+                ("slises-uni,slises-mod", ["--m", "1"])):
+            out = tmp_path / "refused"
+            assert main(["compare", "--instance", instance, "--methods", methods,
+                         "--maxiter", "5", "--out", str(out), *extra]) == 1
+            assert not out.exists()
         rc = main(["compare", "--instance", instance,
                    "--methods", "slises-ais,sgd,svrg-bb",
                    "--seeds", "0", "--maxiter", "5", "--out", str(tmp_path / "c")])
@@ -173,6 +194,15 @@ class TestSweepAndCompare:
         assert rc == 0
         _, rows = read_trace(capsys.readouterr().out.strip())
         assert "slises-uni-m3-nodamp" in rows
+        # only slises reads damping: elsewhere each -nodamp run would
+        # overwrite the trace of its damped twin
+        out = tmp_path / "refused"
+        assert main(["compare", "--n", "4", "--N", "20", "--methods",
+                     "slises-mod,slises-mod-nodamp,spectral-full,spectral-full-nodamp",
+                     "--seeds", "0", "--maxiter", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "specsum: method token 'slises-mod-nodamp': -nodamp applies only to slises tokens\n")
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -205,6 +235,9 @@ class TestExitCodes:
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         assert main(["run", "--dataset", str(empty), "--out", str(tmp_path)]) == 2
+        wide = tmp_path / "wide.txt"  # no feature matrix is that wide
+        wide.write_text("1 9223372036854775808:1\n")
+        assert main(["run", "--dataset", str(wide), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("text", ["1 1:nan 2:1.0\n0 1:1.0\n", "1,nan,1.0\n0,1.0,2.0\n"])
     def test_nonfinite_dataset_is_an_io_error(self, tmp_path, text):

@@ -3,6 +3,7 @@
 import gc
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,12 @@ class TestAggregation:
 class TestExperiments:
     def test_sweep_m_writes_one_column_per_m(self, tiny_problem, tmp_path):
         base = SolverConfig(method="slises", S=1, maxiter=6)
+        # a repeated m or seed, or an invalid m after a valid one, runs nothing
+        for m_values, seeds in (([3, 3], [0]), ([1, 3], [0, 0]), ([1, 0], [0])):
+            out = tmp_path / "refused"
+            with pytest.raises(ValueError):
+                sweep_m(tiny_problem, base, m_values, seeds, out_dir=str(out))
+            assert not out.exists()
         paths, agg = sweep_m(tiny_problem, base, [1, 3], seeds=[0, 1],
                              out_dir=str(tmp_path))
         assert len(paths) == 4
@@ -184,6 +191,15 @@ class TestExperiments:
         assert header["aggregation"] == "median"
 
     def test_compare_methods_columns(self, tiny_problem, tmp_path):
+        uni = SolverConfig(method="slises", sampler="uniform", maxiter=5)
+        # one label twice, one seed twice, or an invalid config after a
+        # valid one: refused before the first run writes its trace
+        for configs, seeds in (([uni, replace(uni, seed=7)], [0]), ([uni], [1, 1]),
+                               ([uni, replace(uni, method="slises-modified", m=1)], [0])):
+            out = tmp_path / "refused"
+            with pytest.raises(ValueError):
+                compare_methods(tiny_problem, configs, seeds, out_dir=str(out))
+            assert not out.exists()
         configs = [SolverConfig(method="slises", sampler="ais", maxiter=5),
                    SolverConfig(method="sgd", maxiter=5)]
         paths, agg = compare_methods(tiny_problem, configs, seeds=[0],
@@ -201,8 +217,6 @@ class TestExperiments:
         spec = ExperimentSpec(dataset=str(data), lam=1e-3)
         Q = spec.build_problem()
         assert Q.N == 2 and Q.lam == 1e-3
-        with pytest.raises(ValueError):
-            ExperimentSpec(family="rosenbrock", n=2, N=2).build_problem()
         with pytest.raises(ValueError):
             ExperimentSpec().build_problem()
 

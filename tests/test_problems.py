@@ -680,8 +680,33 @@ class TestBlockReaderErrors:
     def test_index_too_wide_for_any_matrix_fails_after_every_row_is_read(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("1 99999999999999999999:1\n" + "1 1:0.5\n" * 9)
-        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        with pytest.raises(DatasetFormatError, match="^line 1: feature index 99999999999999999999 "
+                           "is too large for a feature matrix: Maximum allowed dimension exceeded$"):
             load_in_blocks(f, "sparse", THREE_ROWS)
         f.write_text("1 99999999999999999999:1\n" + "1 1:0.5\n" * 8 + "1 oops\n")
         with pytest.raises(DatasetFormatError, match="^line 10: "):
             load_in_blocks(f, "sparse", THREE_ROWS)
+        # the first line holding the widest index is named, in any block
+        for wide in ("9223372036854775808", "99999999999999999999"):
+            rows = ["1 1:0.5 2:0.25"] * 9
+            rows[4] = f"1 2:0.5 {wide}:1"
+            rows[7] = f"0 {wide}:2"
+            padded_file(f, rows)
+            for block_chars in (THREE_ROWS, 1 << 18):
+                with pytest.raises(DatasetFormatError, match=f"^line 5: feature index {wide} "):
+                    load_in_blocks(f, "sparse", block_chars)
+
+    def test_index_too_wide_to_allocate_names_its_line(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("-1 1:0.5\n-1 100000000000:1\n")
+        zeros = np.zeros
+
+        def refuse_wide(shape, *args, **kwargs):
+            if shape[-1] >= 100000000000:
+                raise MemoryError("Unable to allocate 1.46 TiB")
+            return zeros(shape, *args, **kwargs)
+
+        with patch.object(np, "zeros", refuse_wide):
+            with pytest.raises(DatasetFormatError, match="^line 2: feature index 100000000000 "
+                               "is too large for a feature matrix: Unable to allocate"):
+                load_in_blocks(f, "sparse", 1 << 18)
