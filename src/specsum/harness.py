@@ -227,8 +227,11 @@ def _run_grid(experiment, problem, configs, seeds, out_dir, how):
     its aggregate ``<experiment>.csv``; nothing runs unless every config is
     valid and every run has its own name."""
     labels = [cfg.display_label() for cfg in configs]
-    for cfg in configs:
-        cfg.validate(problem.N)
+    for label, cfg in zip(labels, configs):
+        try:
+            cfg.validate(problem.N)
+        except ValueError as exc:
+            raise ValueError(f"{experiment}: run {label}: {exc}") from exc
     if min(seeds, default=0) < 0:
         raise ValueError(f"{experiment}: seeds must be >= 0, got {min(seeds)}")
     for what, names in (("label", labels), ("seed", [int(s) for s in seeds])):

@@ -3,17 +3,19 @@
 A problem is the average of N smooth component functions.  Two families
 are provided: sums of strictly convex quadratics with a controlled
 eigenvalue spectrum, and L2-regularized logistic regression over a
-labeled dataset.  Component, subsample-averaged and full values and
-gradients are exposed, together with the cost meter of the benchmark
-cost model.  The estimator entry points at the end of this module take
-a batch as its index array and are the only code that charges the
-meter, when they are handed one; that includes the component gradient
-norms that refresh the AIS scores.  Each problem's ``report(x)`` returns
-the full value and gradient of one trace row in one pass over the data,
-with the bits of ``full_value`` and ``full_gradient``; it is never
-charged.  The logistic full value is the report's: it is within a few
-ULP of the charged estimator ``batch_value`` on the full index, which
-keeps ``np.logaddexp`` (see :mod:`specsum.kernels`).
+labeled dataset.  A problem is evaluated in two places only: its
+subsample-averaged ``batch_value``/``batch_gradient``, which are the
+:mod:`specsum.kernels` estimators, and its ``report(x)``, the full value
+and gradient in one pass over the data.  A component gradient is the
+gradient estimator on a one-index batch.  The estimator entry points at
+the end of this module take a batch as its index array and are the only
+code that charges the cost meter, when they are handed one; that
+includes the component gradient norms that refresh the AIS scores.
+``full_value`` and ``full_gradient`` there are the two halves of
+``report``; only the full gradient, the SVRG-BB snapshot, is charged.
+The logistic full value is within a few ULP of the charged estimator
+``batch_value`` on the full index, which keeps numpy's ``logaddexp`` (see
+:mod:`specsum.kernels`).
 """
 
 from dataclasses import dataclass
@@ -78,16 +80,15 @@ class FiniteSumProblem:
     label : str
         Problem name used in trace headers.
 
-    Subclasses also provide vectorized ``batch_value(indices, x)``,
-    ``batch_gradient(indices, x)``, ``full_value(x)`` and
-    ``full_gradient(x)``, and ``report(x) -> (f, g)``: the full value
-    and gradient of one trace row, computed together with exactly the
-    bits of ``full_value(x)`` and ``full_gradient(x)``.  The full
-    oracles need only agree with the batch estimators on the full index
-    within rounding: the logistic full gradient is ``batch_gradient`` on
-    the full index, bit for bit, but the quadratic full oracles use
-    precomputed aggregates and differ from both estimators in the last
-    bits.
+    Subclasses provide vectorized ``batch_value(indices, x)`` and
+    ``batch_gradient(indices, x)``, ``component_gradient(i, x)`` (the
+    gradient estimator on ``[i]``; each subclass defines its own, which
+    ``perfbench/tracer.py`` wraps per class) and ``report(x) -> (f, g)``:
+    the full value and gradient of one trace row.  The report need only
+    agree with the estimators on the full index within rounding: the
+    logistic report gradient is ``batch_gradient`` on the full index,
+    bit for bit, but the quadratic report uses precomputed aggregates
+    and differs from both estimators in the last bits.
     """
 
     N = 0
@@ -97,21 +98,15 @@ class FiniteSumProblem:
     optimal_value = None
     label = "finite-sum"
 
-    def component_value(self, i, x):
-        raise NotImplementedError
-
-    def component_gradient(self, i, x):
-        raise NotImplementedError
-
 
 class QuadraticProblem(FiniteSumProblem):
     """Average of components f_i(x) = 0.5*(x-b_i)' A_i (x-b_i).
 
     ``A`` has shape (N, n, n) with each slice symmetric positive
-    definite; ``b`` has shape (N, n).  Full values and gradients use
-    precomputed aggregates (mean matrix, mean A_i b_i and a constant),
-    so reporting costs O(n^2) regardless of N.  An aggregate or a
-    minimizer that is not finite (the data overflow when summed) raises
+    definite; ``b`` has shape (N, n).  ``report`` uses precomputed
+    aggregates (mean matrix, mean A_i b_i and a constant), so reporting
+    costs O(n^2) regardless of N.  An aggregate or a minimizer that is
+    not finite (the data overflow when summed) raises
     :class:`NonFiniteInstanceError`.
     """
 
@@ -136,7 +131,7 @@ class QuadraticProblem(FiniteSumProblem):
         self.lipschitz = float(lipschitz)
         self.minimizer = self._solve_minimizer()
         _require_finite("quadratic", minimizer=self.minimizer)
-        self.optimal_value = self.full_value(self.minimizer)
+        self.optimal_value = self.report(self.minimizer)[0]
 
     def _solve_minimizer(self):
         # (sum A_i) x = sum A_i b_i, with one refinement step to push the
@@ -147,14 +142,8 @@ class QuadraticProblem(FiniteSumProblem):
         x += np.linalg.solve(M, rhs - M @ x)
         return x
 
-    def component_value(self, i, x):
-        x = np.asarray(x, dtype=np.float64)
-        dx = x - self.b[i]
-        return 0.5 * float(dx @ (self.A[i] @ dx))
-
     def component_gradient(self, i, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self.A[i] @ (x - self.b[i])
+        return self.batch_gradient(np.array([i]), x)
 
     def batch_value(self, indices, x):
         idx = np.asarray(indices, dtype=np.int64)
@@ -165,14 +154,6 @@ class QuadraticProblem(FiniteSumProblem):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
         return kernels.quad_gradient(self.A, self.b, idx, x)
-
-    def full_value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return 0.5 * float(x @ (self._mean_A @ x)) - float(x @ self._mean_Ab) + self._const
-
-    def full_gradient(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self._mean_A @ x - self._mean_Ab
 
     def report(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -187,8 +168,7 @@ class LogisticProblem(FiniteSumProblem):
     f_i(x) = log(1 + exp(-y_i * a_i'x)) + 0.5*lam*||x||^2 with labels
     y_i in {-1, +1}.  ``lipschitz`` is lam + max_i ||a_i||^2 / 4; one
     that is not finite (a feature whose square overflows) raises
-    :class:`NonFiniteInstanceError`.  ``full_value`` is the value
-    ``report`` returns.
+    :class:`NonFiniteInstanceError`.
     """
 
     def __init__(self, features, labels, lam, label="logistic"):
@@ -198,8 +178,8 @@ class LogisticProblem(FiniteSumProblem):
             raise ValueError("features must be (N, n) with one label per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if lam < 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"regularization must be finite and nonnegative, got {lam}")
         self.features = features
         self.labels = labels
         self.lam = float(lam)
@@ -207,22 +187,9 @@ class LogisticProblem(FiniteSumProblem):
         self.label = label
         self.lipschitz = self.lam + 0.25 * float(np.max(_squared_row_norms(features)))
         _require_finite("logistic", lipschitz=self.lipschitz)
-        self._all = np.arange(self.N, dtype=np.int64)
-
-    def component_value(self, i, x):
-        x = np.asarray(x, dtype=np.float64)
-        z = -self.labels[i] * float(self.features[i] @ x)
-        return float(np.logaddexp(0.0, z)) + 0.5 * self.lam * float(x @ x)
 
     def component_gradient(self, i, x):
-        x = np.asarray(x, dtype=np.float64)
-        z = -self.labels[i] * float(self.features[i] @ x)
-        if z >= 0:
-            sig = 1.0 / (1.0 + np.exp(-z))
-        else:
-            e = np.exp(z)
-            sig = e / (1.0 + e)
-        return (-self.labels[i] * sig) * self.features[i] + self.lam * x
+        return self.batch_gradient(np.array([i]), x)
 
     def batch_value(self, indices, x):
         idx = np.asarray(indices, dtype=np.int64)
@@ -233,12 +200,6 @@ class LogisticProblem(FiniteSumProblem):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
         return kernels.logistic_gradient(self.features, self.labels, self.lam, idx, x)
-
-    def full_value(self, x):
-        return self.report(x)[0]
-
-    def full_gradient(self, x):
-        return self.batch_gradient(self._all, x)
 
     def report(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -564,13 +525,14 @@ def component_gradient_norms(problem, indices, x, meter=None):
 
 
 def full_value(problem, x):
-    """Exact mean value over all components; never charged."""
-    return problem.full_value(x)
+    """Exact mean value over all components, ``report(x)[0]``; never charged."""
+    return problem.report(x)[0]
 
 
 def full_gradient(problem, x, meter=None):
-    """Exact mean gradient over all components; charges ``N`` gradient units."""
-    g = problem.full_gradient(x)
+    """Exact mean gradient over all components, ``report(x)[1]``; charges
+    ``N`` gradient units."""
+    g = problem.report(x)[1]
     if meter is not None:
         meter.grad_count += problem.N
     return g

@@ -95,14 +95,20 @@ class SolverConfig:
             raise ValueError("eta must be in (0, 1)")
         if self.maxiter < 1:
             raise ValueError("maxiter must be >= 1")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
+        for name in ("eta0", "eta1"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.beta is not None and not 0 < self.beta <= 1:
+            raise ValueError("beta must be in (0, 1]")
         if self.p is not None and self.p < 1:
             raise ValueError("p must be >= 1")
         if self.S < 1 or (N is not None and self.S > N):
             raise ValueError(f"need 1 <= S <= N, got S={self.S}")
         if self.method == "slises-modified":
-            if self.delta <= 0:
+            if not self.delta > 0:
                 raise ValueError("slises-modified needs delta > 0")
             if self.m < 2:
                 raise ValueError("slises-modified needs m > 1")

@@ -273,7 +273,7 @@ def test_criterion_08_gradient_correctness(quad_pool, logistic_pool):
             for j in range(P.n):
                 e = np.zeros(P.n)
                 e[j] = h
-                fd[j] = (P.component_value(i, x + e) - P.component_value(i, x - e)) / (2 * h)
+                fd[j] = (batch_value(P, [i], x + e) - batch_value(P, [i], x - e)) / (2 * h)
             rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             if rel > 1e-6:
                 bad = f"{P.label} i={i}: rel={rel:.2e}"

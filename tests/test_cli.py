@@ -150,18 +150,23 @@ class TestSweepAndCompare:
 
     def test_compare(self, instance, tmp_path, capsys):
         # two tokens of one label, a repeated or negative seed, or an
-        # invalid config after a valid one (slises-mod needs m > 1) is
-        # refused before any file is written
-        for methods, extra in (
-                ("slises-uni,slises-mod,slises-uniform", []),
+        # invalid config after a valid one (slises-mod needs m > 1; NaN
+        # fails every numeric check) is refused before any file is written
+        for methods, extra, named in (
+                ("slises-uni,slises-mod,slises-uniform", [], "compare: run label slises-uni-m3 "),
                 ("slises-uni,slises-uniform,slises-mod,slises-mod-nodamp,"
-                 "spectral-full-nodamp", []),
-                ("slises-uni,sgd", ["--seeds", "0,0"]),
-                ("slises-uni,sgd", ["--seeds", "0,-1"]),
-                ("slises-uni,slises-mod", ["--m", "1"])):
+                 "spectral-full-nodamp", [], "method token 'slises-mod-nodamp'"),
+                ("slises-uni,sgd", ["--seeds", "0,0"], "compare: run seed 0 "),
+                ("slises-uni,sgd", ["--seeds", "0,-1"], "compare: seeds must be >= 0"),
+                ("slises-uni,slises-mod", ["--m", "1"],
+                 "compare: run slises-mod-m1-d0.1: slises-modified needs m > 1"),
+                ("slises-uni,slises-ais", ["--eps", "nan"], "compare: run slises-uni-m3: eps "),
+                ("slises-uni,slises-mod", ["--delta", "nan"],
+                 "compare: run slises-mod-m3-dnan: slises-modified needs delta > 0")):
             out = tmp_path / "refused"
             assert main(["compare", "--instance", instance, "--methods", methods,
                          "--maxiter", "5", "--out", str(out), *extra]) == 1
+            assert named in capsys.readouterr().err
             assert not out.exists()
         rc = main(["compare", "--instance", instance,
                    "--methods", "slises-ais,sgd,svrg-bb",
@@ -213,6 +218,17 @@ class TestExitCodes:
         assert main(["run", "--out", str(tmp_path)]) == 1  # no problem source
         assert main(["compare", "--instance", instance, "--methods", "foo",
                      "--seeds", "0", "--out", str(tmp_path)]) == 1
+        # a solver or problem parameter out of range is refused before any
+        # file is written
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:0.5\n0 1:1.5\n")
+        out = tmp_path / "refused"
+        for extra in (["--method", "sgd", "--eta0", "nan"], ["--method", "svrg-bb", "--eta0", "-1"],
+                      ["--method", "sgd-bb", "--beta", "-1"], ["--lambda", "nan"],
+                      ["--lambda", "inf"], ["--lambda", "-1"]):
+            assert main(["run", "--dataset", str(data), "--maxiter", "5",
+                         "--out", str(out), *extra]) == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("line", ["m = abc", "sampler = halton", "maxiter"])
     def test_bad_config_value_is_a_usage_error(self, instance, tmp_path, line):

@@ -29,7 +29,7 @@ from specsum.harness import (
     write_aggregate,
     write_trace,
 )
-from specsum.problems import DatasetFormatError, generate_quadratic
+from specsum.problems import DatasetFormatError, batch_value, generate_quadratic
 from specsum.solvers import IterationRecord, RunTrace, SolverConfig
 
 
@@ -233,7 +233,7 @@ class TestInstances:
         for _ in range(100):
             x = rng.uniform(-5, 35, 4)
             i = int(rng.integers(7))
-            assert P.component_value(i, x) == Q.component_value(i, x)
+            assert batch_value(P, [i], x) == batch_value(Q, [i], x)
         assert "seed11" in P.label
 
     def test_extension_added(self, tmp_path):

@@ -61,7 +61,7 @@ class TestQuadraticGenerator:
     def test_component_minimizer(self):
         P = generate_quadratic(5, 6, np.random.default_rng(0))
         for i in range(P.N):
-            assert P.component_value(i, P.b[i]) == 0.0
+            assert batch_value(P, [i], P.b[i]) == 0.0
             assert np.allclose(P.component_gradient(i, P.b[i]), 0.0)
 
     def test_global_minimizer_solves_normal_equations(self):
@@ -88,22 +88,19 @@ class TestQuadraticGenerator:
 
 
 class TestValuesAndGradients:
-    def test_full_value_is_mean_of_components(self):
-        rng = np.random.default_rng(1)
-        P = generate_quadratic(5, 12, rng)
-        Q = make_logistic(4, 9, seed=2)
-        for prob in (P, Q):
-            x = rng.standard_normal(prob.n) * 3
-            mean = sum(prob.component_value(i, x) for i in range(prob.N)) / prob.N
-            assert full_value(prob, x) == pytest.approx(mean, rel=1e-12)
-
     def test_batch_with_full_index_set_matches_full(self):
+        # the full value is also the mean of the one-component values
         rng = np.random.default_rng(2)
         P = generate_quadratic(4, 7, rng)
-        x = rng.uniform(0, 30, P.n)
-        sample = np.arange(P.N)
-        assert batch_value(P, sample, x) == pytest.approx(full_value(P, x), rel=1e-12)
-        assert batch_gradient(P, sample, x) == pytest.approx(full_gradient(P, x), rel=1e-10)
+        Q = make_logistic(4, 9, seed=2)
+        for prob, x in ((P, rng.uniform(0, 30, P.n)), (Q, rng.standard_normal(Q.n) * 3)):
+            sample = np.arange(prob.N)
+            f = full_value(prob, x)
+            mean = sum(batch_value(prob, [i], x) for i in sample) / prob.N
+            assert mean == pytest.approx(f, rel=1e-12)
+            assert batch_value(prob, sample, x) == pytest.approx(f, rel=1e-12)
+            assert batch_gradient(prob, sample, x) == pytest.approx(full_gradient(prob, x),
+                                                                    rel=1e-10)
 
     def test_single_component_batch(self):
         rng = np.random.default_rng(3)
@@ -126,7 +123,7 @@ class TestValuesAndGradients:
                 x = rng.standard_normal(prob.n) * scale
                 h = 1e-6 * (1 + np.linalg.norm(x))
                 g = prob.component_gradient(i, x)
-                fd = central_diff(lambda y: prob.component_value(i, y), x, h)
+                fd = central_diff(lambda y: batch_value(prob, [i], y), x, h)
                 assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
     def test_batch_gradient_matches_finite_differences(self):
@@ -212,7 +209,7 @@ class TestLogistic:
     def test_value_at_origin_is_log2(self):
         P = make_logistic(4, 7, seed=9, lam=0.0)
         assert full_value(P, np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-14)
-        assert P.component_value(3, np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-14)
+        assert batch_value(P, [3], np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-14)
 
     def test_hand_evaluated_gradient(self):
         # a=(1,0), label +1, x=0: gradient is -a*sigmoid(0) = (-0.5, 0)
@@ -265,8 +262,9 @@ class TestLogistic:
         assert np.all(np.isfinite(full_gradient(P, x)))
 
     def test_negative_regularization_rejected(self):
-        with pytest.raises(ValueError):
-            LogisticProblem(np.ones((2, 2)), np.array([1.0, -1.0]), lam=-1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^regularization must be finite and nonnegative"):
+                LogisticProblem(np.ones((2, 2)), np.array([1.0, -1.0]), lam=lam)
 
 
 class TestDatasetLoader:
@@ -420,7 +418,7 @@ class TestNonFiniteInstance:
 
 
 # ---------------------------------------------------------------------------
-# report(x) against the two full oracles it fuses
+# report(x) against the full-index estimators
 
 SIZES = st.sampled_from([1, 9, 41])
 
@@ -437,26 +435,34 @@ def wide_margin_problem(N, lam, seed, margins, n=4):
     return LogisticProblem(feats, labels, lam), x
 
 
-def assert_report_matches_full_oracles(P, x):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        f, g = P.report(x)
-        assert f == full_value(P, x)
-        assert np.array_equal(g, full_gradient(P, x))
-
-
 class TestReport:
     @given(N=SIZES, lam=st.sampled_from([0.0, 1e-4]), seed=st.integers(0, 2**32 - 1),
            data=st.data())
     def test_logistic_bits(self, N, lam, seed, data):
+        # the report gradient is the charged full-index estimator, bit for
+        # bit: the SVRG-BB snapshot takes it from the report
         margins = data.draw(st.lists(st.floats(-800.0, 800.0), min_size=N, max_size=N))
-        assert_report_matches_full_oracles(*wide_margin_problem(N, lam, seed, margins))
+        P, x = wide_margin_problem(N, lam, seed, margins)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = P.report(x)[1]
+            assert np.array_equal(g, batch_gradient(P, np.arange(N), x))
 
     @given(N=SIZES, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
     def test_quadratic_bits(self, N, seed, scale):
+        # the report's aggregates agree with the full-index estimators to
+        # rounding: every term either sums is at most L*R^2 in value and
+        # L*R in gradient, R = ||x|| + max_i ||b_i||
         rng = np.random.default_rng(seed)
         P = generate_quadratic(4, N, rng)
-        assert_report_matches_full_oracles(P, rng.standard_normal(4) * scale)
+        x = rng.standard_normal(4) * scale
+        R = np.linalg.norm(x) + np.max(np.linalg.norm(P.b, axis=1))
+        every = np.arange(N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f, g = P.report(x)
+            assert abs(f - batch_value(P, every, x)) <= 1e-12 * P.lipschitz * R * R
+            assert np.max(np.abs(g - batch_gradient(P, every, x))) <= 1e-12 * P.lipschitz * R
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from specsum.problems import QuadraticProblem, batch_gradient, generate_quadratic
+from specsum.problems import (
+    QuadraticProblem,
+    batch_gradient,
+    full_gradient,
+    full_value,
+    generate_quadratic,
+)
 from specsum.sampling import should_resample
 from specsum.solvers import SolverConfig, make_solver, run_solver
 
@@ -46,7 +52,7 @@ class TestTraceShape:
     def test_initial_record_reports_start_point(self):
         P = generate_quadratic(3, 5, np.random.default_rng(1))
         tr = run_solver(P, SolverConfig(maxiter=2, seed=0))
-        assert tr.records[0].f_full == pytest.approx(P.full_value(np.zeros(3)), rel=1e-14)
+        assert tr.records[0].f_full == pytest.approx(full_value(P, np.zeros(3)), rel=1e-14)
 
 
 class TestSlisesHandTrace:
@@ -239,7 +245,7 @@ class TestBbBaselines:
         while drv.k < cfg.maxiter:
             if drv.k % 4 == 0:
                 snaps.append(drv.x.copy())
-                grads.append(P.full_gradient(drv.x))
+                grads.append(full_gradient(P, drv.x))
             drv.step()
         dx = snaps[1] - snaps[0]
         dg = grads[1] - grads[0]
@@ -366,8 +372,13 @@ class TestConfigValidation:
         P = generate_quadratic(2, 4, np.random.default_rng(20))
         bad = [dict(method="adam"), dict(eta=0.0), dict(eta=1.0), dict(maxiter=0),
                dict(S=0), dict(S=5), dict(m=0), dict(sampler="halton"),
-               dict(eps=0.0), dict(gamma_min=0.0), dict(gamma_max=0.5),
-               dict(method="svrg-bb", p=0), dict(method="sgd-bb", p=-3)]
+               dict(eps=0.0), dict(eps=np.nan), dict(gamma_min=0.0), dict(gamma_max=0.5),
+               dict(method="svrg-bb", p=0), dict(method="sgd-bb", p=-3),
+               dict(method="slises-modified", delta=np.nan),
+               dict(method="sgd", eta0=np.nan), dict(method="svrg-bb", eta0=-1.0),
+               dict(method="svrg-bb", eta0=np.inf), dict(method="sgd-bb", eta1=0.0),
+               dict(method="sgd-bb", beta=-1.0), dict(method="sgd-bb", beta=1.5),
+               dict(method="sgd-bb-smooth", beta=np.nan)]
         for kw in bad:
             with pytest.raises(ValueError):
                 run_solver(P, SolverConfig(**kw))
