@@ -88,16 +88,22 @@ class TestQuadraticGenerator:
 
 
 class TestValuesAndGradients:
+    def test_full_value_is_mean_of_components(self):
+        rng = np.random.default_rng(1)
+        P = generate_quadratic(5, 12, rng)
+        Q = make_logistic(4, 9, seed=2)
+        for prob in (P, Q):
+            x = rng.standard_normal(prob.n) * 3
+            mean = sum(batch_value(prob, [i], x) for i in range(prob.N)) / prob.N
+            assert full_value(prob, x) == pytest.approx(mean, rel=1e-12)
+
     def test_batch_with_full_index_set_matches_full(self):
-        # the full value is also the mean of the one-component values
         rng = np.random.default_rng(2)
         P = generate_quadratic(4, 7, rng)
         Q = make_logistic(4, 9, seed=2)
         for prob, x in ((P, rng.uniform(0, 30, P.n)), (Q, rng.standard_normal(Q.n) * 3)):
             sample = np.arange(prob.N)
             f = full_value(prob, x)
-            mean = sum(batch_value(prob, [i], x) for i in sample) / prob.N
-            assert mean == pytest.approx(f, rel=1e-12)
             assert batch_value(prob, sample, x) == pytest.approx(f, rel=1e-12)
             assert batch_gradient(prob, sample, x) == pytest.approx(full_gradient(prob, x),
                                                                     rel=1e-10)
