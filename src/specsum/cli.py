@@ -185,8 +185,18 @@ _METHOD_TOKENS = {  # compare token -> (method, sampler; None keeps --sampler)
 }
 
 
+def _solver_config(args):
+    """The solver config of ``run`` or ``sweep-m``; only slises reads
+    ``--no-damping``."""
+    cfg = _from_flags(SolverConfig, args)
+    if not cfg.damping and cfg.method != "slises":
+        raise ValueError(f"--no-damping applies only to slises, not to method {cfg.method!r}")
+    return cfg
+
+
 def _method_config(token, base):
-    """Translate a compare token into a solver config; only slises reads ``-nodamp``."""
+    """Translate a compare token into a solver config; only slises tokens
+    read ``-nodamp`` and the shared ``--no-damping``."""
     core = token.removesuffix("-nodamp")
     if core not in _METHOD_TOKENS:
         raise ValueError(f"unknown method token {token!r}")
@@ -194,7 +204,7 @@ def _method_config(token, base):
     if core != token and method != "slises":
         raise ValueError(f"method token {token!r}: -nodamp applies only to slises tokens")
     return replace(base, method=method, sampler=sampler or base.sampler,
-                   damping=base.damping and core == token)
+                   damping=method != "slises" or (base.damping and core == token))
 
 
 def cmd_generate(args):
@@ -206,8 +216,8 @@ def cmd_generate(args):
 
 def cmd_run(args):
     spec = _from_flags(harness.ExperimentSpec, args)
+    cfg = _solver_config(args)
     problem = spec.build_problem()
-    cfg = _from_flags(SolverConfig, args)
     path, _ = harness.run_single(problem, cfg, cfg.seed, spec.out_dir)
     print(path)
     return EXIT_OK
@@ -215,8 +225,9 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     spec = _from_flags(harness.ExperimentSpec, args)
+    base = _solver_config(args)
     problem = spec.build_problem()
-    _, agg = harness.sweep_m(problem, _from_flags(SolverConfig, args), args.m_grid,
+    _, agg = harness.sweep_m(problem, base, args.m_grid,
                              args.seeds, spec.out_dir, how=spec.aggregation)
     print(agg)
     return EXIT_OK

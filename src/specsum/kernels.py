@@ -12,16 +12,17 @@ any other ``idx`` (a permutation, a draw with duplicates or gaps)
 gathers a copy of its rows first.  Both paths sum the same rows in the
 same order, so they give the same bits.
 
+``quad_value`` takes the products A_i (x-b_i) through ``matmul`` and
+sums them against x-b_i in one ``vdot``; ``quad_gradient`` keeps its
+two-operand ``einsum``, which ``matmul`` does not speed up.
+
 ``logistic_report`` is the full-index value and gradient of one trace
 row.  It computes the margins z and exp(-|z|) once and shares them
-between the two.  Its gradient carries ``logistic_gradient``'s bits.
-Its value takes each row's loss log(1 + exp(z)) as
-max(z, 0) + log1p(exp(-|z|)), the formula ``np.logaddexp`` evaluates,
+between the two.  Every logistic loss log(1 + exp(z)) is taken as
+max(z, 0) + log1p(exp(-|z|)), the formula numpy's ``logaddexp`` evaluates,
 on numpy's vectorized ``maximum`` and ``log1p`` instead of
-``logaddexp``'s scalar loop; it is within a few ULP of
-``logistic_value``, not bit-equal.  The charged ``logistic_value``
-keeps ``np.logaddexp``: its bits steer the line search, and at the
-rounding floor a change of bits there changes a run's costs.
+``logaddexp``'s scalar loop.  So the report carries the bits of
+``logistic_value`` and ``logistic_gradient`` on the full index.
 """
 
 import numpy as np
@@ -44,7 +45,8 @@ def quad_value(A, b, idx, x):
     """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``."""
     r = _rows(idx, b.shape[0])
     dx = x[None, :] - b[r]
-    return 0.5 * float(np.einsum("ij,ijk,ik->", dx, A[r], dx)) / idx.size
+    Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
+    return 0.5 * float(np.vdot(dx, Adx)) / idx.size
 
 
 def quad_gradient(A, b, idx, x):
@@ -61,11 +63,17 @@ def _logistic_grad(z, e, F, y, lam, x):
     return ((-y * sig) @ F) / z.size + lam * x
 
 
+def _logistic_value(z, e, lam, x):
+    """Mean loss over the rows of margins ``z`` plus lam/2*||x||^2;
+    ``e`` is exp(-|z|)."""
+    return float(np.mean(_log1p_exp(z, e))) + 0.5 * lam * float(x @ x)
+
+
 def logistic_value(feats, labels, lam, idx, x):
     """Mean regularized logistic loss over the indices in ``idx``."""
     r = _rows(idx, labels.size)
     z = -labels[r] * (feats[r] @ x)
-    return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * lam * float(x @ x)
+    return _logistic_value(z, np.exp(-np.abs(z)), lam, x)
 
 
 def logistic_gradient(feats, labels, lam, idx, x):
@@ -78,7 +86,7 @@ def logistic_gradient(feats, labels, lam, idx, x):
 
 def _log1p_exp(z, e):
     """log(1 + exp(z)) per element, given ``e`` = exp(-|z|): the formula
-    ``np.logaddexp(0, z)`` evaluates, max(z, 0) + log1p(e)."""
+    numpy's ``logaddexp(0, z)`` evaluates, max(z, 0) + log1p(e)."""
     loss = np.log1p(e)
     loss += np.maximum(z, 0.0)
     return loss
@@ -88,5 +96,4 @@ def logistic_report(feats, labels, lam, x):
     """Full value and gradient, from one pass over the data in place."""
     z = -labels * (feats @ x)
     e = np.exp(-np.abs(z))
-    f = float(np.mean(_log1p_exp(z, e))) + 0.5 * lam * float(x @ x)
-    return f, _logistic_grad(z, e, feats, labels, lam, x)
+    return _logistic_value(z, e, lam, x), _logistic_grad(z, e, feats, labels, lam, x)

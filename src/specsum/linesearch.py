@@ -11,16 +11,25 @@ vanishes).  While the trial step exceeds 0.1 a failed test is followed
 by the quadratic-interpolation candidate, kept only if it lands inside
 [0.1*alpha, 0.9*alpha]; at or below 0.1 the step is simply halved, and
 interpolation is never revisited.
+
+Once the predicted decrease plus slack, eta * alpha * |dm| + t, falls to
+the rounding of a finite phi(0) (``ROUNDING * |phi(0)|``), the test can
+only measure rounding noise, so the search stops without a step and
+reports the status ``held`` (the eps*|f| relaxation of Hager & Zhang,
+SIAM J. Optim. 16, 2005).  Above that floor the test is the one above.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 ACCEPTED = "accepted"
 BUDGET_EXHAUSTED = "budget_exhausted"
+HELD = "held"
 
 MAX_TRIALS = 60  # halving floor ~9e-19; guards float pathologies only
+ROUNDING = float(np.finfo(float).eps)  # relative rounding of phi(0)
 
 
 @dataclass
@@ -35,7 +44,7 @@ class ArmijoContext:
 
 @dataclass
 class LspResult:
-    """Accepted step, trial count and status."""
+    """Accepted step (0 when held), trial count and status."""
 
     alpha: float
     trials: int
@@ -46,6 +55,12 @@ class LspResult:
 def armijo_holds(phi_alpha, ctx, alpha):
     """Relaxed Armijo test; non-finite trial values count as failures."""
     return phi_alpha <= ctx.phi0 + ctx.eta * alpha * ctx.dm + ctx.t
+
+
+def at_rounding_floor(ctx, alpha):
+    """True when the predicted decrease plus slack at ``alpha`` is no more
+    than the rounding of a finite phi(0)."""
+    return ctx.eta * alpha * abs(ctx.dm) + ctx.t <= ROUNDING * abs(ctx.phi0) < math.inf
 
 
 def interp_candidate(dm, alpha, phi_alpha, phi0):
@@ -73,11 +88,15 @@ def lsp_search(phi, ctx, max_trials=MAX_TRIALS):
 
     If ``max_trials`` tests all fail the last trial step is returned
     with status ``budget_exhausted``; the final trial value is reported
-    either way so callers can reuse it as the next base value.
+    either way so callers can reuse it as the next base value.  A trial
+    step at the rounding floor is not tested: the search returns step 0,
+    the trials spent and phi(0) with status ``held``.
     """
     alpha = 1.0
     trials = 0
     while True:
+        if at_rounding_floor(ctx, alpha):
+            return LspResult(0.0, trials, HELD, ctx.phi0)
         phi_a = float(phi(alpha))
         trials += 1
         if armijo_holds(phi_a, ctx, alpha):

@@ -13,8 +13,8 @@ code that charges the cost meter, when they are handed one; that
 includes the component gradient norms that refresh the AIS scores.
 ``full_value`` and ``full_gradient`` there are the two halves of
 ``report``; only the full gradient, the SVRG-BB snapshot, is charged.
-The logistic full value is within a few ULP of the charged estimator
-``batch_value`` on the full index, which keeps numpy's ``logaddexp`` (see
+The logistic report carries the bits of the charged estimators
+``batch_value`` and ``batch_gradient`` on the full index (see
 :mod:`specsum.kernels`).
 """
 
@@ -86,9 +86,9 @@ class FiniteSumProblem:
     ``perfbench/tracer.py`` wraps per class) and ``report(x) -> (f, g)``:
     the full value and gradient of one trace row.  The report need only
     agree with the estimators on the full index within rounding: the
-    logistic report gradient is ``batch_gradient`` on the full index,
-    bit for bit, but the quadratic report uses precomputed aggregates
-    and differs from both estimators in the last bits.
+    logistic report is ``batch_value`` and ``batch_gradient`` on the
+    full index, bit for bit, but the quadratic report uses precomputed
+    aggregates and differs from both estimators in the last bits.
     """
 
     N = 0

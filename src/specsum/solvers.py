@@ -24,13 +24,17 @@ slises
     1/||g||; the others use the spectral ratio of same-batch gradient
     differences.  The clipped coefficient is damped by 1/k and the step
     is accepted through the nonmonotone line search with slack 1/2**k.
+    A search held at the rounding floor takes no step, and the iterate
+    then keeps its point and batch, without a search, until the next
+    redraw.
 slises-modified
     Variant with measurable step sizes at redraw iterations: there the
     scale is exactly 1/k and the unit step is taken without any search;
     in between, the spectral coefficient is damped by 1/k**(1+delta).
 spectral-full
     Deterministic full-batch spectral method with the same line search
-    and no damping (clip only).
+    and no damping (clip only); it never redraws, so once its search
+    holds it stays at that point.
 sgd
     Plain stochastic gradient with step 1/k, fresh uniform batch each
     iteration, no line search, no function evaluations.
@@ -49,7 +53,7 @@ import numpy as np
 
 from . import problems, sampling
 from .kernels import BACKEND
-from .linesearch import ArmijoContext, lsp_search
+from .linesearch import HELD, ArmijoContext, lsp_search
 from .steplength import (
     DampingPolicy,
     SpectralState,
@@ -215,6 +219,7 @@ class SlisesDriver(_Driver):
         self.ais = (sampling.AisState.uniform(problem.N, eps=cfg.eps)
                     if cfg.sampler == "ais" and self._redraws else None)
         self._base_value = None  # cached estimator value at (sample, x)
+        self._held = False  # a search held at (sample, x): none until a redraw
 
     def _draw(self, k):
         cfg, P = self.config, self.problem
@@ -234,6 +239,12 @@ class SlisesDriver(_Driver):
         if resampled:
             self.sample = self._draw(k)
             self._base_value = None
+            self._held = False
+        if self._held:
+            # the same point and batch would only measure the same rounding noise
+            self._append_record(False, np.nan, np.nan, 0.0, 0, self.sample)
+            self.k += 1
+            return
 
         g = problems.batch_gradient(P, self.sample, self.x, self.meter)
 
@@ -277,7 +288,8 @@ class SlisesDriver(_Driver):
                     res = lsp_search(
                         lambda a: problems.batch_value(P, sample, x0 + a * d, meter), ctx)
                     alpha, trials = res.alpha, res.trials
-                    self.x = x0 + alpha * d
+                    self.x = x0 + alpha * d  # a held search returns alpha = 0
+                    self._held = res.status == HELD
                     self._base_value = res.phi_alpha
 
         self._append_record(resampled, np.nan if c is None else c, gamma,

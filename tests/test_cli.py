@@ -71,6 +71,23 @@ class TestRun:
         assert header["reuse"] == "0" and header["damping"] == "1"
         assert len(rows["k"]) == 5
 
+    def test_no_damping_is_refused_by_a_method_that_ignores_it(self, tmp_path, capsys):
+        # only slises reads damping; elsewhere the header said damping = 0
+        # above the rows of the damped run
+        for argv in (["run", "--method", "spectral-full"],
+                     ["sweep-m", "--method", "slises-modified", "--m-grid", "2,3"]):
+            out = tmp_path / "refused"
+            assert main([*argv, "--n", "4", "--N", "20", "--maxiter", "5", "--no-damping",
+                         "--out", str(out)]) == 1
+            method = argv[2]
+            assert capsys.readouterr().err == (
+                f"specsum: --no-damping applies only to slises, not to method {method!r}\n")
+            assert not out.exists()
+        assert main(["run", "--n", "4", "--N", "20", "--maxiter", "5", "--no-damping",
+                     "--out", str(tmp_path / "r")]) == 0
+        header, _ = read_trace(capsys.readouterr().out.strip())
+        assert header["label"] == "slises-uni-m3-nodamp" and header["damping"] == "0"
+
     def test_keys_without_a_flag_are_ignored(self, instance, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("m-grid = 1,2\nmethods = sgd\nfrobnicate = 3\nmaxiter = 4\n")
@@ -191,6 +208,15 @@ class TestSweepAndCompare:
         assert len(rows["k"]) < 101 and not np.isfinite(rows["f_full"][-1])
         assert np.all(np.isfinite(rows["f_full"][:-1]))
         assert os.path.exists(out / "sgd_seed0.csv")
+
+    def test_shared_no_damping_reaches_only_slises(self, instance, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["compare", "--instance", instance, "--methods", "slises-uni,spectral-full",
+                     "--no-damping", "--seeds", "0", "--maxiter", "5", "--out", str(out)]) == 0
+        _, rows = read_trace(capsys.readouterr().out.strip())
+        assert set(rows) == {"cum_evals", "slises-uni-m3-nodamp", "spectral-full"}
+        header, _ = read_trace(str(out / "spectral-full_seed0.csv"))
+        assert header["damping"] == "1"
 
     def test_nodamp_token(self, instance, tmp_path, capsys):
         rc = main(["compare", "--instance", instance,

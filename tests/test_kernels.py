@@ -33,7 +33,8 @@ class TestBackendSelection:
 
 def gathered_quad_value(A, b, idx, x):
     dx = x[None, :] - b[idx]
-    return 0.5 * float(np.einsum("ij,ijk,ik->", dx, A[idx], dx)) / idx.size
+    Adx = np.matmul(A[idx], dx[:, :, None])[:, :, 0]
+    return 0.5 * float(np.vdot(dx, Adx)) / idx.size
 
 
 def gathered_quad_gradient(A, b, idx, x):
@@ -42,13 +43,8 @@ def gathered_quad_gradient(A, b, idx, x):
 
 
 def gathered_logistic_value(feats, labels, lam, idx, x):
+    # np.logaddexp(0, z) evaluates the same loss formula
     z = -labels[idx] * (feats[idx] @ x)
-    return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * lam * float(x @ x)
-
-
-def reported_logistic_value(feats, labels, lam, x):
-    # the report's loss; np.logaddexp(0, z) evaluates the same formula
-    z = -labels * (feats @ x)
     loss = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     return float(np.mean(loss)) + 0.5 * lam * float(x @ x)
 
@@ -152,7 +148,7 @@ class TestFullIndexBits:
             feats, labels, x = wide_margin_inputs(seed, n=n)
             full = np.arange(labels.size)
             v, g = kernels.logistic_report(feats, labels, 1e-4, x)
-            assert v == reported_logistic_value(feats, labels, 1e-4, x)
+            assert v == gathered_logistic_value(feats, labels, 1e-4, full, x)
             assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, full, x))
 
     @pytest.mark.parametrize("n", [1, 5, 7, 20, 50, 100])
@@ -192,8 +188,10 @@ def ulps(a, b):
 
 
 class TestReportedLoss:
-    """The report's loss max(z, 0) + log1p(exp(-|z|)) stays within
-    rounding of np.logaddexp(0, z), which the charged estimator keeps."""
+    """Every logistic loss is max(z, 0) + log1p(exp(-|z|)), so the report
+    carries the estimator's bits; the value kernels stay within rounding
+    of the formulas they replaced, np.logaddexp(0, z) for the logistic
+    loss and the three-operand einsum for the quadratic value."""
 
     def test_elements_match_logaddexp_to_two_ulp(self):
         rng = np.random.default_rng(0)
@@ -219,9 +217,31 @@ class TestReportedLoss:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 v, g = kernels.logistic_report(feats, labels, 1e-4, x)
-                ref = kernels.logistic_value(feats, labels, 1e-4, full, x)
+                assert v == kernels.logistic_value(feats, labels, 1e-4, full, x)
                 assert np.array_equal(g, kernels.logistic_gradient(feats, labels, 1e-4, full, x))
-            assert ulps(v, ref) <= 4
+
+    @pytest.mark.parametrize("span", [1.0, 5.0, 800.0])
+    @pytest.mark.parametrize("N", [1, 3, 1001])
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_logistic_value_matches_logaddexp(self, n, N, span):
+        for seed in range(10):
+            feats, labels, x = wide_margin_inputs(seed, n=n, N=N, span=span)
+            idx = np.random.default_rng(seed).integers(0, N, size=N)
+            z = -labels[idx] * (feats[idx] @ x)
+            ref = float(np.mean(np.logaddexp(0.0, z))) + 0.5e-4 * float(x @ x)
+            assert ulps(kernels.logistic_value(feats, labels, 1e-4, idx, x), ref) <= 4
+
+    @pytest.mark.parametrize("n", [1, 5, 7, 20, 50, 100])
+    def test_quad_value_matches_einsum(self, n):
+        # within a few units of eps times the sum of the products'
+        # magnitudes, which is the result's ulp when nothing cancels
+        for seed in range(20):
+            A, b, _, _, x, idx = random_inputs(seed, n=n, N=9)
+            dx = x[None, :] - b[idx]
+            ref = 0.5 * float(np.einsum("ij,ijk,ik->", dx, A[idx], dx)) / idx.size
+            scale = 0.5 * float(np.einsum("ij,ijk,ik->", abs(dx), abs(A[idx]), abs(dx))) / idx.size
+            got = kernels.quad_value(A, b, idx, x)
+            assert abs(got - ref) <= 4 * n * np.finfo(float).eps * scale
 
 
 class TestFullIndexInPlace:
@@ -264,12 +284,12 @@ class TestFullIndexInPlace:
         assert peak < 0.5 * feats.nbytes
 
     # the S=1 call of the default batch size, at a row other than the first;
-    # quad_value's three-operand einsum and the logistic gradient's n-vectors
-    # allocate a row's worth of their own, so these two kernels show the copy
-    @pytest.mark.parametrize("kernel", ["quad_gradient", "logistic_value"])
+    # the logistic gradient's n-vectors allocate a row's worth of their own,
+    # so it cannot show the copy
+    @pytest.mark.parametrize("kernel", ["quad_value", "quad_gradient", "logistic_value"])
     def test_single_row_call_copies_no_row(self, kernel):
         rng = np.random.default_rng(0)
-        if kernel == "quad_gradient":
+        if kernel.startswith("quad"):
             A = rng.standard_normal((30, 100, 100))
             args, row = (A, rng.standard_normal((30, 100))), A[0].nbytes
         else:

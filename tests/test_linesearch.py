@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from specsum.linesearch import (
     ACCEPTED,
     BUDGET_EXHAUSTED,
+    HELD,
     MAX_TRIALS,
+    ROUNDING,
     ArmijoContext,
     armijo_holds,
+    at_rounding_floor,
     interp_candidate,
     lsp_search,
 )
@@ -106,7 +109,8 @@ class TestLspSearch:
         assert (res.alpha, res.trials, res.status) == (1.0, 1, ACCEPTED)
 
     def test_budget_exhausted_returns_last_trial(self):
-        ctx = ArmijoContext(phi0=1.0, dm=-1.0, eta=1e-4, t=0.0)
+        # phi0 = 0 has no rounding floor, so every trial is tested
+        ctx = ArmijoContext(phi0=0.0, dm=-1.0, eta=1e-4, t=0.0)
         res = lsp_search(lambda a: 2.0, ctx)
         assert res.status == BUDGET_EXHAUSTED
         assert res.trials == 60
@@ -160,6 +164,42 @@ class TestLspSearch:
             assert armijo_holds(phi(res.alpha), ctx, res.alpha)
 
 
+class TestRoundingFloor:
+    def test_floor_is_the_rounding_of_phi0(self):
+        ctx = ArmijoContext(phi0=-4.0, dm=-1.0, eta=0.5, t=0.0)
+        assert at_rounding_floor(ctx, 8 * ROUNDING)
+        assert not at_rounding_floor(ctx, 9 * ROUNDING)
+        slack = ArmijoContext(phi0=-4.0, dm=-1.0, eta=0.5, t=4 * ROUNDING)
+        assert not at_rounding_floor(slack, ROUNDING)
+
+    def test_unit_step_at_the_floor_is_held_untried(self):
+        phi, calls = quad_phi(1.0, -2.0)
+        ctx = ArmijoContext(phi0=1e6, dm=-1e-6, eta=1e-4, t=1e-12)
+        res = lsp_search(phi, ctx)
+        assert (res.alpha, res.trials, res.status, res.phi_alpha) == (0.0, 0, HELD, 1e6)
+        assert calls == []
+
+    def test_hold_after_the_trials_above_the_floor(self):
+        # eta*alpha*|dm| = 1e-14*alpha reaches 1*eps below alpha = 0.0222:
+        # 1, 0.5, 0.25, 0.125, 0.0625 and 0.03125 are tested, 0.015625 is not
+        tested = []
+
+        def phi(a):
+            tested.append(a)
+            return 2.0
+
+        ctx = ArmijoContext(phi0=1.0, dm=-1e-10, eta=1e-4, t=0.0)
+        res = lsp_search(phi, ctx)
+        assert (res.alpha, res.trials, res.status, res.phi_alpha) == (0.0, 6, HELD, 1.0)
+        assert tested == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
+
+    @pytest.mark.parametrize("phi0", [0.0, np.inf, -np.inf, np.nan])
+    def test_no_floor_without_a_finite_nonzero_phi0(self, phi0):
+        ctx = ArmijoContext(phi0=phi0, dm=-1e-100, eta=1e-4, t=0.0)
+        assert not at_rounding_floor(ctx, 1e-100)
+        assert lsp_search(lambda a: 0.0, ctx, max_trials=3).status != HELD
+
+
 FINITE = st.floats(-1e6, 1e6)
 
 
@@ -172,8 +212,15 @@ class TestSearchPostconditions:
         trial = itertools.cycle(values)
         ctx = ArmijoContext(phi0=phi0, dm=dm, eta=eta, t=t)
         res = lsp_search(lambda a: next(trial), ctx, max_trials=max_trials)
+        if res.status == HELD:
+            # no step, phi0 kept; untried only when the unit step is at the floor
+            assert (res.alpha, res.phi_alpha) == (0.0, phi0)
+            assert 0 <= res.trials < max_trials
+            assert (res.trials == 0) == at_rounding_floor(ctx, 1.0)
+            return
         assert 1 <= res.trials <= max_trials
         assert 0.0 < res.alpha <= 1.0
+        assert not at_rounding_floor(ctx, res.alpha)  # every tested step is above it
         if res.status == ACCEPTED:
             assert armijo_holds(res.phi_alpha, ctx, res.alpha)
         else:

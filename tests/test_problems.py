@@ -445,13 +445,14 @@ class TestReport:
     @given(N=SIZES, lam=st.sampled_from([0.0, 1e-4]), seed=st.integers(0, 2**32 - 1),
            data=st.data())
     def test_logistic_bits(self, N, lam, seed, data):
-        # the report gradient is the charged full-index estimator, bit for
-        # bit: the SVRG-BB snapshot takes it from the report
+        # the report is the charged full-index estimators, bit for bit:
+        # the SVRG-BB snapshot takes its gradient from the report
         margins = data.draw(st.lists(st.floats(-800.0, 800.0), min_size=N, max_size=N))
         P, x = wide_margin_problem(N, lam, seed, margins)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            g = P.report(x)[1]
+            f, g = P.report(x)
+            assert f == batch_value(P, np.arange(N), x)
             assert np.array_equal(g, batch_gradient(P, np.arange(N), x))
 
     @given(N=SIZES, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))

@@ -10,6 +10,8 @@ from specsum.problems import (
     full_value,
     generate_quadratic,
 )
+from specsum import solvers
+from specsum.linesearch import HELD, LspResult
 from specsum.sampling import should_resample
 from specsum.solvers import SolverConfig, make_solver, run_solver
 
@@ -197,6 +199,47 @@ class TestSpectralFull:
         P = generate_quadratic(5, 10, np.random.default_rng(9))
         tr = run_solver(P, SolverConfig(method="spectral-full", maxiter=120, seed=0))
         assert min(r.grad_norm_full for r in tr.records) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_holds_at_the_rounding_floor(self, seed):
+        # once the slack 1/2^k falls below the rounding of phi0 the search
+        # holds, and the run then stays at its point without a trial;
+        # without the hold about 10,000 trials went to rounding noise
+        P = generate_quadratic(20, 250, np.random.default_rng(seed))
+        tr = run_solver(P, SolverConfig(method="spectral-full", maxiter=250, seed=0))
+        assert sum(r.lsp_trials for r in tr.records) < 100
+        first = next(i for i, r in enumerate(tr.records) if r.alpha == 0.0)
+        held = tr.records[first]
+        assert all(r.alpha == 0.0 and r.lsp_trials == 0 and r.f_full == held.f_full
+                   and r.cum_evals == held.cum_evals
+                   and r.grad_pass_cost == held.grad_pass_cost
+                   for r in tr.records[first + 1:])
+        assert abs(held.f_full - P.optimal_value) <= 1e-13 * abs(P.optimal_value)
+
+
+def test_held_search_sticks_until_the_redraw(monkeypatch):
+    # the search at k=1 holds after 2 trials; k=2 keeps the batch and
+    # the point, so it neither searches nor computes a gradient
+    contexts, search = [], solvers.lsp_search
+
+    def lsp(phi, ctx):
+        contexts.append(ctx)
+        if len(contexts) == 2:
+            return LspResult(0.0, 2, HELD, ctx.phi0)
+        return search(phi, ctx)
+
+    monkeypatch.setattr(solvers, "lsp_search", lsp)
+    P = generate_quadratic(4, 9, np.random.default_rng(2))
+    tr = run_solver(P, SolverConfig(method="slises", m=3, S=2, maxiter=4, seed=5))
+    k0, k1, k2, k3 = tr.records[1:]
+    assert (k1.alpha, k1.lsp_trials) == (0.0, 2) and np.isfinite(k1.gamma)
+    assert k1.f_full == k0.f_full
+    assert not k2.resampled and (k2.alpha, k2.lsp_trials) == (0.0, 0)
+    assert np.isnan(k2.c) and np.isnan(k2.gamma)
+    assert (k2.f_full, k2.cum_evals, k2.grad_pass_cost) == (
+        k1.f_full, k1.cum_evals, k1.grad_pass_cost)
+    assert k2.indices is k1.indices
+    assert k3.resampled and k3.alpha > 0.0 and len(contexts) == 3
 
 
 @pytest.mark.parametrize("method,damping,exponent", [
