@@ -16,13 +16,17 @@ same order, so they give the same bits.
 sums them against x-b_i in one ``vdot``; ``quad_gradient`` keeps its
 two-operand ``einsum``, which ``matmul`` does not speed up.
 
-``logistic_report`` is the full-index value and gradient of one trace
-row.  It computes the margins z and exp(-|z|) once and shares them
-between the two.  Every logistic loss log(1 + exp(z)) is taken as
-max(z, 0) + log1p(exp(-|z|)), the formula numpy's ``logaddexp`` evaluates,
-on numpy's vectorized ``maximum`` and ``log1p`` instead of
-``logaddexp``'s scalar loop.  So the report carries the bits of
-``logistic_value`` and ``logistic_gradient`` on the full index.
+The three logistic kernels share one chain.  ``_margins`` takes
+z = -y * (F @ x) and e = exp(-|z|), each built in place on one array.
+A value takes each loss log(1 + exp(z)) as max(z, 0) + log1p(e), the
+formula numpy's ``logaddexp(0, z)`` evaluates, on numpy's vectorized
+``maximum`` and ``log1p``.  A gradient takes the stable sigmoid(z) as
+exp(min(z, 0)) / (1 + e), without a branch, and writes it over z and e.
+``logistic_report``, the full-index value and gradient of one trace row,
+computes the margins once for both.  So the report carries the bits of
+``logistic_value`` and ``logistic_gradient`` on the full index, and
+holds at most four arrays of N floats at a time; a full-index gradient
+holds two.
 """
 
 import numpy as np
@@ -56,32 +60,16 @@ def quad_gradient(A, b, idx, x):
     return np.einsum("ijk,ik->j", A[r], dx) / idx.size
 
 
-def _logistic_grad(z, e, F, y, lam, x):
-    """Mean loss gradient over the rows of margins ``z`` plus lam*x;
-    ``e`` is exp(-|z|), which never overflows."""
-    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)  # stable sigmoid(z)
-    return ((-y * sig) @ F) / z.size + lam * x
-
-
-def _logistic_value(z, e, lam, x):
-    """Mean loss over the rows of margins ``z`` plus lam/2*||x||^2;
-    ``e`` is exp(-|z|)."""
-    return float(np.mean(_log1p_exp(z, e))) + 0.5 * lam * float(x @ x)
-
-
-def logistic_value(feats, labels, lam, idx, x):
-    """Mean regularized logistic loss over the indices in ``idx``."""
-    r = _rows(idx, labels.size)
-    z = -labels[r] * (feats[r] @ x)
-    return _logistic_value(z, np.exp(-np.abs(z)), lam, x)
-
-
-def logistic_gradient(feats, labels, lam, idx, x):
-    """Mean regularized logistic loss gradient over ``idx``."""
-    r = _rows(idx, labels.size)
-    F, y = feats[r], labels[r]
-    z = -y * (F @ x)
-    return _logistic_grad(z, np.exp(-np.abs(z)), F, y, lam, x)
+def _margins(F, y, x):
+    """Margins z = -y * (F @ x) and e = exp(-|z|), each built in place in
+    one array of its own; ``e`` never overflows."""
+    z = F @ x
+    z *= y
+    np.negative(z, out=z)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return z, e
 
 
 def _log1p_exp(z, e):
@@ -92,8 +80,40 @@ def _log1p_exp(z, e):
     return loss
 
 
+def _logistic_value(z, e, lam, x):
+    """Mean loss over the rows of margins ``z`` plus lam/2*||x||^2, given
+    ``e`` = exp(-|z|); leaves ``z`` and ``e`` unchanged."""
+    return float(np.mean(_log1p_exp(z, e))) + 0.5 * lam * float(x @ x)
+
+
+def _logistic_grad(z, e, F, y, lam, x):
+    """Mean loss gradient over the rows of margins ``z`` plus lam*x, given
+    ``e`` = exp(-|z|); overwrites ``z`` and ``e``.  The stable sigmoid(z)
+    is exp(min(z, 0)) / (1 + e): for z < 0, min(z, 0) is -|z| exactly,
+    and for z >= 0, exp(0) is exactly 1."""
+    sig = np.minimum(z, 0.0, out=z)
+    np.exp(sig, out=sig)
+    e += 1.0
+    sig /= e
+    sig *= y
+    np.negative(sig, out=sig)
+    return (sig @ F) / sig.size + lam * x
+
+
+def logistic_value(feats, labels, lam, idx, x):
+    """Mean regularized logistic loss over the indices in ``idx``."""
+    r = _rows(idx, labels.size)
+    return _logistic_value(*_margins(feats[r], labels[r], x), lam, x)
+
+
+def logistic_gradient(feats, labels, lam, idx, x):
+    """Mean regularized logistic loss gradient over ``idx``."""
+    r = _rows(idx, labels.size)
+    F, y = feats[r], labels[r]
+    return _logistic_grad(*_margins(F, y, x), F, y, lam, x)
+
+
 def logistic_report(feats, labels, lam, x):
     """Full value and gradient, from one pass over the data in place."""
-    z = -labels * (feats @ x)
-    e = np.exp(-np.abs(z))
+    z, e = _margins(feats, labels, x)
     return _logistic_value(z, e, lam, x), _logistic_grad(z, e, feats, labels, lam, x)

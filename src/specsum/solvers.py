@@ -26,7 +26,8 @@ slises
     is accepted through the nonmonotone line search with slack 1/2**k.
     A search held at the rounding floor takes no step, and the iterate
     then keeps its point and batch, without a search, until the next
-    redraw.
+    redraw; so does an iterate whose batch gradient leaves no
+    coefficient (a stationary estimator), with no further gradient.
 slises-modified
     Variant with measurable step sizes at redraw iterations: there the
     scale is exactly 1/k and the unit step is taken without any search;
@@ -268,7 +269,8 @@ class SlisesDriver(_Driver):
             self.sstate.update(self.x, g)
             if c is None:
                 # stationary estimator: hold the iterate until the next redraw
-                gamma, alpha, trials = np.nan, 1.0, 0
+                gamma, alpha, trials = np.nan, 0.0, 0
+                self._held = True
             else:
                 gamma = damp(c, k, self.policy)
                 d = -gamma * g

@@ -1,10 +1,11 @@
-"""Pinned trace bytes: three tiny CLI invocations against recorded digests.
+"""Pinned trace bytes: four tiny CLI invocations against recorded digests.
 
 Each invocation writes its traces and its aggregate into a fresh
 directory, and the SHA-256 of every file written must equal the digest
 recorded for it.  A change that claims byte-identical traces is checked
-here on an S=1 ``sweep-m``, a ``spectral-full`` run on a frozen instance
-and a logistic ``compare`` over a sparse dataset.  A second set of
+here on an S=1 ``sweep-m``, a ``spectral-full`` run on a frozen instance,
+a logistic ``compare`` over a sparse dataset and a logistic ``compare``
+whose ``spectral-full`` run calls the full-index estimators.  A second set of
 digests covers each trace with its ``f_full`` column cut out, so that a
 change to how the reported objective is computed, which moves the first
 set, cannot hide a change to a cost, step or gradient column.
@@ -67,8 +68,16 @@ def _logistic_compare(tmp_path):
             "--S", "3"]
 
 
+def _logistic_full(tmp_path):
+    # the full-index logistic estimators: every spectral-full value and
+    # gradient call reads all 60 rows
+    data = _sparse_dataset(tmp_path / "data.txt")
+    return ["compare", "--dataset", data, "--methods", "spectral-full,slises-mod",
+            "--seeds", "0", "--maxiter", "20", "--S", "3"]
+
+
 INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
-               "logistic-compare": _logistic_compare}
+               "logistic-compare": _logistic_compare, "logistic-full": _logistic_full}
 
 DIGESTS = {
     "logistic-compare": {
@@ -77,6 +86,11 @@ DIGESTS = {
         "slises-ais-m3_seed0.csv": "1511be0b8d99f299e8aadd6ebe774ebca3117c7865fd83579734ae9dffab5be4",
         "slises-uni-m3_seed0.csv": "295bcc4876dd9c1ac18c68f25b1f8f15b2d2281f3c851509c3775224f5a076ae",
         "svrg-bb_seed0.csv": "0993847b85e488540177cb8e1ecf05a4d9a0ede54e51d87eea1b16a49213b28a",
+    },
+    "logistic-full": {
+        "compare.csv": "44d9da8bab5f2657ebcf3c6e85192283a2efe836b99b83fc89c5acf51b2cb216",
+        "slises-mod-m3-d0.1_seed0.csv": "fac217baf4c36ce20d543eb1be0011c5e4898fe9a1856c7b4d5c50a389027cfe",
+        "spectral-full_seed0.csv": "04edc8b2e4043cf43e319c85b7c49342eb6682a7581352197ee563d6581e8bc5",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "1548f0e0bbad1d0f8df12f6084b395e358a8e8f535cee00da8842b701f6efa13",
@@ -100,6 +114,10 @@ COST_DIGESTS = {
         "slises-ais-m3_seed0.csv": "2a0f921dbad52bbad1a971604e9034f356cde36fa1e937fc2d021db5151c102b",
         "slises-uni-m3_seed0.csv": "59d2c0aac7cc5feb72860926fc0fbb3ed266dd057f41f5f61db61342ca477582",
         "svrg-bb_seed0.csv": "01ab8e9b0bd4e7c5215e1f13ad661d46c160c89be90b5ebe473f9d28ecb38379",
+    },
+    "logistic-full": {
+        "slises-mod-m3-d0.1_seed0.csv": "f40c615f0c40e37c87085759a2d99646d29c4f54680f3f73b0b170e97480ec3a",
+        "spectral-full_seed0.csv": "beace7d890afc2897455c630561435ce7c467a1a44d43341a97471126b0de966",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "6b369fcbd847d442a06eaf2d8fa1f79a0656db092af0f1d1820336c136fd754f",

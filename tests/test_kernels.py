@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specsum import kernels
+from specsum.problems import LogisticProblem, batch_gradient
 
 
 def random_inputs(seed, n=5, N=9):
@@ -244,6 +245,77 @@ class TestReportedLoss:
             assert abs(got - ref) <= 4 * n * np.finfo(float).eps * scale
 
 
+def same_bits(a, b):
+    """``a`` and ``b`` equal bit for bit, except for the sign of a NaN
+    (``repr`` prints ``nan`` either way, so no trace can show it)."""
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+SPECIAL_MARGINS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 709.0, -709.0,
+                   745.2, -745.2, 1e308, -1e308]
+
+
+def margin_inputs(z, labels):
+    """Rows whose margins -y_i a_i'x are exactly ``z``, at x = (1, 0); the
+    gradient's second entry is then the mean of -y_i sigmoid(z_i)."""
+    return np.column_stack([-labels * z, np.ones(z.size)]), np.array([1.0, 0.0])
+
+
+class TestPinnedLogisticFormulas:
+    """Value, gradient and report keep the bits of the gathered formulas,
+    whose margins are out of place and whose sigmoid goes through
+    np.where, in place and gathered, at every special margin and at
+    random ones; only a NaN's sign may differ."""
+
+    @staticmethod
+    def assert_same_bits(feats, labels, idx, x, lam=1e-4):
+        with np.errstate(all="ignore"):
+            assert same_bits(kernels.logistic_value(feats, labels, lam, idx, x),
+                             gathered_logistic_value(feats, labels, lam, idx, x))
+            assert same_bits(kernels.logistic_gradient(feats, labels, lam, idx, x),
+                             gathered_logistic_gradient(feats, labels, lam, idx, x))
+            full = np.arange(labels.size)
+            v, g = kernels.logistic_report(feats, labels, lam, x)
+            assert same_bits(v, gathered_logistic_value(feats, labels, lam, full, x))
+            assert same_bits(g, gathered_logistic_gradient(feats, labels, lam, full, x))
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    @pytest.mark.parametrize("z", SPECIAL_MARGINS)
+    def test_each_special_margin_alone(self, z, label):
+        labels = np.array([label])
+        feats, x = margin_inputs(np.array([z]), labels)
+        for lam in (0.0, 1e-4):
+            self.assert_same_bits(feats, labels, np.array([0]), x, lam)
+
+    @pytest.mark.parametrize("which", ["arange", "permutation", "duplicates", "subsample"])
+    def test_specials_among_random_margins(self, which):
+        rng = np.random.default_rng(3)
+        finite = rng.standard_normal(20) * 10.0 ** rng.integers(-3, 4, size=20)
+        # every special together, then each one alone among finite
+        # margins, so that an inf or nan mean cannot hide the others
+        for specials in [SPECIAL_MARGINS] + [[z] for z in SPECIAL_MARGINS]:
+            z = np.concatenate([finite, specials])
+            rng.shuffle(z)
+            labels = np.where(rng.random(z.size) > 0.5, 1.0, -1.0)
+            feats, x = margin_inputs(z, labels)
+            self.assert_same_bits(feats, labels, index_sets(z.size, rng)[which], x)
+
+    @pytest.mark.parametrize("S, where", RUNS)
+    @pytest.mark.parametrize("span", [1.0, 40.0, 800.0])
+    def test_random_margins(self, S, where, span):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            feats, labels, x = wide_margin_inputs(seed, n=7, N=41, span=span)
+            order = rng.permutation(41)  # margins in random order
+            feats, labels = feats[order], labels[order]
+            self.assert_same_bits(feats, labels, run_index(41, 41 if S == "N" else S, where), x)
+            self.assert_same_bits(feats, labels, index_sets(41, rng)["duplicates"], x)
+
+
 class TestFullIndexInPlace:
     """A full-index or single-row call must not copy the data it reads."""
 
@@ -299,3 +371,27 @@ class TestFullIndexInPlace:
         x = rng.standard_normal(args[0].shape[-1])
         peak = self.peak_bytes(getattr(kernels, kernel), *args, np.array([17]), x)
         assert peak < row
+
+
+class TestLogisticBufferPeaks:
+    """Traced peaks in arrays of N floats: the report holds at most four at
+    a time and a full-index gradient at most three (five each while the
+    margins were built out of place)."""
+
+    N = 20000
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(0)
+        labels = np.where(rng.random(self.N) > 0.5, 1.0, -1.0)
+        return LogisticProblem(rng.standard_normal((self.N, 50)), labels, 1e-4)
+
+    def test_report(self, problem):
+        x = np.random.default_rng(1).standard_normal(50)
+        peak = TestFullIndexInPlace.peak_bytes(problem.report, x)
+        assert peak < 4.5 * 8 * self.N
+
+    def test_full_index_gradient(self, problem):
+        x = np.random.default_rng(1).standard_normal(50)
+        peak = TestFullIndexInPlace.peak_bytes(batch_gradient, problem, np.arange(self.N), x)
+        assert peak < 3.5 * 8 * self.N

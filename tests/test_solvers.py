@@ -80,7 +80,7 @@ class TestSlisesHandTrace:
 
         r2 = tr.records[3]  # k=2: s=0 degenerates, anchor of g=0 is stationary
         assert np.isnan(r2.c) and np.isnan(r2.gamma)
-        assert r2.alpha == 1.0 and r2.lsp_trials == 0
+        assert r2.alpha == 0.0 and r2.lsp_trials == 0
 
         assert tr.final_x == pytest.approx([-1.0])
         assert all(r.f_full == 0.0 for r in tr.records[2:])
@@ -240,6 +240,21 @@ def test_held_search_sticks_until_the_redraw(monkeypatch):
         k1.f_full, k1.cum_evals, k1.grad_pass_cost)
     assert k2.indices is k1.indices
     assert k3.resampled and k3.alpha > 0.0 and len(contexts) == 3
+
+
+@pytest.mark.parametrize("method,cost", [("slises", [3, 3, 3, 4, 4]),
+                                         ("spectral-full", [6, 6, 6, 6, 6])])
+def test_stationary_estimator_holds_until_the_redraw(method, cost):
+    # both components are 0.5*(x+1)^2: k=0 lands on the minimizer, k=1
+    # takes the zero step, and from k=2 the batch gradient is 0, so no
+    # coefficient exists; the iterate holds, charging no further gradient,
+    # until the slises redraw at k=5 measures the new batch once
+    P = QuadraticProblem(np.ones((2, 1, 1)), np.array([[-1.0], [-1.0]]))
+    tr = run_solver(P, SolverConfig(method=method, m=5, S=1, maxiter=7, seed=0))
+    rows = tr.records[3:]  # k = 2..6
+    assert [r.grad_pass_cost for r in rows] == cost
+    assert all(r.alpha == 0.0 and r.lsp_trials == 0 and np.isnan(r.c) and np.isnan(r.gamma)
+               and r.f_full == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("method,damping,exponent", [
