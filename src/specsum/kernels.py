@@ -16,17 +16,24 @@ same order, so they give the same bits.
 sums them against x-b_i in one ``vdot``; ``quad_gradient`` keeps its
 two-operand ``einsum``, which ``matmul`` does not speed up.
 
-The three logistic kernels share one chain.  ``_margins`` takes
-z = -y * (F @ x) and e = exp(-|z|), each built in place on one array.
-A value takes each loss log(1 + exp(z)) as max(z, 0) + log1p(e), the
-formula numpy's ``logaddexp(0, z)`` evaluates, on numpy's vectorized
-``maximum`` and ``log1p``.  A gradient takes the stable sigmoid(z) as
+The three logistic kernels share one chain.  ``_margins`` turns the
+products F @ x into the margins z = -y * (F @ x) in place and takes
+e = exp(-|z|) in one array of its own.  A value takes each loss
+log(1 + exp(z)) as max(z, 0) + log1p(e), the formula numpy's
+``logaddexp(0, z)`` evaluates, on numpy's vectorized ``maximum`` and
+``log1p``.  A gradient takes the stable sigmoid(z) as
 exp(min(z, 0)) / (1 + e), without a branch, and writes it over z and e.
-``logistic_report``, the full-index value and gradient of one trace row,
-computes the margins once for both.  So the report carries the bits of
-``logistic_value`` and ``logistic_gradient`` on the full index, and
-holds at most four arrays of N floats at a time; a full-index gradient
-holds two.
+
+``logistic_report`` gives the full-index value and gradient of a stack
+of c trace rows, X of shape (c, n).  It reads the features twice per
+stack, in the two matrix products Z = X @ F' and C @ F, and runs the
+chain above on one row of Z at a time, so each row's temporaries stay
+in cache.  For a one-row stack both products are the matrix-vector
+products of the estimators, so the report carries the bits of
+``logistic_value`` and ``logistic_gradient`` on the full index; rows of
+a larger stack agree with their one-row reports to rounding.  A stack
+holds its c arrays of N margins and at most three arrays of N floats
+more; a full-index gradient holds two.
 """
 
 import numpy as np
@@ -60,10 +67,10 @@ def quad_gradient(A, b, idx, x):
     return np.einsum("ijk,ik->j", A[r], dx) / idx.size
 
 
-def _margins(F, y, x):
-    """Margins z = -y * (F @ x) and e = exp(-|z|), each built in place in
-    one array of its own; ``e`` never overflows."""
-    z = F @ x
+def _margins(z, y):
+    """Margins z = -y * (F @ x), built in place on the products ``z`` =
+    F @ x, and e = exp(-|z|) in one array of its own; ``e`` never
+    overflows."""
     z *= y
     np.negative(z, out=z)
     e = np.abs(z)
@@ -86,34 +93,43 @@ def _logistic_value(z, e, lam, x):
     return float(np.mean(_log1p_exp(z, e))) + 0.5 * lam * float(x @ x)
 
 
-def _logistic_grad(z, e, F, y, lam, x):
-    """Mean loss gradient over the rows of margins ``z`` plus lam*x, given
-    ``e`` = exp(-|z|); overwrites ``z`` and ``e``.  The stable sigmoid(z)
-    is exp(min(z, 0)) / (1 + e): for z < 0, min(z, 0) is -|z| exactly,
-    and for z >= 0, exp(0) is exactly 1."""
+def _loss_slopes(z, e, y):
+    """-y * sigmoid(z), the loss derivative of each row, given ``e`` =
+    exp(-|z|), written over ``z``; overwrites ``e``.  The stable
+    sigmoid(z) is exp(min(z, 0)) / (1 + e): for z < 0, min(z, 0) is -|z|
+    exactly, and for z >= 0, exp(0) is exactly 1."""
     sig = np.minimum(z, 0.0, out=z)
     np.exp(sig, out=sig)
     e += 1.0
     sig /= e
     sig *= y
     np.negative(sig, out=sig)
-    return (sig @ F) / sig.size + lam * x
+    return sig
 
 
 def logistic_value(feats, labels, lam, idx, x):
     """Mean regularized logistic loss over the indices in ``idx``."""
     r = _rows(idx, labels.size)
-    return _logistic_value(*_margins(feats[r], labels[r], x), lam, x)
+    return _logistic_value(*_margins(feats[r] @ x, labels[r]), lam, x)
 
 
 def logistic_gradient(feats, labels, lam, idx, x):
     """Mean regularized logistic loss gradient over ``idx``."""
     r = _rows(idx, labels.size)
     F, y = feats[r], labels[r]
-    return _logistic_grad(*_margins(F, y, x), F, y, lam, x)
+    return (_loss_slopes(*_margins(F @ x, y), y) @ F) / y.size + lam * x
 
 
-def logistic_report(feats, labels, lam, x):
-    """Full value and gradient, from one pass over the data in place."""
-    z, e = _margins(feats, labels, x)
-    return _logistic_value(z, e, lam, x), _logistic_grad(z, e, feats, labels, lam, x)
+def logistic_report(feats, labels, lam, X):
+    """Full values, shape (c,), and gradients, shape (c, n), of the c
+    iterates stacked in ``X``, from two matrix products over the data."""
+    Z = X @ feats.T
+    f = np.empty(len(X))
+    for i, z in enumerate(Z):
+        z, e = _margins(z, labels)
+        f[i] = _logistic_value(z, e, lam, X[i])
+        _loss_slopes(z, e, labels)
+    G = Z @ feats
+    G /= labels.size
+    G += lam * X
+    return f, G

@@ -5,19 +5,21 @@ are provided: sums of strictly convex quadratics with a controlled
 eigenvalue spectrum, and L2-regularized logistic regression over a
 labeled dataset.  A problem is evaluated in two places only: its
 subsample-averaged ``batch_value``/``batch_gradient``, which are the
-:mod:`specsum.kernels` estimators, and its ``report(x)``, the full value
-and gradient in one pass over the data.  A component gradient is the
+:mod:`specsum.kernels` estimators, and its ``report(X)``, the full values
+and gradients of a stack of iterates.  A component gradient is the
 gradient estimator on a one-index batch.  The estimator entry points at
 the end of this module take a batch as its index array and are the only
 code that charges the cost meter, when they are handed one; that
 includes the component gradient norms that refresh the AIS scores.
 ``full_value`` and ``full_gradient`` there are the two halves of
-``report``; only the full gradient, the SVRG-BB snapshot, is charged.
-The logistic report carries the bits of the charged estimators
-``batch_value`` and ``batch_gradient`` on the full index (see
-:mod:`specsum.kernels`).
+``report`` for a one-row stack; only the full gradient, the SVRG-BB
+snapshot, is charged.  For a one-row stack the logistic report carries
+the bits of the charged estimators ``batch_value`` and ``batch_gradient``
+on the full index (see :mod:`specsum.kernels`).
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -80,15 +82,22 @@ class FiniteSumProblem:
     label : str
         Problem name used in trace headers.
 
+    report_radius : float
+        The report of any x with max|x| <= report_radius is finite, so a
+        trace row at such an x may be reported later, together with
+        others; -inf when no x is known to be.
+
     Subclasses provide vectorized ``batch_value(indices, x)`` and
     ``batch_gradient(indices, x)``, ``component_gradient(i, x)`` (the
     gradient estimator on ``[i]``; each subclass defines its own, which
-    ``perfbench/tracer.py`` wraps per class) and ``report(x) -> (f, g)``:
-    the full value and gradient of one trace row.  The report need only
-    agree with the estimators on the full index within rounding: the
-    logistic report is ``batch_value`` and ``batch_gradient`` on the
-    full index, bit for bit, but the quadratic report uses precomputed
-    aggregates and differs from both estimators in the last bits.
+    ``perfbench/tracer.py`` wraps per class) and ``report(X) -> (f, G)``:
+    the full values, shape (c,), and gradients, shape (c, n), of the c
+    trace rows whose iterates ``X`` stacks.  The report need only agree
+    with the estimators on the full index within rounding: for a one-row
+    stack the logistic report is ``batch_value`` and ``batch_gradient``
+    on the full index, bit for bit, but the quadratic report uses
+    precomputed aggregates and differs from both estimators in the last
+    bits.
     """
 
     N = 0
@@ -96,6 +105,7 @@ class FiniteSumProblem:
     lipschitz = None
     minimizer = None
     optimal_value = None
+    report_radius = -np.inf
     label = "finite-sum"
 
 
@@ -105,8 +115,9 @@ class QuadraticProblem(FiniteSumProblem):
     ``A`` has shape (N, n, n) with each slice symmetric positive
     definite; ``b`` has shape (N, n).  ``report`` uses precomputed
     aggregates (mean matrix, mean A_i b_i and a constant), so reporting
-    costs O(n^2) regardless of N.  An aggregate or a minimizer that is
-    not finite (the data overflow when summed) raises
+    costs O(n^2) per row regardless of N, and the trace rows of a run are
+    reported one at a time (``report_radius`` is -inf).  An aggregate or
+    a minimizer that is not finite (the data overflow when summed) raises
     :class:`NonFiniteInstanceError`.
     """
 
@@ -131,7 +142,7 @@ class QuadraticProblem(FiniteSumProblem):
         self.lipschitz = float(lipschitz)
         self.minimizer = self._solve_minimizer()
         _require_finite("quadratic", minimizer=self.minimizer)
-        self.optimal_value = self.report(self.minimizer)[0]
+        self.optimal_value = full_value(self, self.minimizer)
 
     def _solve_minimizer(self):
         # (sum A_i) x = sum A_i b_i, with one refinement step to push the
@@ -155,11 +166,11 @@ class QuadraticProblem(FiniteSumProblem):
         x = np.asarray(x, dtype=np.float64)
         return kernels.quad_gradient(self.A, self.b, idx, x)
 
-    def report(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        Mx = self._mean_A @ x
-        f = 0.5 * float(x @ Mx) - float(x @ self._mean_Ab) + self._const
-        return f, Mx - self._mean_Ab
+    def report(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        MX = X @ self._mean_A.T
+        f = 0.5 * np.vecdot(X, MX) - np.vecdot(X, self._mean_Ab) + self._const
+        return f, MX - self._mean_Ab
 
 
 class LogisticProblem(FiniteSumProblem):
@@ -168,7 +179,8 @@ class LogisticProblem(FiniteSumProblem):
     f_i(x) = log(1 + exp(-y_i * a_i'x)) + 0.5*lam*||x||^2 with labels
     y_i in {-1, +1}.  ``lipschitz`` is lam + max_i ||a_i||^2 / 4; one
     that is not finite (a feature whose square overflows) raises
-    :class:`NonFiniteInstanceError`.
+    :class:`NonFiniteInstanceError`.  ``report_radius`` follows from the
+    same largest squared row norm (see :func:`_logistic_report_radius`).
     """
 
     def __init__(self, features, labels, lam, label="logistic"):
@@ -185,8 +197,10 @@ class LogisticProblem(FiniteSumProblem):
         self.lam = float(lam)
         self.N, self.n = features.shape
         self.label = label
-        self.lipschitz = self.lam + 0.25 * float(np.max(_squared_row_norms(features)))
+        sq_max = float(np.max(_squared_row_norms(features)))
+        self.lipschitz = self.lam + 0.25 * sq_max
         _require_finite("logistic", lipschitz=self.lipschitz)
+        self.report_radius = _logistic_report_radius(sq_max, self.N, self.n, self.lam)
 
     def component_gradient(self, i, x):
         return self.batch_gradient(np.array([i]), x)
@@ -201,9 +215,27 @@ class LogisticProblem(FiniteSumProblem):
         x = np.asarray(x, dtype=np.float64)
         return kernels.logistic_gradient(self.features, self.labels, self.lam, idx, x)
 
-    def report(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return kernels.logistic_report(self.features, self.labels, self.lam, x)
+    def report(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        return kernels.logistic_report(self.features, self.labels, self.lam, X)
+
+
+def _logistic_report_radius(sq_max, N, n, lam):
+    """A radius r such that the logistic report of any x with max|x| <= r
+    is finite, given the largest squared row norm ``sq_max``.
+
+    A margin is at most ||a_i||_1 r <= sqrt(n sq_max) r in size, and r
+    keeps that below realmax / (32 N), so the sum of N losses, each at
+    most its margin plus log 2, stays finite in any summation order.  r
+    also keeps n r^2 below realmax / (4 max(1, lam)), so ||x||^2 and
+    lam/2 ||x||^2 stay finite.  The spare factors cover the rounding of
+    ``sq_max`` and of the products.  A gradient entry is at most
+    sqrt(sq_max) + lam r, finite for every instance with a finite
+    Lipschitz constant.
+    """
+    big = sys.float_info.max  # Python floats: a quotient past it is inf, with no warning
+    r_loss = big / (32.0 * N * math.sqrt(n) * math.sqrt(sq_max)) if sq_max else math.inf
+    return min(r_loss, math.sqrt(big / (4.0 * n * max(1.0, lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +557,15 @@ def component_gradient_norms(problem, indices, x, meter=None):
 
 
 def full_value(problem, x):
-    """Exact mean value over all components, ``report(x)[0]``; never charged."""
-    return problem.report(x)[0]
+    """Exact mean value over all components, the report of the one-row
+    stack ``[x]``; never charged."""
+    return float(problem.report(np.asarray(x)[None])[0][0])
 
 
 def full_gradient(problem, x, meter=None):
-    """Exact mean gradient over all components, ``report(x)[1]``; charges
-    ``N`` gradient units."""
-    g = problem.report(x)[1]
+    """Exact mean gradient over all components, the report of the one-row
+    stack ``[x]``; charges ``N`` gradient units."""
+    g = problem.report(np.asarray(x)[None])[1][0]
     if meter is not None:
         meter.grad_count += problem.N
     return g

@@ -6,7 +6,15 @@ with ``maxiter + 1`` records, the first being the pre-run state (step fields
 NaN/zero) and the rest one record per iteration, labeled by the
 iteration index k = 0..maxiter-1.  A run whose reported objective
 turns non-finite stops at that row, so its trace ends at the divergence
-sentinel.  One cost meter per run, charged only by the ``problems``
+sentinel.  The reported columns ``f_full`` and ``grad_norm_full`` come
+from the problem's uncharged ``report``, which takes a stack of
+iterates: a row is queued with its iterate, and the queue is reported
+in one call once it holds ``REPORT_CHUNK`` rows, when ``run`` returns,
+and at once when an iterate leaves the problem's ``report_radius``.  A
+queued row's objective is therefore finite, and the run stops on the
+same row whatever the queue holds.  Every column but the two reported
+ones is set when its row is appended; ``records`` is complete once
+``run`` returns.  One cost meter per run, charged only by the ``problems``
 estimator entry points, keeps both cost columns: ``cum_evals`` counts S
 units per subsample value estimate computed by the algorithm, and
 ``grad_pass_cost`` counts S per stochastic gradient and N per full
@@ -64,6 +72,9 @@ from .steplength import (
 )
 
 SAMPLERS = ("uniform", "ais")
+
+# Trace rows reported together, in one call to the problem's report
+REPORT_CHUNK = 8
 
 
 @dataclass
@@ -137,7 +148,8 @@ class SolverConfig:
 class IterationRecord:
     """One trace row.  ``indices``, kept in memory only, is the row's batch
     array itself, shared with the driver and never written, so compare
-    it with ``np.array_equal``."""
+    it with ``np.array_equal``.  ``f_full`` and ``grad_norm_full`` are
+    None while the row waits in its driver's report queue."""
 
     k: int
     resampled: bool
@@ -170,17 +182,36 @@ class _Driver:
         self.meter = problems.EvalMeter()
         self.k = 0
         self.records = []
+        # a problem that knows no radius has each row reported at once,
+        # without the radius check
+        self._chunk = REPORT_CHUNK if problem.report_radius >= 0.0 else 1
+        self._queue = np.empty((self._chunk, problem.n))  # iterates of the queued rows
+        self._queued = 0  # the last rows of ``records``, not yet reported
         self._append_record(resampled=False, c=np.nan, gamma=np.nan,
                             alpha=np.nan, trials=0, indices=np.empty(0, dtype=np.int64))
 
     def _append_record(self, resampled, c, gamma, alpha, trials, indices):
-        f, g = self.problem.report(self.x)
         self.records.append(IterationRecord(
             k=self.k, resampled=resampled, c=float(c), gamma=float(gamma),
             alpha=float(alpha), lsp_trials=int(trials),
             cum_evals=self.meter.count, grad_pass_cost=self.meter.grad_count,
-            f_full=float(f), grad_norm_full=math.sqrt(g @ g),  # np.linalg.norm's bits
-            indices=indices))
+            f_full=None, grad_norm_full=None, indices=indices))
+        self._queue[self._queued] = self.x
+        self._queued += 1
+        # a NaN entry fails the comparison too
+        if (self._queued == self._chunk
+                or not np.max(np.abs(self.x)) <= self.problem.report_radius):
+            self._report()
+
+    def _report(self):
+        """Fill in the reported columns of the queued rows."""
+        c = self._queued
+        if c:
+            f, G = self.problem.report(self._queue[:c])
+            for rec, f_row, g in zip(self.records[-c:], f.tolist(), G):
+                rec.f_full = f_row
+                rec.grad_norm_full = math.sqrt(g @ g)  # np.linalg.norm's bits
+            self._queued = 0
 
     def header(self):
         cfg, P = self.config, self.problem
@@ -193,9 +224,12 @@ class _Driver:
         }
 
     def run(self):
-        # stop after maxiter steps or at the first non-finite objective
-        while self.k < self.config.maxiter and math.isfinite(self.records[-1].f_full):
+        # stop after maxiter steps or at the first non-finite objective;
+        # a queued row's objective is finite
+        while self.k < self.config.maxiter and (
+                self._queued or math.isfinite(self.records[-1].f_full)):
             self.step()
+        self._report()
         return RunTrace(header=self.header(), records=self.records,
                         final_x=self.x.copy())
 

@@ -6,9 +6,10 @@ recorded for it.  A change that claims byte-identical traces is checked
 here on an S=1 ``sweep-m``, a ``spectral-full`` run on a frozen instance,
 a logistic ``compare`` over a sparse dataset and a logistic ``compare``
 whose ``spectral-full`` run calls the full-index estimators.  A second set of
-digests covers each trace with its ``f_full`` column cut out, so that a
-change to how the reported objective is computed, which moves the first
-set, cannot hide a change to a cost, step or gradient column.
+digests covers each trace with its ``f_full`` column cut out, and a third
+with both reported columns, ``f_full`` and ``grad_norm_full``, cut out, so
+that a change to how the reported objective or gradient norm is computed,
+which moves the first sets, cannot hide a change to a cost or step column.
 
 The bits of a floating-point reduction depend on the numpy build and
 the BLAS kernels it picks, so the digests hold only for the numpy
@@ -81,16 +82,16 @@ INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
 
 DIGESTS = {
     "logistic-compare": {
-        "compare.csv": "0cdaf275028bff897535aa3c0d09c3d2cdaede71997a3c744994a70a4b46355e",
-        "sgd_seed0.csv": "27946c8e657b51f71d1899f919bb46a640a6c4ff06f84c8a4e3422b46d5e9773",
-        "slises-ais-m3_seed0.csv": "1511be0b8d99f299e8aadd6ebe774ebca3117c7865fd83579734ae9dffab5be4",
-        "slises-uni-m3_seed0.csv": "295bcc4876dd9c1ac18c68f25b1f8f15b2d2281f3c851509c3775224f5a076ae",
-        "svrg-bb_seed0.csv": "0993847b85e488540177cb8e1ecf05a4d9a0ede54e51d87eea1b16a49213b28a",
+        "compare.csv": "d6704194a6ffefdc2209add67f1ec23e935d6f0fbe25727292753d8de7a6def2",
+        "sgd_seed0.csv": "736bae266bc202716f2d1fbabd061ee9836585e7d2200fe5125e7a1b842ead51",
+        "slises-ais-m3_seed0.csv": "0271204fd0816d53ac2663154ecf5ea1ccdda320ec8299ced4d0d449127abba9",
+        "slises-uni-m3_seed0.csv": "0a2d69945e966f6d41949b46b76dd368c80e9f1d907bdd32711b3679d0aacaf5",
+        "svrg-bb_seed0.csv": "4ed291d0af3d4ae98e1becfc4d1a83d46409f1b721107964fb116fcff0e578c2",
     },
     "logistic-full": {
-        "compare.csv": "44d9da8bab5f2657ebcf3c6e85192283a2efe836b99b83fc89c5acf51b2cb216",
-        "slises-mod-m3-d0.1_seed0.csv": "fac217baf4c36ce20d543eb1be0011c5e4898fe9a1856c7b4d5c50a389027cfe",
-        "spectral-full_seed0.csv": "04edc8b2e4043cf43e319c85b7c49342eb6682a7581352197ee563d6581e8bc5",
+        "compare.csv": "94817b4284ee9759dd5ce98698752cbbcccbef9164a189ee7628ef2eeb980829",
+        "slises-mod-m3-d0.1_seed0.csv": "0a01c596e16836d7ff8bcf52228b16bfaa50c6fa17fd083ed4debd4af64c0106",
+        "spectral-full_seed0.csv": "02cd82f0b0012d9c4a275c25df89d252a712a2bcbd315f4a2fc4888e99a56cc0",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "1548f0e0bbad1d0f8df12f6084b395e358a8e8f535cee00da8842b701f6efa13",
@@ -105,19 +106,19 @@ DIGESTS = {
 }
 
 
-# The traces without their f_full column: every cost, step and gradient
-# column.  A change to how reported values are computed may move the
-# digests above but must leave these.
+# The traces without their f_full column: every cost, step and reported
+# gradient column.  A change to how the reported objective is computed may
+# move the digests above but must leave these.
 COST_DIGESTS = {
     "logistic-compare": {
-        "sgd_seed0.csv": "094b3bb83cb449ef244f4417d28d17ed305870b3aeb2b4f0a8f01cc4737ff7c0",
-        "slises-ais-m3_seed0.csv": "2a0f921dbad52bbad1a971604e9034f356cde36fa1e937fc2d021db5151c102b",
-        "slises-uni-m3_seed0.csv": "59d2c0aac7cc5feb72860926fc0fbb3ed266dd057f41f5f61db61342ca477582",
-        "svrg-bb_seed0.csv": "01ab8e9b0bd4e7c5215e1f13ad661d46c160c89be90b5ebe473f9d28ecb38379",
+        "sgd_seed0.csv": "2700e703ee2178a0f7925576e0593420da74253a84fd793aa17c0e846453f029",
+        "slises-ais-m3_seed0.csv": "81c0a8dc9c37b7572e1e7815d5cef7756deb51a9dafc06de6051a220fc9fd130",
+        "slises-uni-m3_seed0.csv": "7f2a991f120345c4f164edee0f019a2b9125334d598ada09b1ab09f2cc6381db",
+        "svrg-bb_seed0.csv": "efedc5de65e4ede643fce39bdc04f49ad65ce4403e17e75dfd38c782a37e1d3d",
     },
     "logistic-full": {
-        "slises-mod-m3-d0.1_seed0.csv": "f40c615f0c40e37c87085759a2d99646d29c4f54680f3f73b0b170e97480ec3a",
-        "spectral-full_seed0.csv": "beace7d890afc2897455c630561435ce7c467a1a44d43341a97471126b0de966",
+        "slises-mod-m3-d0.1_seed0.csv": "b3afe1d0c7d323c566ada3db9a96d73e638bc72590ef3f259bf283970e279c8f",
+        "spectral-full_seed0.csv": "9bf5ca058205b8366cda0840f7b8cfaf9f9e9274fc2997ee7286deb0c7bd5e6d",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "6b369fcbd847d442a06eaf2d8fa1f79a0656db092af0f1d1820336c136fd754f",
@@ -131,17 +132,43 @@ COST_DIGESTS = {
 }
 
 
-def without_f_full(data):
-    """A file's bytes with the ``f_full`` column cut from its CSV rows;
-    None for a file without that column (an aggregate)."""
+# The traces without either reported column, f_full or grad_norm_full:
+# every cost and step column.  A change to how a row is reported may move
+# both sets above but must leave these.
+STEP_DIGESTS = {
+    "logistic-compare": {
+        "sgd_seed0.csv": "3152334cd056dcf61ddf433d24b31d23dd61867924e4475dbb3c68304646db7a",
+        "slises-ais-m3_seed0.csv": "aef690bc0573525d54a27efe42f7158b7586aee0a75d87dad05a009c33d45a35",
+        "slises-uni-m3_seed0.csv": "0dfa11f2f0a845764b370b352254166550f5ffb1de7447e6f6cabe43e15d3cd4",
+        "svrg-bb_seed0.csv": "756025271b64d3c48e0fb27265754726aa7472ae8d702e050e6f01468e0314d5",
+    },
+    "logistic-full": {
+        "slises-mod-m3-d0.1_seed0.csv": "6e7c7f126bdbb1240405623b8cb6e09c329143b2f8998aa954e31d4efd769c73",
+        "spectral-full_seed0.csv": "d400b14bb34e16a7e1fb7e32808f0f695303e2d70d6746c018f6791222a1fbbf",
+    },
+    "spectral-full": {
+        "spectral-full_seed0.csv": "c246df7fcb6de2f31af85145a7967af0eacbb28d2eb4bd0ea6defa7eda573ff7",
+    },
+    "sweep-m": {
+        "m=1_seed0.csv": "318a38f7fb33f740ac85226803e457bd24b03752cf719d93145d82f474034adc",
+        "m=1_seed1.csv": "6bced3ea8d62f500fead69716ebf93a832d427da02ce01a7aa6f3bbb9c7edc83",
+        "m=3_seed0.csv": "6dad6669bf42ecb15f3b8706b3120463cb35a268e71aefb7839e089d6ae1f24d",
+        "m=3_seed1.csv": "3487d717e09b090b0262820ecae26c43ec940ec159b933fd5aed2fc90be130cd",
+    },
+}
+
+
+def without_columns(data, *names):
+    """A file's bytes with the columns ``names`` cut from its CSV rows;
+    None for a file without them (an aggregate)."""
     lines = data.decode().splitlines(keepends=True)
     head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     columns = lines[head].rstrip("\n").split(",")
-    if "f_full" not in columns:
+    if not set(names) <= set(columns):
         return None
-    j = columns.index("f_full")
-    rows = [",".join(c for i, c in enumerate(line.rstrip("\n").split(",")) if i != j) + "\n"
-            for line in lines[head:]]
+    cut = {columns.index(name) for name in names}
+    rows = [",".join(c for i, c in enumerate(line.rstrip("\n").split(",")) if i not in cut)
+            + "\n" for line in lines[head:]]
     return "".join(lines[:head] + rows).encode()
 
 
@@ -156,6 +183,18 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+# the columns each digest set cuts from every trace before hashing
+CUT_COLUMNS = {"DIGESTS": (), "COST_DIGESTS": ("f_full",),
+               "STEP_DIGESTS": ("f_full", "grad_norm_full")}
+
+
+def digests(files, columns):
+    """SHA-256 of each file with ``columns`` cut; files without them are left out."""
+    if columns:
+        files = {f: without_columns(data, *columns) for f, data in files.items()}
+    return {f: sha256(data) for f, data in files.items() if data is not None}
+
+
 @pytest.fixture
 def pinned_environment():
     env = _environment()
@@ -166,12 +205,42 @@ def pinned_environment():
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_trace_bytes_match_the_recorded_digests(name, tmp_path, pinned_environment):
-    files = written_files(name, tmp_path)
-    assert {f: sha256(data) for f, data in files.items()} == DIGESTS[name]
+    assert digests(written_files(name, tmp_path), ()) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_traces_without_f_full_match_the_recorded_digests(name, tmp_path,
                                                          pinned_environment):
-    cut = {f: without_f_full(data) for f, data in written_files(name, tmp_path).items()}
-    assert {f: sha256(data) for f, data in cut.items() if data is not None} == COST_DIGESTS[name]
+    assert digests(written_files(name, tmp_path), ("f_full",)) == COST_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_traces_without_reported_columns_match_the_recorded_digests(name, tmp_path,
+                                                                   pinned_environment):
+    cut = digests(written_files(name, tmp_path), ("f_full", "grad_norm_full"))
+    assert cut == STEP_DIGESTS[name]
+
+
+if __name__ == "__main__":
+    # Print the three digest sets of the current tree, to paste over the
+    # ones above once a declared change of bits has been checked:
+    #     PYTHONPATH=src python tests/test_golden_traces.py
+    import contextlib
+    import io
+    import pathlib
+    import tempfile
+
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for name in sorted(INVOCATIONS):
+            (pathlib.Path(tmp) / name).mkdir()
+            files[name] = written_files(name, pathlib.Path(tmp) / name)
+    print(f"# recorded with {_environment()}")
+    for set_name, columns in CUT_COLUMNS.items():
+        print(f"{set_name} = {{")
+        for name in sorted(files):
+            print(f"    {name!r}: {{")
+            for f, digest in digests(files[name], columns).items():
+                print(f"        {f!r}: {digest!r},")
+            print("    },")
+        print("}")

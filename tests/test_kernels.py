@@ -148,7 +148,7 @@ class TestFullIndexBits:
         for seed in range(3):
             feats, labels, x = wide_margin_inputs(seed, n=n)
             full = np.arange(labels.size)
-            v, g = kernels.logistic_report(feats, labels, 1e-4, x)
+            (v,), (g,) = kernels.logistic_report(feats, labels, 1e-4, x[None])
             assert v == gathered_logistic_value(feats, labels, 1e-4, full, x)
             assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, full, x))
 
@@ -217,7 +217,7 @@ class TestReportedLoss:
             full = np.arange(labels.size)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                v, g = kernels.logistic_report(feats, labels, 1e-4, x)
+                (v,), (g,) = kernels.logistic_report(feats, labels, 1e-4, x[None])
                 assert v == kernels.logistic_value(feats, labels, 1e-4, full, x)
                 assert np.array_equal(g, kernels.logistic_gradient(feats, labels, 1e-4, full, x))
 
@@ -279,7 +279,7 @@ class TestPinnedLogisticFormulas:
             assert same_bits(kernels.logistic_gradient(feats, labels, lam, idx, x),
                              gathered_logistic_gradient(feats, labels, lam, idx, x))
             full = np.arange(labels.size)
-            v, g = kernels.logistic_report(feats, labels, lam, x)
+            (v,), (g,) = kernels.logistic_report(feats, labels, lam, x[None])
             assert same_bits(v, gathered_logistic_value(feats, labels, lam, full, x))
             assert same_bits(g, gathered_logistic_gradient(feats, labels, lam, full, x))
 
@@ -314,6 +314,39 @@ class TestPinnedLogisticFormulas:
             feats, labels = feats[order], labels[order]
             self.assert_same_bits(feats, labels, run_index(41, 41 if S == "N" else S, where), x)
             self.assert_same_bits(feats, labels, index_sets(41, rng)["duplicates"], x)
+
+
+class TestStackedReport:
+    """Each row of a stack is reported as a one-row stack would be, up to
+    the order the two matrix products sum in.  A margin of n products
+    then moves by at most about n eps times the sum of their magnitudes,
+    A_i = |a_i|'|x|; the loss moves by at most as much as its margin and
+    the sigmoid by a quarter of it; and a gradient entry, a sum of N
+    terms, moves by at most about N eps times the mean of |a_ij|, plus
+    what its slopes moved.  The bounds below take four times each."""
+
+    @staticmethod
+    def assert_rows_agree(feats, labels, lam, X):
+        eps = np.finfo(float).eps
+        N, n = feats.shape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f, G = kernels.logistic_report(feats, labels, lam, X)
+            for x, f_row, g_row in zip(X, f, G, strict=True):
+                (v,), (g,) = kernels.logistic_report(feats, labels, lam, x[None])
+                A = np.abs(feats) @ np.abs(x)
+                assert abs(f_row - v) <= 4 * eps * (n * A.mean() + abs(v))
+                tol = 4 * eps * ((n * A + N) @ np.abs(feats) / N + np.abs(lam * x))
+                assert np.all(np.abs(g_row - g) <= tol)
+
+    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("span", [1.0, 40.0, 800.0])
+    @pytest.mark.parametrize("N, n", [(1, 2), (41, 7), (1001, 50), (20000, 50)])
+    def test_rows_agree_with_one_row_stacks(self, N, n, span, c):
+        feats, labels, x = wide_margin_inputs(c, n=n, N=N, span=span)
+        rng = np.random.default_rng(c)
+        X = x * rng.uniform(0.5, 1.5, size=(c, 1)) + rng.standard_normal((c, n))
+        self.assert_rows_agree(feats, labels, 1e-4, X)
 
 
 class TestFullIndexInPlace:
@@ -352,7 +385,7 @@ class TestFullIndexInPlace:
         feats = rng.standard_normal((20000, 50))
         labels = np.where(rng.random(20000) > 0.5, 1.0, -1.0)
         peak = self.peak_bytes(kernels.logistic_report, feats, labels, 1e-4,
-                               rng.standard_normal(50))
+                               rng.standard_normal((1, 50)))
         assert peak < 0.5 * feats.nbytes
 
     # the S=1 call of the default batch size, at a row other than the first;
@@ -374,9 +407,9 @@ class TestFullIndexInPlace:
 
 
 class TestLogisticBufferPeaks:
-    """Traced peaks in arrays of N floats: the report holds at most four at
-    a time and a full-index gradient at most three (five each while the
-    margins were built out of place)."""
+    """Traced peaks in arrays of N floats: the report of one row holds at
+    most four at a time and a full-index gradient at most three (five each
+    while the margins were built out of place)."""
 
     N = 20000
 
@@ -387,9 +420,17 @@ class TestLogisticBufferPeaks:
         return LogisticProblem(rng.standard_normal((self.N, 50)), labels, 1e-4)
 
     def test_report(self, problem):
-        x = np.random.default_rng(1).standard_normal(50)
+        x = np.random.default_rng(1).standard_normal((1, 50))
         peak = TestFullIndexInPlace.peak_bytes(problem.report, x)
         assert peak < 4.5 * 8 * self.N
+
+    @pytest.mark.parametrize("c", [1, 2, 8])
+    def test_report_of_a_stack(self, problem, c):
+        # the c rows of margins and, one row at a time, at most three
+        # arrays of N floats more: 1.44 arrays of c*N floats at c=8
+        X = np.random.default_rng(1).standard_normal((c, 50))
+        peak = TestFullIndexInPlace.peak_bytes(problem.report, X)
+        assert peak < (1 + 3.5 / c) * 8 * c * self.N
 
     def test_full_index_gradient(self, problem):
         x = np.random.default_rng(1).standard_normal(50)

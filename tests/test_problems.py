@@ -1,6 +1,8 @@
 """Problem oracles: generator recipe, gradients, estimators, ingestion."""
 
 import itertools
+import math
+import sys
 import tracemalloc
 import warnings
 from unittest.mock import patch
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from specsum import problems
@@ -267,6 +269,53 @@ class TestLogistic:
         assert np.isfinite(full_value(P, x))
         assert np.all(np.isfinite(full_gradient(P, x)))
 
+    @given(n=st.integers(1, 6), N=st.integers(1, 40), exponent=st.integers(-300, 153),
+           lam=st.sampled_from([0.0, 1e-4, 1.0, 1e300]), same_rows=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_report_inside_the_radius_is_finite(self, n, N, exponent, lam, same_rows, seed,
+                                                data):
+        # features of any size up to where their squares overflow; the
+        # corners of the box max|x| <= r, aligned with one row so that
+        # its margin is ||a_i||_1 r (with every row that one, every
+        # margin is), and random points inside it
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((N, n)) * 10.0**exponent
+        if same_rows:
+            feats[:] = feats[0]
+        labels = np.full(N, 1.0) if same_rows else np.where(rng.random(N) > 0.5, 1.0, -1.0)
+        with np.errstate(over="ignore"):
+            assume(np.isfinite(np.max(np.sum(feats**2, axis=1))))
+        P = LogisticProblem(feats, labels, lam)
+        r = P.report_radius
+        assert 0 < r < np.inf
+        row = data.draw(st.integers(0, N - 1))
+        X = np.stack([r * np.where(feats[row] < 0, -1.0, 1.0),
+                      -r * np.where(feats[row] < 0, -1.0, 1.0),
+                      r * rng.uniform(-1.0, 1.0, size=n), np.full(n, r)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for stack in (X, X[:1], X[2:3]):
+                f, G = P.report(stack)
+                assert np.all(np.isfinite(f)) and np.all(np.isfinite(G))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_equal_margins_at_the_radius_sum_to_a_finite_value(self, n):
+        # squared row norms of 1e308; at x = -r every loss is its margin
+        # ||a||_1 r = realmax / 1280, and the 40 of them sum to realmax / 32
+        P = LogisticProblem(np.full((40, n), 1e154 / math.sqrt(n)), np.ones(40), 1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f, G = P.report(np.full((2, n), -P.report_radius))
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(G))
+        assert f[0] > sys.float_info.max / 1e4
+
+    def test_report_radius_is_the_overflow_scale(self):
+        # the radius is not vacuous: 1e3 times it, the report overflows
+        P = LogisticProblem(np.full((12, 3), 1e150), np.ones(12), 1e-4)
+        x = np.full((1, 3), 1e3 * P.report_radius)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(P.report(x)[0][0])
+
     def test_negative_regularization_rejected(self):
         for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^regularization must be finite and nonnegative"):
@@ -451,7 +500,7 @@ class TestReport:
         P, x = wide_margin_problem(N, lam, seed, margins)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            f, g = P.report(x)
+            (f,), (g,) = P.report(x[None])
             assert f == batch_value(P, np.arange(N), x)
             assert np.array_equal(g, batch_gradient(P, np.arange(N), x))
 
@@ -467,7 +516,7 @@ class TestReport:
         every = np.arange(N)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            f, g = P.report(x)
+            (f,), (g,) = P.report(x[None])
             assert abs(f - batch_value(P, every, x)) <= 1e-12 * P.lipschitz * R * R
             assert np.max(np.abs(g - batch_gradient(P, every, x))) <= 1e-12 * P.lipschitz * R
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specsum.problems import (
+    LogisticProblem,
     QuadraticProblem,
     batch_gradient,
     full_gradient,
@@ -397,6 +398,28 @@ class TestDivergence:
         assert len(f) < cfg.maxiter + 1
         assert not np.isfinite(f[-1])
         assert np.all(np.isfinite(f[:-1]))
+
+    def test_logistic_run_ends_at_sentinel_row(self):
+        # features near 1e150 and a large step: the iterate grows past
+        # 1e154, where ||x||^2 and the margins overflow, on row 34; the
+        # rows before it are deferred and reported in chunks
+        rng = np.random.default_rng(4)
+        P = LogisticProblem(rng.standard_normal((12, 3)) * 1e150,
+                            np.where(rng.random(12) > 0.5, 1.0, -1.0), 1e-4)
+        cfg = SolverConfig(method="sgd-bb", S=2, maxiter=60, seed=3, eta0=100.0, eta1=100.0)
+        with np.errstate(all="ignore"):
+            tr = run_solver(P, cfg)
+            drv = make_solver(P, cfg)  # a replay, for the iterate of each row
+            xs = [drv.x]
+            while drv.k < cfg.maxiter:
+                drv.step()
+                xs.append(drv.x)
+        f = np.array([r.f_full for r in tr.records])
+        assert len(tr.records) == 35 and tr.records[-1].k == 33
+        assert (tr.records[-1].cum_evals, tr.records[-1].grad_pass_cost) == (0, 68)
+        assert not np.isfinite(f[-1])
+        assert np.all(np.isfinite(f[:-1]))
+        assert np.array_equal(tr.final_x, xs[len(f) - 1])
 
 
 class TestReplay:
