@@ -97,7 +97,8 @@ class FiniteSumProblem:
     stack the logistic report is ``batch_value`` and ``batch_gradient``
     on the full index, bit for bit, but the quadratic report uses
     precomputed aggregates and differs from both estimators in the last
-    bits.
+    bits.  A quadratic row of a stack has the bits of its one-row
+    report; a logistic row takes the matrix-matrix products' rounding.
     """
 
     N = 0
@@ -114,10 +115,12 @@ class QuadraticProblem(FiniteSumProblem):
 
     ``A`` has shape (N, n, n) with each slice symmetric positive
     definite; ``b`` has shape (N, n).  ``report`` uses precomputed
-    aggregates (mean matrix, mean A_i b_i and a constant), so reporting
-    costs O(n^2) per row regardless of N, and the trace rows of a run are
-    reported one at a time (``report_radius`` is -inf).  An aggregate or
-    a minimizer that is not finite (the data overflow when summed) raises
+    aggregates (mean matrix M, mean A_i b_i and a constant), so reporting
+    costs O(n^2) per row regardless of N.  It takes one matrix-vector
+    product Mx per row of the stack, so each row has the bits of its
+    one-row report.  ``report_radius`` follows from the same aggregates
+    (see :func:`_quadratic_report_radius`).  An aggregate or a minimizer
+    that is not finite (the data overflow when summed) raises
     :class:`NonFiniteInstanceError`.
     """
 
@@ -137,6 +140,9 @@ class QuadraticProblem(FiniteSumProblem):
             self._const = 0.5 * float(np.einsum("ij,ij->", b, Ab)) / self.N
         _require_finite("quadratic", _mean_A=self._mean_A, _mean_Ab=self._mean_Ab,
                         _const=self._const)
+        self.report_radius = _quadratic_report_radius(
+            float(np.max(np.abs(self._mean_A))), float(np.max(np.abs(self._mean_Ab))),
+            self._const, self.n)
         if lipschitz is None:
             lipschitz = max(float(np.linalg.eigvalsh(Ai)[-1]) for Ai in A)
         self.lipschitz = float(lipschitz)
@@ -168,9 +174,36 @@ class QuadraticProblem(FiniteSumProblem):
 
     def report(self, X):
         X = np.asarray(X, dtype=np.float64)
-        MX = X @ self._mean_A.T
+        # one matrix-vector product per row, so that each row has the bits
+        # of its one-row report (a matrix-matrix product sums in other orders)
+        MX = np.matmul(X[:, None, :], self._mean_A.T)[:, 0, :]
         f = 0.5 * np.vecdot(X, MX) - np.vecdot(X, self._mean_Ab) + self._const
         return f, MX - self._mean_Ab
+
+
+def _quadratic_report_radius(a, b, const, n):
+    """A radius r such that the quadratic report of any x with max|x| <= r
+    is finite, given the largest entries ``a`` of the mean matrix M and
+    ``b`` of the mean A_i b_i, and the constant.
+
+    Each entry of Mx is at most n a r in size, x'Mx at most n^2 a r^2
+    and x'(mean A_i b_i) at most n b r; r keeps each below realmax / 16,
+    so the value, at most the sum of the last two and the constant, and
+    each gradient entry, at most n a r + b, stay finite in any summation
+    order.  A constant or a ``b`` past realmax / 16 leaves no radius
+    (-inf); the spare factors cover the rounding of the products.  A
+    quotient past realmax is inf, so the value bound takes its square
+    root before it divides (realmax / (16 n^2 a) may overflow where its
+    root does not), and r is at most realmax, so x itself is finite.
+    """
+    big = sys.float_info.max  # Python floats: a quotient past it is inf, with no warning
+    head = big / 16.0
+    if not (abs(const) <= head and b <= head):
+        return -math.inf
+    r_grad = head / (n * a) if a else math.inf
+    r_value = math.sqrt(head) / (n * math.sqrt(a)) if a else math.inf
+    r_linear = head / (n * b) if b else math.inf
+    return min(r_grad, r_value, r_linear, big)
 
 
 class LogisticProblem(FiniteSumProblem):

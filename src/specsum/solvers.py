@@ -10,19 +10,21 @@ sentinel.  The reported columns ``f_full`` and ``grad_norm_full`` come
 from the problem's uncharged ``report``, which takes a stack of
 iterates: a row is queued with its iterate, and the queue is reported
 in one call once it holds ``REPORT_CHUNK`` rows, when ``run`` returns,
-and at once when an iterate leaves the problem's ``report_radius``.  A
-queued row's objective is therefore finite, and the run stops on the
-same row whatever the queue holds.  Every column but the two reported
-ones is set when its row is appended; ``records`` is complete once
-``run`` returns.  One cost meter per run, charged only by the ``problems``
-estimator entry points, keeps both cost columns: ``cum_evals`` counts S
-units per subsample value estimate computed by the algorithm, and
-``grad_pass_cost`` counts S per stochastic gradient and N per full
-gradient pass, so methods that never evaluate function values still
-expose their cost.  AIS runs also charge S per retired batch for the
-component gradient norms that refresh its scores.  A batch is the index
-array the sampler returns (``spectral-full`` holds ``arange(N)``); it
-is passed as is to the oracles and to the trace records.
+and at once when an iterate leaves the problem's ``report_radius`` (a
+problem with a radius of -inf has every row reported as it is
+appended).  A queued row's objective is therefore finite, and the run
+stops on the same row whatever the queue holds.  Every column but the
+two reported ones is set when its row is appended; ``records`` is
+complete once ``run`` returns.  One cost meter per run, charged only by
+the ``problems`` estimator entry points, keeps both cost columns:
+``cum_evals`` counts S units per subsample value estimate computed by
+the algorithm, and ``grad_pass_cost`` counts S per stochastic gradient
+and N per full gradient pass, so methods that never evaluate function
+values still expose their cost.  AIS runs also charge S per retired
+batch for the component gradient norms that refresh its scores.  A
+batch is the index array the sampler returns (``spectral-full`` holds
+``arange(N)``); it is passed as is to the oracles and to the trace
+records.
 
 Methods
 -------
@@ -182,10 +184,7 @@ class _Driver:
         self.meter = problems.EvalMeter()
         self.k = 0
         self.records = []
-        # a problem that knows no radius has each row reported at once,
-        # without the radius check
-        self._chunk = REPORT_CHUNK if problem.report_radius >= 0.0 else 1
-        self._queue = np.empty((self._chunk, problem.n))  # iterates of the queued rows
+        self._queue = np.empty((REPORT_CHUNK, problem.n))  # iterates of the queued rows
         self._queued = 0  # the last rows of ``records``, not yet reported
         self._append_record(resampled=False, c=np.nan, gamma=np.nan,
                             alpha=np.nan, trials=0, indices=np.empty(0, dtype=np.int64))
@@ -198,9 +197,9 @@ class _Driver:
             f_full=None, grad_norm_full=None, indices=indices))
         self._queue[self._queued] = self.x
         self._queued += 1
-        # a NaN entry fails the comparison too
-        if (self._queued == self._chunk
-                or not np.max(np.abs(self.x)) <= self.problem.report_radius):
+        # a NaN entry fails the comparison too, and every x fails a radius of -inf
+        if (self._queued == REPORT_CHUNK
+                or not np.abs(self.x).max() <= self.problem.report_radius):
             self._report()
 
     def _report(self):
@@ -208,9 +207,11 @@ class _Driver:
         c = self._queued
         if c:
             f, G = self.problem.report(self._queue[:c])
-            for rec, f_row, g in zip(self.records[-c:], f.tolist(), G):
+            # vecdot takes each row's dot as g @ g does: np.linalg.norm's bits
+            norms = np.sqrt(np.vecdot(G, G))
+            for rec, f_row, norm in zip(self.records[-c:], f.tolist(), norms.tolist()):
                 rec.f_full = f_row
-                rec.grad_norm_full = math.sqrt(g @ g)  # np.linalg.norm's bits
+                rec.grad_norm_full = norm
             self._queued = 0
 
     def header(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specsum import kernels
-from specsum.problems import LogisticProblem, batch_gradient
+from specsum.problems import LogisticProblem, batch_gradient, generate_quadratic
 
 
 def random_inputs(seed, n=5, N=9):
@@ -347,6 +347,30 @@ class TestStackedReport:
         rng = np.random.default_rng(c)
         X = x * rng.uniform(0.5, 1.5, size=(c, 1)) + rng.standard_normal((c, n))
         self.assert_rows_agree(feats, labels, 1e-4, X)
+
+    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 20, 100])
+    def test_quadratic_rows_have_the_bits_of_one_row_stacks(self, n, c):
+        # the quadratic report takes one matrix-vector product per row, so
+        # a row of a stack keeps its one-row bits exactly (the gemm X @ M'
+        # sums in other orders); rows at the corners of the box max|x| <= r,
+        # just inside them, at the minimizer and in between, mixed in stacks
+        P = generate_quadratic(n, 4, np.random.default_rng(n))
+        rng = np.random.default_rng(c)
+        r = P.report_radius
+        signs = np.where(rng.random((c, n)) < 0.5, -1.0, 1.0)
+        pool = np.concatenate([r * signs, -r * signs * rng.uniform(0.9, 1.0, size=(c, n)),
+                               np.tile(P.minimizer, (c, 1)),
+                               P.minimizer + 30.0 * rng.standard_normal((c, n))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for X in (pool.reshape(4, c, n), rng.permutation(pool).reshape(4, c, n)):
+                for stack in X:
+                    f, G = P.report(stack)
+                    for x, f_row, g_row in zip(stack, f, G, strict=True):
+                        (v,), (g,) = P.report(x[None])
+                        assert f_row == v
+                        assert np.array_equal(g_row, g)
 
 
 class TestFullIndexInPlace:

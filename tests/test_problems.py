@@ -30,6 +30,7 @@ from specsum.problems import (
     load_dataset,
     logistic_problem,
 )
+from specsum.solvers import SolverConfig, make_solver
 
 from conftest import make_logistic
 
@@ -320,6 +321,57 @@ class TestLogistic:
         for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^regularization must be finite and nonnegative"):
                 LogisticProblem(np.ones((2, 2)), np.array([1.0, -1.0]), lam=lam)
+
+
+class TestQuadraticReportRadius:
+    @given(n=st.integers(1, 6), N=st.integers(1, 8), a_exp=st.integers(-300, 300),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_report_inside_the_radius_is_finite(self, n, N, a_exp, seed, data):
+        # matrices and vectors of any scale whose aggregates are finite;
+        # the corners of the box max|x| <= r aligned with mean A_i b_i,
+        # with a row of the mean matrix and with its leading eigenvector,
+        # and random points inside it
+        b_exp = data.draw(st.integers(-300, max(-300, (300 - a_exp) // 2)))
+        rng = np.random.default_rng(seed)
+        C = rng.standard_normal((N, n, n))
+        A = (C + C.transpose(0, 2, 1)) * 10.0**a_exp
+        b = rng.standard_normal((N, n)) * 10.0**b_exp
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                P = QuadraticProblem(A, b, lipschitz=1.0)
+            except (problems.NonFiniteInstanceError, np.linalg.LinAlgError):
+                assume(False)
+        r = P.report_radius
+        assert 0 < r < np.inf
+        row = data.draw(st.integers(0, n - 1))
+        lead = np.linalg.eigh(P._mean_A)[1][:, -1]
+        corners = [np.where(v < 0, -r, r) for v in (P._mean_Ab, P._mean_A[row], lead)]
+        X = np.stack(corners + [-c for c in corners]
+                     + [r * rng.uniform(-1.0, 1.0, size=n), np.full(n, r)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for stack in (X, X[:1], X[6:7]):
+                f, G = P.report(stack)
+                assert np.all(np.isfinite(f)) and np.all(np.isfinite(G))
+
+    def test_report_radius_is_the_overflow_scale(self):
+        # the radius is not vacuous: 1e3 times it, the report overflows
+        P = generate_quadratic(3, 12, np.random.default_rng(0))
+        x = np.full((1, 3), 1e3 * P.report_radius)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(P.report(x)[0][0])
+
+    def test_constant_near_overflow_leaves_no_radius(self):
+        # b'Ab / 2 = realmax / 3.6: no x is known to report finite, so
+        # every row is reported at once, as it is appended
+        P = QuadraticProblem(np.ones((1, 1, 1)), np.full((1, 1), 1e154), lipschitz=1.0)
+        assert P.report_radius == -np.inf
+        drv = make_solver(P, SolverConfig(method="sgd", maxiter=20, seed=0))
+        while drv.k < drv.config.maxiter:
+            assert drv.records[-1].f_full is not None
+            drv.step()
+        assert np.all(np.isfinite([r.f_full for r in drv.run().records]))
 
 
 class TestDatasetLoader:

@@ -421,6 +421,55 @@ class TestDivergence:
         assert np.all(np.isfinite(f[:-1]))
         assert np.array_equal(tr.final_x, xs[len(f) - 1])
 
+    def test_quadratic_run_ends_at_sentinel_row(self):
+        # the stiff instance above: sgd's iterate grows past the report
+        # radius, about 3e150, and then past 1e154, where f overflows, on
+        # row 43; the rows before it are deferred and reported in chunks
+        P = generate_quadratic(5, 20, np.random.default_rng(0))
+        stiff = QuadraticProblem(P.A * 1e3, P.b, lipschitz=P.lipschitz * 1e3)
+        cfg = SolverConfig(method="sgd", seed=0)
+        with np.errstate(all="ignore"):
+            tr = run_solver(stiff, cfg)
+            drv = make_solver(stiff, cfg)  # a replay, for the iterate of each row
+            xs = [drv.x]
+            while drv.k < cfg.maxiter:
+                drv.step()
+                xs.append(drv.x)
+        f = np.array([r.f_full for r in tr.records])
+        assert np.abs(xs[solvers.REPORT_CHUNK]).max() <= stiff.report_radius
+        assert len(tr.records) == 44 and tr.records[-1].k == 42
+        assert (tr.records[-1].cum_evals, tr.records[-1].grad_pass_cost) == (0, 43)
+        assert not np.isfinite(f[-1])
+        assert np.all(np.isfinite(f[:-1]))
+        assert np.array_equal(tr.final_x, xs[len(f) - 1])
+
+    def test_nan_iterate_is_reported_at_once(self):
+        # the 11th gradient is NaN: its row is reported as it is appended,
+        # with three finite rows still queued, and the run ends on it
+        class NanGradient:
+            def __init__(self, inner):
+                self._inner = inner
+                self.calls = 0
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def batch_gradient(self, indices, x):
+                self.calls += 1
+                g = self._inner.batch_gradient(indices, x)
+                return g if self.calls <= 10 else np.full_like(g, np.nan)
+
+        P = NanGradient(generate_quadratic(4, 8, np.random.default_rng(0)))
+        drv = make_solver(P, SolverConfig(method="sgd", maxiter=30, seed=1))
+        for _ in range(10):
+            drv.step()
+        assert [r.f_full is None for r in drv.records[-4:]] == [False, True, True, True]
+        drv.step()
+        assert np.isnan(drv.records[-1].f_full)
+        tr = drv.run()
+        assert len(tr.records) == 12 and tr.records[-1].k == 10
+        assert np.all(np.isfinite([r.f_full for r in tr.records[:-1]]))
+
 
 class TestReplay:
     @pytest.mark.parametrize("method", ["slises", "slises-modified", "sgd",
@@ -443,9 +492,26 @@ class TestReplay:
         drv = make_solver(P, cfg, np.random.default_rng(cfg.seed))
         for _ in range(cfg.maxiter):
             drv.step()
+        drv._report()  # the rows still queued; run() reports them before it returns
         assert drv.records == whole.records
         assert all(np.array_equal(a.indices, b.indices)
                    for a, b in zip(drv.records, whole.records, strict=True))
+
+    @pytest.mark.parametrize("method", ["slises", "spectral-full", "svrg-bb"])
+    def test_quadratic_rows_carry_the_bits_of_one_row_reports(self, method):
+        # rows reported in chunks of 8 write what the report of each
+        # iterate alone gives, norm included
+        P = generate_quadratic(6, 10, np.random.default_rng(20))
+        cfg = SolverConfig(method=method, m=3, S=2, maxiter=21, seed=5)
+        tr = run_solver(P, cfg)
+        drv = make_solver(P, cfg)
+        xs = [drv.x]
+        while drv.k < cfg.maxiter:
+            drv.step()
+            xs.append(drv.x)
+        assert [r.f_full for r in tr.records] == [full_value(P, x) for x in xs]
+        assert ([r.grad_norm_full for r in tr.records]
+                == [float(np.linalg.norm(full_gradient(P, x))) for x in xs])
 
 
 class TestConfigValidation:
