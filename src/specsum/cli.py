@@ -15,6 +15,12 @@ Solver and problem defaults are declared once, as the field defaults of
 or ``compare`` that is neither given nor in the file leaves its field
 at that default.
 
+``run``, ``sweep-m`` and ``compare`` refuse a usage error that does
+not need the problem (an unknown method token, a parameter out of
+range, a repeated run) before they build the problem, so before a
+dataset is parsed; only the checks against its component count N
+(S <= N) wait for it.
+
 Exit codes: 0 success, 1 usage/configuration error (a repeated run
 included), 2 I/O error (malformed, non-finite or overflowing dataset
 values, too large a feature index, malformed frozen instances), 3
@@ -217,6 +223,7 @@ def cmd_generate(args):
 def cmd_run(args):
     spec = _from_flags(harness.ExperimentSpec, args)
     cfg = _solver_config(args)
+    cfg.validate()
     problem = spec.build_problem()
     path, _ = harness.run_single(problem, cfg, cfg.seed, spec.out_dir)
     print(path)
@@ -226,6 +233,7 @@ def cmd_run(args):
 def cmd_sweep(args):
     spec = _from_flags(harness.ExperimentSpec, args)
     base = _solver_config(args)
+    harness.check_grid("sweep-m", harness.sweep_configs(base, args.m_grid), args.seeds)
     problem = spec.build_problem()
     _, agg = harness.sweep_m(problem, base, args.m_grid,
                              args.seeds, spec.out_dir, how=spec.aggregation)
@@ -235,9 +243,10 @@ def cmd_sweep(args):
 
 def cmd_compare(args):
     spec = _from_flags(harness.ExperimentSpec, args)
-    problem = spec.build_problem()
     base = _from_flags(SolverConfig, args)
     configs = [_method_config(tok, base) for tok in args.methods]
+    harness.check_grid("compare", configs, args.seeds)
+    problem = spec.build_problem()
     _, agg = harness.compare_methods(problem, configs, args.seeds, spec.out_dir,
                                      how=spec.aggregation)
     print(agg)

@@ -222,14 +222,15 @@ def write_aggregate(path, grid, columns, header=None):
 # experiment protocols
 
 
-def _run_grid(experiment, problem, configs, seeds, out_dir, how):
-    """Run the (config x seed) grid, one seed stream per config, and write
-    its aggregate ``<experiment>.csv``; nothing runs unless every config is
-    valid and every run has its own name."""
+def check_grid(experiment, configs, seeds, N=None):
+    """Refuse the (config x seed) grid unless every config is valid, against
+    the component count ``N`` when it is given, and every run has its own
+    name; returns the runs' labels.  Only the checks against ``N`` need the
+    problem, so a caller may run the others before it builds one."""
     labels = [cfg.display_label() for cfg in configs]
     for label, cfg in zip(labels, configs):
         try:
-            cfg.validate(problem.N)
+            cfg.validate(N)
         except ValueError as exc:
             raise ValueError(f"{experiment}: run {label}: {exc}") from exc
     if min(seeds, default=0) < 0:
@@ -239,6 +240,14 @@ def _run_grid(experiment, problem, configs, seeds, out_dir, how):
         if repeated:
             raise ValueError(f"{experiment}: run {what} {', '.join(map(str, repeated))} "
                              "is repeated; every run needs its own trace file")
+    return labels
+
+
+def _run_grid(experiment, problem, configs, seeds, out_dir, how):
+    """Run the (config x seed) grid, one seed stream per config, and write
+    its aggregate ``<experiment>.csv``; nothing runs unless the grid passes
+    :func:`check_grid` against the problem's N."""
+    labels = check_grid(experiment, configs, seeds, problem.N)
     paths = []
     curves = {label: [] for label in labels}
     for stream, (label, cfg) in enumerate(zip(labels, configs)):
@@ -254,9 +263,14 @@ def _run_grid(experiment, problem, configs, seeds, out_dir, how):
     return paths, write_aggregate(os.path.join(out_dir, name), grid, columns, header)
 
 
+def sweep_configs(base_config, m_values):
+    """The configs of ``sweep_m``: the base config at each m."""
+    return [replace(base_config, m=int(m), label=f"m={m}") for m in m_values]
+
+
 def sweep_m(problem, base_config, m_values, seeds, out_dir, how="median"):
     """Runs of the base config for each m, reduced onto one aggregate."""
-    configs = [replace(base_config, m=int(m), label=f"m={m}") for m in m_values]
+    configs = sweep_configs(base_config, m_values)
     return _run_grid("sweep-m", problem, configs, seeds, out_dir, how)
 
 

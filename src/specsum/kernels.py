@@ -16,13 +16,18 @@ same order, so they give the same bits.
 sums them against x-b_i in one ``vdot``; ``quad_gradient`` keeps its
 two-operand ``einsum``, which ``matmul`` does not speed up.
 
-The three logistic kernels share one chain.  ``_margins`` turns the
-products F @ x into the margins z = -y * (F @ x) in place and takes
+The three logistic kernels share one chain, and take the negated
+labels -y, which ``LogisticProblem`` builds once, so the label sign is
+folded into it.  ``_margins`` turns the products F @ x into the margins
+z = -y * (F @ x) with one multiplication in place and takes
 e = exp(-|z|) in one array of its own.  A value takes each loss
 log(1 + exp(z)) as max(z, 0) + log1p(e), the formula numpy's
 ``logaddexp(0, z)`` evaluates, on numpy's vectorized ``maximum`` and
-``log1p``.  A gradient takes the stable sigmoid(z) as
-exp(min(z, 0)) / (1 + e), without a branch, and writes it over z and e.
+``log1p``, and their mean as their sum over their count, which is
+``np.mean``'s quotient.  A gradient takes the stable sigmoid(z) as
+exp(min(z, 0)) / (1 + e), without a branch, writes it over z and e,
+and multiplies it by -y.  A product with a negated +-1 is the negated
+product, so the fold moves no bit but the sign of a NaN.
 
 ``logistic_report`` gives the full-index value and gradient of a stack
 of c trace rows, X of shape (c, n).  It reads the features twice per
@@ -32,8 +37,9 @@ in cache.  For a one-row stack both products are the matrix-vector
 products of the estimators, so the report carries the bits of
 ``logistic_value`` and ``logistic_gradient`` on the full index; rows of
 a larger stack agree with their one-row reports to rounding.  A stack
-holds its c arrays of N margins and at most three arrays of N floats
-more; a full-index gradient holds two.
+holds Z, its c arrays of N margins, and at most three arrays of N
+floats more, so a stack of 16 peaks at about 1.2 times its Z; a
+full-index gradient holds two.
 """
 
 import numpy as np
@@ -67,12 +73,11 @@ def quad_gradient(A, b, idx, x):
     return np.einsum("ijk,ik->j", A[r], dx) / idx.size
 
 
-def _margins(z, y):
+def _margins(z, neg_y):
     """Margins z = -y * (F @ x), built in place on the products ``z`` =
-    F @ x, and e = exp(-|z|) in one array of its own; ``e`` never
-    overflows."""
-    z *= y
-    np.negative(z, out=z)
+    F @ x from the negated labels ``neg_y``, and e = exp(-|z|) in one
+    array of its own; ``e`` never overflows."""
+    z *= neg_y
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -89,47 +94,52 @@ def _log1p_exp(z, e):
 
 def _logistic_value(z, e, lam, x):
     """Mean loss over the rows of margins ``z`` plus lam/2*||x||^2, given
-    ``e`` = exp(-|z|); leaves ``z`` and ``e`` unchanged."""
-    return float(np.mean(_log1p_exp(z, e))) + 0.5 * lam * float(x @ x)
+    ``e`` = exp(-|z|); leaves ``z`` and ``e`` unchanged.  The mean is
+    ``np.mean``'s own quotient, without its Python wrapper."""
+    loss = _log1p_exp(z, e)
+    return float(np.add.reduce(loss) / loss.size) + 0.5 * lam * float(x @ x)
 
 
-def _loss_slopes(z, e, y):
+def _loss_slopes(z, e, neg_y):
     """-y * sigmoid(z), the loss derivative of each row, given ``e`` =
-    exp(-|z|), written over ``z``; overwrites ``e``.  The stable
-    sigmoid(z) is exp(min(z, 0)) / (1 + e): for z < 0, min(z, 0) is -|z|
-    exactly, and for z >= 0, exp(0) is exactly 1."""
+    exp(-|z|) and the negated labels ``neg_y``, written over ``z``;
+    overwrites ``e``.  The stable sigmoid(z) is exp(min(z, 0)) / (1 + e):
+    for z < 0, min(z, 0) is -|z| exactly, and for z >= 0, exp(0) is
+    exactly 1."""
     sig = np.minimum(z, 0.0, out=z)
     np.exp(sig, out=sig)
     e += 1.0
     sig /= e
-    sig *= y
-    np.negative(sig, out=sig)
+    sig *= neg_y
     return sig
 
 
-def logistic_value(feats, labels, lam, idx, x):
-    """Mean regularized logistic loss over the indices in ``idx``."""
-    r = _rows(idx, labels.size)
-    return _logistic_value(*_margins(feats[r] @ x, labels[r]), lam, x)
+def logistic_value(feats, neg_labels, lam, idx, x):
+    """Mean regularized logistic loss over the indices in ``idx``, given
+    the negated labels."""
+    r = _rows(idx, neg_labels.size)
+    return _logistic_value(*_margins(feats[r] @ x, neg_labels[r]), lam, x)
 
 
-def logistic_gradient(feats, labels, lam, idx, x):
-    """Mean regularized logistic loss gradient over ``idx``."""
-    r = _rows(idx, labels.size)
-    F, y = feats[r], labels[r]
-    return (_loss_slopes(*_margins(F @ x, y), y) @ F) / y.size + lam * x
+def logistic_gradient(feats, neg_labels, lam, idx, x):
+    """Mean regularized logistic loss gradient over ``idx``, given the
+    negated labels."""
+    r = _rows(idx, neg_labels.size)
+    F, neg_y = feats[r], neg_labels[r]
+    return (_loss_slopes(*_margins(F @ x, neg_y), neg_y) @ F) / neg_y.size + lam * x
 
 
-def logistic_report(feats, labels, lam, X):
+def logistic_report(feats, neg_labels, lam, X):
     """Full values, shape (c,), and gradients, shape (c, n), of the c
-    iterates stacked in ``X``, from two matrix products over the data."""
+    iterates stacked in ``X``, from two matrix products over the data,
+    given the negated labels."""
     Z = X @ feats.T
     f = np.empty(len(X))
     for i, z in enumerate(Z):
-        z, e = _margins(z, labels)
+        z, e = _margins(z, neg_labels)
         f[i] = _logistic_value(z, e, lam, X[i])
-        _loss_slopes(z, e, labels)
+        _loss_slopes(z, e, neg_labels)
     G = Z @ feats
-    G /= labels.size
+    G /= neg_labels.size
     G += lam * X
     return f, G

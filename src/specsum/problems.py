@@ -214,6 +214,8 @@ class LogisticProblem(FiniteSumProblem):
     that is not finite (a feature whose square overflows) raises
     :class:`NonFiniteInstanceError`.  ``report_radius`` follows from the
     same largest squared row norm (see :func:`_logistic_report_radius`).
+    The problem keeps the negated labels ``neg_labels``, the form the
+    logistic kernels take.
     """
 
     def __init__(self, features, labels, lam, label="logistic"):
@@ -226,7 +228,7 @@ class LogisticProblem(FiniteSumProblem):
         if not 0 <= lam < np.inf:
             raise ValueError(f"regularization must be finite and nonnegative, got {lam}")
         self.features = features
-        self.labels = labels
+        self.neg_labels = -labels
         self.lam = float(lam)
         self.N, self.n = features.shape
         self.label = label
@@ -241,16 +243,16 @@ class LogisticProblem(FiniteSumProblem):
     def batch_value(self, indices, x):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        return float(kernels.logistic_value(self.features, self.labels, self.lam, idx, x))
+        return float(kernels.logistic_value(self.features, self.neg_labels, self.lam, idx, x))
 
     def batch_gradient(self, indices, x):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        return kernels.logistic_gradient(self.features, self.labels, self.lam, idx, x)
+        return kernels.logistic_gradient(self.features, self.neg_labels, self.lam, idx, x)
 
     def report(self, X):
         X = np.asarray(X, dtype=np.float64)
-        return kernels.logistic_report(self.features, self.labels, self.lam, X)
+        return kernels.logistic_report(self.features, self.neg_labels, self.lam, X)
 
 
 def _logistic_report_radius(sq_max, N, n, lam):

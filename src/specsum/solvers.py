@@ -13,8 +13,12 @@ in one call once it holds ``REPORT_CHUNK`` rows, when ``run`` returns,
 and at once when an iterate leaves the problem's ``report_radius`` (a
 problem with a radius of -inf has every row reported as it is
 appended).  A queued row's objective is therefore finite, and the run
-stops on the same row whatever the queue holds.  Every column but the
-two reported ones is set when its row is appended; ``records`` is
+stops on the same row whatever the queue holds.  ``REPORT_CHUNK`` is
+16: a logistic report's cost per row still falls past 16, but its stack
+of margins, 16 arrays of N floats, is the largest that kept the peak
+resident memory of the benchmark's logistic workload within 3% of a
+stack of 8 (stacks of 24 and 32 took 8-11% more).  Every column but
+the two reported ones is set when its row is appended; ``records`` is
 complete once ``run`` returns.  One cost meter per run, charged only by
 the ``problems`` estimator entry points, keeps both cost columns:
 ``cum_evals`` counts S units per subsample value estimate computed by
@@ -76,7 +80,7 @@ from .steplength import (
 SAMPLERS = ("uniform", "ais")
 
 # Trace rows reported together, in one call to the problem's report
-REPORT_CHUNK = 8
+REPORT_CHUNK = 16
 
 
 @dataclass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specsum.cli import main
-from specsum.harness import generate_instance, read_trace
+from specsum.harness import ExperimentSpec, generate_instance, read_trace
 from specsum.problems import generate_quadratic
 
 
@@ -255,6 +255,41 @@ class TestExitCodes:
             assert main(["run", "--dataset", str(data), "--maxiter", "5",
                          "--out", str(out), *extra]) == 1
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--method", "adam"], "unknown method 'adam'"),
+        (["run", "--method", "sgd", "--no-damping"],
+         "--no-damping applies only to slises, not to method 'sgd'"),
+        (["run", "--method", "sgd", "--eta0", "nan"], "eta0 must be finite and positive"),
+        (["sweep-m", "--m-grid", "0,3"], "sweep-m: run m=0: m must be >= 1"),
+        (["sweep-m", "--seeds", "0,0"],
+         "sweep-m: run seed 0 is repeated; every run needs its own trace file"),
+        (["compare", "--methods", "slises-bogus"], "unknown method token 'slises-bogus'"),
+        (["compare", "--methods", "sgd-nodamp"],
+         "method token 'sgd-nodamp': -nodamp applies only to slises tokens"),
+        (["compare", "--methods", "slises-uni,slises-mod", "--m", "1"],
+         "compare: run slises-mod-m1-d0.1: slises-modified needs m > 1"),
+        (["compare", "--seeds", "0,-1"], "compare: seeds must be >= 0, got -1"),
+    ])
+    def test_usage_errors_are_refused_before_the_problem_is_built(
+            self, monkeypatch, tmp_path, capsys, argv, message):
+        def build_problem(spec):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(ExperimentSpec, "build_problem", build_problem)
+        out = tmp_path / "refused"
+        assert main([*argv, "--dataset", str(tmp_path / "never-read.txt"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"specsum: {message}\n"
+        assert not out.exists()
+
+    def test_sample_larger_than_the_problem_is_refused_after_the_build(
+            self, instance, tmp_path, capsys):
+        for argv, prefix in ((["run"], ""), (["sweep-m"], "sweep-m: run m=1: "),
+                             (["compare", "--methods", "sgd"], "compare: run sgd: ")):
+            assert main([*argv, "--instance", instance, "--S", "7",
+                         "--out", str(tmp_path / "refused")]) == 1
+            assert capsys.readouterr().err == f"specsum: {prefix}need 1 <= S <= N, got S=7\n"
 
     @pytest.mark.parametrize("line", ["m = abc", "sampler = halton", "maxiter"])
     def test_bad_config_value_is_a_usage_error(self, instance, tmp_path, line):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specsum import kernels
+from specsum import kernels, solvers
 from specsum.problems import LogisticProblem, batch_gradient, generate_quadratic
 
 
@@ -113,8 +113,8 @@ class TestFullIndexBits:
             idx = index_sets(N, np.random.default_rng(seed))[which]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                v = kernels.logistic_value(feats, labels, 1e-4, idx, x)
-                g = kernels.logistic_gradient(feats, labels, 1e-4, idx, x)
+                v = kernels.logistic_value(feats, -labels, 1e-4, idx, x)
+                g = kernels.logistic_gradient(feats, -labels, 1e-4, idx, x)
             assert v == gathered_logistic_value(feats, labels, 1e-4, idx, x)
             assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, idx, x))
 
@@ -138,8 +138,8 @@ class TestFullIndexBits:
             idx = run_index(N, N if S == "N" else S, where)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                v = kernels.logistic_value(feats, labels, 1e-4, idx, x)
-                g = kernels.logistic_gradient(feats, labels, 1e-4, idx, x)
+                v = kernels.logistic_value(feats, -labels, 1e-4, idx, x)
+                g = kernels.logistic_gradient(feats, -labels, 1e-4, idx, x)
             assert v == gathered_logistic_value(feats, labels, 1e-4, idx, x)
             assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, idx, x))
 
@@ -148,7 +148,7 @@ class TestFullIndexBits:
         for seed in range(3):
             feats, labels, x = wide_margin_inputs(seed, n=n)
             full = np.arange(labels.size)
-            (v,), (g,) = kernels.logistic_report(feats, labels, 1e-4, x[None])
+            (v,), (g,) = kernels.logistic_report(feats, -labels, 1e-4, x[None])
             assert v == gathered_logistic_value(feats, labels, 1e-4, full, x)
             assert np.array_equal(g, gathered_logistic_gradient(feats, labels, 1e-4, full, x))
 
@@ -163,9 +163,9 @@ class TestFullIndexBits:
                     == gathered_quad_value(A, b, idx, x))
             assert np.array_equal(kernels.quad_gradient(A, b, idx, x),
                                   gathered_quad_gradient(A, b, idx, x))
-            assert (kernels.logistic_value(feats, labels, 1e-4, idx, x)
+            assert (kernels.logistic_value(feats, -labels, 1e-4, idx, x)
                     == gathered_logistic_value(feats, labels, 1e-4, idx, x))
-            assert np.array_equal(kernels.logistic_gradient(feats, labels, 1e-4, idx, x),
+            assert np.array_equal(kernels.logistic_gradient(feats, -labels, 1e-4, idx, x),
                                   gathered_logistic_gradient(feats, labels, 1e-4, idx, x))
 
     def test_index_sets_that_are_no_runs_keep_numpy_indexing(self):
@@ -174,12 +174,12 @@ class TestFullIndexBits:
             with pytest.raises(IndexError):
                 kernels.quad_gradient(A, b, idx, x)
             with pytest.raises(IndexError):
-                kernels.logistic_value(feats, labels, 1e-4, idx, x)
+                kernels.logistic_value(feats, -labels, 1e-4, idx, x)
         # not runs, though the ends are S-1 apart; [-1, 0] wraps to rows 8, 0
         for idx in (np.array([-1, 0]), np.array([2, 4, 3, 5]), np.array([1, 1, 3, 4])):
             assert np.array_equal(kernels.quad_gradient(A, b, idx, x),
                                   gathered_quad_gradient(A, b, idx, x))
-            assert (kernels.logistic_value(feats, labels, 1e-4, idx, x)
+            assert (kernels.logistic_value(feats, -labels, 1e-4, idx, x)
                     == gathered_logistic_value(feats, labels, 1e-4, idx, x))
 
 
@@ -217,9 +217,9 @@ class TestReportedLoss:
             full = np.arange(labels.size)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                (v,), (g,) = kernels.logistic_report(feats, labels, 1e-4, x[None])
-                assert v == kernels.logistic_value(feats, labels, 1e-4, full, x)
-                assert np.array_equal(g, kernels.logistic_gradient(feats, labels, 1e-4, full, x))
+                (v,), (g,) = kernels.logistic_report(feats, -labels, 1e-4, x[None])
+                assert v == kernels.logistic_value(feats, -labels, 1e-4, full, x)
+                assert np.array_equal(g, kernels.logistic_gradient(feats, -labels, 1e-4, full, x))
 
     @pytest.mark.parametrize("span", [1.0, 5.0, 800.0])
     @pytest.mark.parametrize("N", [1, 3, 1001])
@@ -230,7 +230,7 @@ class TestReportedLoss:
             idx = np.random.default_rng(seed).integers(0, N, size=N)
             z = -labels[idx] * (feats[idx] @ x)
             ref = float(np.mean(np.logaddexp(0.0, z))) + 0.5e-4 * float(x @ x)
-            assert ulps(kernels.logistic_value(feats, labels, 1e-4, idx, x), ref) <= 4
+            assert ulps(kernels.logistic_value(feats, -labels, 1e-4, idx, x), ref) <= 4
 
     @pytest.mark.parametrize("n", [1, 5, 7, 20, 50, 100])
     def test_quad_value_matches_einsum(self, n):
@@ -274,12 +274,12 @@ class TestPinnedLogisticFormulas:
     @staticmethod
     def assert_same_bits(feats, labels, idx, x, lam=1e-4):
         with np.errstate(all="ignore"):
-            assert same_bits(kernels.logistic_value(feats, labels, lam, idx, x),
+            assert same_bits(kernels.logistic_value(feats, -labels, lam, idx, x),
                              gathered_logistic_value(feats, labels, lam, idx, x))
-            assert same_bits(kernels.logistic_gradient(feats, labels, lam, idx, x),
+            assert same_bits(kernels.logistic_gradient(feats, -labels, lam, idx, x),
                              gathered_logistic_gradient(feats, labels, lam, idx, x))
             full = np.arange(labels.size)
-            (v,), (g,) = kernels.logistic_report(feats, labels, lam, x[None])
+            (v,), (g,) = kernels.logistic_report(feats, -labels, lam, x[None])
             assert same_bits(v, gathered_logistic_value(feats, labels, lam, full, x))
             assert same_bits(g, gathered_logistic_gradient(feats, labels, lam, full, x))
 
@@ -331,15 +331,15 @@ class TestStackedReport:
         N, n = feats.shape
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            f, G = kernels.logistic_report(feats, labels, lam, X)
+            f, G = kernels.logistic_report(feats, -labels, lam, X)
             for x, f_row, g_row in zip(X, f, G, strict=True):
-                (v,), (g,) = kernels.logistic_report(feats, labels, lam, x[None])
+                (v,), (g,) = kernels.logistic_report(feats, -labels, lam, x[None])
                 A = np.abs(feats) @ np.abs(x)
                 assert abs(f_row - v) <= 4 * eps * (n * A.mean() + abs(v))
                 tol = 4 * eps * ((n * A + N) @ np.abs(feats) / N + np.abs(lam * x))
                 assert np.all(np.abs(g_row - g) <= tol)
 
-    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("c", [2, 3, 8, solvers.REPORT_CHUNK])
     @pytest.mark.parametrize("span", [1.0, 40.0, 800.0])
     @pytest.mark.parametrize("N, n", [(1, 2), (41, 7), (1001, 50), (20000, 50)])
     def test_rows_agree_with_one_row_stacks(self, N, n, span, c):
@@ -348,7 +348,7 @@ class TestStackedReport:
         X = x * rng.uniform(0.5, 1.5, size=(c, 1)) + rng.standard_normal((c, n))
         self.assert_rows_agree(feats, labels, 1e-4, X)
 
-    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("c", [2, 3, 8, solvers.REPORT_CHUNK])
     @pytest.mark.parametrize("n", [1, 20, 100])
     def test_quadratic_rows_have_the_bits_of_one_row_stacks(self, n, c):
         # the quadratic report takes one matrix-vector product per row, so
@@ -371,6 +371,64 @@ class TestStackedReport:
                         (v,), (g,) = P.report(x[None])
                         assert f_row == v
                         assert np.array_equal(g_row, g)
+
+
+def pre_fold_report(feats, labels, lam, X):
+    """The logistic report as it was before the label sign was folded into
+    the chain: margins y*z then negated, np.mean, and slopes sig*y then
+    negated, on each row of the same Z = X @ F'."""
+    Z = X @ feats.T
+    f = np.empty(len(X))
+    for i, z in enumerate(Z):
+        z *= labels
+        np.negative(z, out=z)
+        e = np.exp(-np.abs(z))
+        loss = np.log1p(e) + np.maximum(z, 0.0)
+        f[i] = float(np.mean(loss)) + 0.5 * lam * float(X[i] @ X[i])
+        sig = np.exp(np.minimum(z, 0.0)) / (e + 1.0)
+        sig *= labels
+        Z[i] = np.negative(sig)
+    G = Z @ feats
+    G /= labels.size
+    G += lam * X
+    return f, G
+
+
+class TestFoldedLabelSign:
+    """Each row of a REPORT_CHUNK stack keeps the bits of the chain that
+    negated after multiplying by the labels; only a NaN's sign may differ."""
+
+    @staticmethod
+    def assert_same_bits(feats, labels, X, lam=1e-4):
+        with np.errstate(all="ignore"):
+            f, G = kernels.logistic_report(feats, -labels, lam, X)
+            ref_f, ref_G = pre_fold_report(feats, labels, lam, X)
+        assert same_bits(f, ref_f)
+        assert same_bits(G, ref_G)
+
+    @pytest.mark.parametrize("span", [1.0, 40.0, 800.0])
+    @pytest.mark.parametrize("N, n", [(41, 7), (1001, 50), (20000, 50)])
+    def test_random_margins(self, N, n, span):
+        feats, labels, x = wide_margin_inputs(N, n=n, N=N, span=span)
+        rng = np.random.default_rng(N)
+        c = solvers.REPORT_CHUNK
+        X = x * rng.uniform(0.5, 1.5, size=(c, 1)) + rng.standard_normal((c, n))
+        self.assert_same_bits(feats, labels, X)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-4])
+    def test_special_margins(self, lam):
+        # every special together, then each one alone among finite margins;
+        # the stack's first row (1, 0) has exactly these margins, and the
+        # others scale and shift them
+        rng = np.random.default_rng(5)
+        finite = rng.standard_normal(20) * 10.0 ** rng.integers(-3, 4, size=20)
+        for specials in [SPECIAL_MARGINS] + [[z] for z in SPECIAL_MARGINS]:
+            z = np.concatenate([finite, specials])
+            rng.shuffle(z)
+            labels = np.where(rng.random(z.size) > 0.5, 1.0, -1.0)
+            feats, x = margin_inputs(z, labels)
+            X = np.vstack([x, rng.standard_normal((solvers.REPORT_CHUNK - 1, 2))])
+            self.assert_same_bits(feats, labels, X, lam)
 
 
 class TestFullIndexInPlace:
@@ -448,10 +506,11 @@ class TestLogisticBufferPeaks:
         peak = TestFullIndexInPlace.peak_bytes(problem.report, x)
         assert peak < 4.5 * 8 * self.N
 
-    @pytest.mark.parametrize("c", [1, 2, 8])
+    @pytest.mark.parametrize("c", [1, 2, 8, solvers.REPORT_CHUNK])
     def test_report_of_a_stack(self, problem, c):
         # the c rows of margins and, one row at a time, at most three
-        # arrays of N floats more: 1.44 arrays of c*N floats at c=8
+        # arrays of N floats more: 1.44 arrays of c*N floats at c=8 and
+        # 1.22 at c=16, the shipped REPORT_CHUNK
         X = np.random.default_rng(1).standard_normal((c, 50))
         peak = TestFullIndexInPlace.peak_bytes(problem.report, X)
         assert peak < (1 + 3.5 / c) * 8 * c * self.N

@@ -444,8 +444,12 @@ class TestDivergence:
         assert np.array_equal(tr.final_x, xs[len(f) - 1])
 
     def test_nan_iterate_is_reported_at_once(self):
-        # the 11th gradient is NaN: its row is reported as it is appended,
-        # with three finite rows still queued, and the run ends on it
+        # sgd takes one gradient per step; after REPORT_CHUNK + 2 steps the
+        # first REPORT_CHUNK rows are reported and three finite rows are
+        # queued.  The next gradient is NaN: its row is reported as it is
+        # appended, together with the queued rows, and the run ends on it
+        steps = solvers.REPORT_CHUNK + 2
+
         class NanGradient:
             def __init__(self, inner):
                 self._inner = inner
@@ -457,17 +461,19 @@ class TestDivergence:
             def batch_gradient(self, indices, x):
                 self.calls += 1
                 g = self._inner.batch_gradient(indices, x)
-                return g if self.calls <= 10 else np.full_like(g, np.nan)
+                return g if self.calls <= steps else np.full_like(g, np.nan)
 
         P = NanGradient(generate_quadratic(4, 8, np.random.default_rng(0)))
-        drv = make_solver(P, SolverConfig(method="sgd", maxiter=30, seed=1))
-        for _ in range(10):
+        drv = make_solver(P, SolverConfig(method="sgd", maxiter=steps + 20, seed=1))
+        for _ in range(steps):
             drv.step()
-        assert [r.f_full is None for r in drv.records[-4:]] == [False, True, True, True]
+        queued = [r.f_full is None for r in drv.records]
+        assert queued == [False] * solvers.REPORT_CHUNK + [True] * 3
         drv.step()
         assert np.isnan(drv.records[-1].f_full)
+        assert not any(r.f_full is None for r in drv.records)
         tr = drv.run()
-        assert len(tr.records) == 12 and tr.records[-1].k == 10
+        assert len(tr.records) == steps + 2 and tr.records[-1].k == steps
         assert np.all(np.isfinite([r.f_full for r in tr.records[:-1]]))
 
 
