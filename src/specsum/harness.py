@@ -77,7 +77,8 @@ class ExperimentSpec:
 
 
 def rng_for_run(seed, stream=0):
-    """Deterministic generator; distinct streams are independent."""
+    """Deterministic generator; distinct streams are independent.  Its
+    first call in a process imports ``numpy.random``."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.default_rng(ss)
 
@@ -154,9 +155,14 @@ def read_trace(path):
 
 
 def run_single(problem, config, seed, out_dir, stream=0):
-    """Execute one (config, seed) cell and persist its trace."""
+    """Execute one (config, seed) cell and persist its trace.
+
+    The run gets a factory of its generator, ``rng_for_run(seed, stream)``,
+    which its driver calls at the first draw: a run that never draws
+    builds none.
+    """
     cfg = replace(config, seed=int(seed))
-    trace = run_solver(problem, cfg, rng_for_run(seed, stream))
+    trace = run_solver(problem, cfg, lambda: rng_for_run(seed, stream))
     name = f"{cfg.display_label()}_seed{seed}.csv"
     return write_trace(trace, os.path.join(out_dir, name)), trace
 

@@ -13,7 +13,11 @@ in one call once it holds ``REPORT_CHUNK`` rows, when ``run`` returns,
 and at once when an iterate leaves the problem's ``report_radius`` (a
 problem with a radius of -inf has every row reported as it is
 appended).  A queued row's objective is therefore finite, and the run
-stops on the same row whatever the queue holds.  ``REPORT_CHUNK`` is
+stops on the same row whatever the queue holds.  A held row, whose
+iterate is the previous row's own array (no driver writes an iterate in
+place), is not queued: it takes that row's reported values once they are
+known, so a held iterate is reported once, and every row at it carries
+the same bits whichever stack reported it.  ``REPORT_CHUNK`` is
 16: a logistic report's cost per row still falls past 16, but its stack
 of margins, 16 arrays of N floats, is the largest that kept the peak
 resident memory of the benchmark's logistic workload within 3% of a
@@ -28,7 +32,11 @@ values still expose their cost.  AIS runs also charge S per retired
 batch for the component gradient norms that refresh its scores.  A
 batch is the index array the sampler returns (``spectral-full`` holds
 ``arange(N)``); it is passed as is to the oracles and to the trace
-records.
+records.  A run's generator is built at its first draw, from the
+factory its driver is given, so a run that never draws (``spectral-full``)
+never imports ``numpy.random``, which numpy 2 loads at its first use: that
+import took 11-14 ms of CPU in a fresh process, about half of the
+benchmark's ``spectral-full`` solve.
 
 Methods
 -------
@@ -155,7 +163,7 @@ class IterationRecord:
     """One trace row.  ``indices``, kept in memory only, is the row's batch
     array itself, shared with the driver and never written, so compare
     it with ``np.array_equal``.  ``f_full`` and ``grad_norm_full`` are
-    None while the row waits in its driver's report queue."""
+    None while the row waits for its driver's report."""
 
     k: int
     resampled: bool
@@ -178,27 +186,53 @@ class RunTrace:
 
 
 class _Driver:
-    """Shared state, tracing and metering for all methods."""
+    """Shared state, tracing and metering for all methods.
+
+    ``rng`` is the run's ``numpy.random.Generator``, or a zero-argument
+    factory that builds it; the factory is called at the first draw, so
+    a run that never draws never builds one.
+    """
 
     def __init__(self, problem, config, rng):
         self.problem = problem
         self.config = config
-        self.rng = rng
+        self._rng = rng
         self.x = np.zeros(problem.n)
         self.meter = problems.EvalMeter()
         self.k = 0
         self.records = []
         self._queue = np.empty((REPORT_CHUNK, problem.n))  # iterates of the queued rows
-        self._queued = 0  # the last rows of ``records``, not yet reported
+        self._queued = 0
+        self._waiting = []  # (record, queue slot) of every row not yet reported
+        self._row_x = None  # the iterate of the last row appended
         self._append_record(resampled=False, c=np.nan, gamma=np.nan,
                             alpha=np.nan, trials=0, indices=np.empty(0, dtype=np.int64))
 
+    @property
+    def rng(self):
+        """The run's generator, built from its factory at the first draw."""
+        if callable(self._rng):
+            self._rng = self._rng()
+        return self._rng
+
     def _append_record(self, resampled, c, gamma, alpha, trials, indices):
-        self.records.append(IterationRecord(
+        rec = IterationRecord(
             k=self.k, resampled=resampled, c=float(c), gamma=float(gamma),
             alpha=float(alpha), lsp_trials=int(trials),
             cum_evals=self.meter.count, grad_pass_cost=self.meter.grad_count,
-            f_full=None, grad_norm_full=None, indices=indices))
+            f_full=None, grad_norm_full=None, indices=indices)
+        self.records.append(rec)
+        if self.x is self._row_x:
+            # the previous row's iterate (no driver writes an iterate in
+            # place): this row takes that row's report, now or once it is made
+            if self._queued:
+                self._waiting.append((rec, self._queued - 1))
+            else:
+                prev = self.records[-2]
+                rec.f_full, rec.grad_norm_full = prev.f_full, prev.grad_norm_full
+            return
+        self._row_x = self.x
+        self._waiting.append((rec, self._queued))
         self._queue[self._queued] = self.x
         self._queued += 1
         # a NaN entry fails the comparison too, and every x fails a radius of -inf
@@ -207,15 +241,15 @@ class _Driver:
             self._report()
 
     def _report(self):
-        """Fill in the reported columns of the queued rows."""
-        c = self._queued
-        if c:
-            f, G = self.problem.report(self._queue[:c])
+        """Fill in the reported columns of the waiting rows."""
+        if self._queued:
+            f, G = self.problem.report(self._queue[:self._queued])
             # vecdot takes each row's dot as g @ g does: np.linalg.norm's bits
-            norms = np.sqrt(np.vecdot(G, G))
-            for rec, f_row, norm in zip(self.records[-c:], f.tolist(), norms.tolist()):
-                rec.f_full = f_row
-                rec.grad_norm_full = norm
+            f, norms = f.tolist(), np.sqrt(np.vecdot(G, G)).tolist()
+            for rec, slot in self._waiting:
+                rec.f_full = f[slot]
+                rec.grad_norm_full = norms[slot]
+            self._waiting.clear()
             self._queued = 0
 
     def header(self):
@@ -230,7 +264,7 @@ class _Driver:
 
     def run(self):
         # stop after maxiter steps or at the first non-finite objective;
-        # a queued row's objective is finite
+        # a row waits only while the queue holds its iterate, which is finite
         while self.k < self.config.maxiter and (
                 self._queued or math.isfinite(self.records[-1].f_full)):
             self.step()
@@ -329,8 +363,9 @@ class SlisesDriver(_Driver):
                     res = lsp_search(
                         lambda a: problems.batch_value(P, sample, x0 + a * d, meter), ctx)
                     alpha, trials = res.alpha, res.trials
-                    self.x = x0 + alpha * d  # a held search returns alpha = 0
                     self._held = res.status == HELD
+                    if not self._held:  # a held search returns alpha = 0 and keeps x
+                        self.x = x0 + alpha * d
                     self._base_value = res.phi_alpha
 
         self._append_record(resampled, np.nan if c is None else c, gamma,
@@ -476,11 +511,14 @@ _DRIVERS = {
 def make_solver(problem, config, rng=None):
     """Validate ``config`` and instantiate the driver for its method.
 
-    Without ``rng`` the run draws from a generator seeded by ``config.seed``.
+    ``rng`` is a generator or a zero-argument factory of one (see
+    :class:`_Driver`).  Without it the run draws from a generator seeded
+    by ``config.seed``, built at the first draw.
     """
     config.validate(problem.N)
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        seed = config.seed
+        rng = lambda: np.random.default_rng(seed)  # noqa: E731
     return _DRIVERS[config.method](problem, config, rng)
 
 

@@ -1,6 +1,8 @@
 """Command line contract: subcommands, config precedence, exit codes."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +139,23 @@ class TestRun:
         rc = main(["run", "--n", "3", "--N", "5", "--problem-seed", "9",
                    "--maxiter", "4", "--out", str(tmp_path / "r")])
         assert rc == 0
+
+    @pytest.mark.parametrize("method, draws", [("spectral-full", False), ("sgd", True)])
+    def test_numpy_random_is_imported_only_by_a_run_that_draws(self, instance, tmp_path,
+                                                               method, draws):
+        # a fresh process, so that nothing else has imported numpy.random;
+        # importing it with specsum or in the problem's build would only move
+        # its cost, so the check covers the whole invocation
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import specsum.cli; "
+                  "rc = specsum.cli.main(sys.argv[2:]); "
+                  "print(rc, 'numpy.random' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, src, "run", "--instance", instance,
+             "--method", method, "--maxiter", "30", "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", str(draws)]
 
     def test_repeat_invocation_byte_identical(self, instance, tmp_path):
         out = str(tmp_path / "same")

@@ -1,11 +1,12 @@
-"""Pinned trace bytes: four tiny CLI invocations against recorded digests.
+"""Pinned trace bytes: five tiny CLI invocations against recorded digests.
 
 Each invocation writes its traces and its aggregate into a fresh
 directory, and the SHA-256 of every file written must equal the digest
 recorded for it.  A change that claims byte-identical traces is checked
 here on an S=1 ``sweep-m``, a ``spectral-full`` run on a frozen instance,
-a logistic ``compare`` over a sparse dataset and a logistic ``compare``
-whose ``spectral-full`` run calls the full-index estimators.  A second set of
+a logistic ``compare`` over a sparse dataset, a logistic ``compare``
+whose ``spectral-full`` run calls the full-index estimators, and a
+logistic ``compare`` whose runs hold across report chunks.  A second set of
 digests covers each trace with its ``f_full`` column cut out, and a third
 with both reported columns, ``f_full`` and ``grad_norm_full``, cut out, so
 that a change to how the reported objective or gradient norm is computed,
@@ -77,8 +78,18 @@ def _logistic_full(tmp_path):
             "--seeds", "0", "--maxiter", "20", "--S", "3"]
 
 
+def _logistic_held(tmp_path):
+    # both runs hold at the rounding floor across a chunk of REPORT_CHUNK
+    # rows: spectral-full from row 27, slises-uni from row 54 with a held
+    # search at each redraw; row 64 is reported alone
+    data = _sparse_dataset(tmp_path / "data.txt")
+    return ["compare", "--dataset", data, "--methods", "spectral-full,slises-uni",
+            "--seeds", "0", "--maxiter", "64", "--S", "60", "--m", "5", "--lambda", "1e-1"]
+
+
 INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
-               "logistic-compare": _logistic_compare, "logistic-full": _logistic_full}
+               "logistic-compare": _logistic_compare, "logistic-full": _logistic_full,
+               "logistic-held": _logistic_held}
 
 DIGESTS = {
     "logistic-compare": {
@@ -92,6 +103,11 @@ DIGESTS = {
         "compare.csv": "94817b4284ee9759dd5ce98698752cbbcccbef9164a189ee7628ef2eeb980829",
         "slises-mod-m3-d0.1_seed0.csv": "0a01c596e16836d7ff8bcf52228b16bfaa50c6fa17fd083ed4debd4af64c0106",
         "spectral-full_seed0.csv": "02cd82f0b0012d9c4a275c25df89d252a712a2bcbd315f4a2fc4888e99a56cc0",
+    },
+    "logistic-held": {
+        "compare.csv": "043c7e9adf0d1ab0beac97e1fc9eb0db6c21dba5975e7d6a8602503e56169628",
+        "slises-uni-m5_seed0.csv": "d82578341375ed1cb6a41f255ef95ba8533b7e4471efcee556fc85e20f3a321a",
+        "spectral-full_seed0.csv": "6db648b0d9533f973bf1fb1c1793b3c944e069e0b7c2d37253272987ec4fc927",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "1548f0e0bbad1d0f8df12f6084b395e358a8e8f535cee00da8842b701f6efa13",
@@ -120,6 +136,10 @@ COST_DIGESTS = {
         "slises-mod-m3-d0.1_seed0.csv": "b3afe1d0c7d323c566ada3db9a96d73e638bc72590ef3f259bf283970e279c8f",
         "spectral-full_seed0.csv": "9bf5ca058205b8366cda0840f7b8cfaf9f9e9274fc2997ee7286deb0c7bd5e6d",
     },
+    "logistic-held": {
+        "slises-uni-m5_seed0.csv": "af874bcd18e965aaf6a2909c4804a7fcd4c96fa09d6fa599e908f77105a4a392",
+        "spectral-full_seed0.csv": "6d420b6d79ad8bb64e0a035bd5790e61814b0506b83f1c291d97e3a8919134d1",
+    },
     "spectral-full": {
         "spectral-full_seed0.csv": "6b369fcbd847d442a06eaf2d8fa1f79a0656db092af0f1d1820336c136fd754f",
     },
@@ -145,6 +165,10 @@ STEP_DIGESTS = {
     "logistic-full": {
         "slises-mod-m3-d0.1_seed0.csv": "6e7c7f126bdbb1240405623b8cb6e09c329143b2f8998aa954e31d4efd769c73",
         "spectral-full_seed0.csv": "d400b14bb34e16a7e1fb7e32808f0f695303e2d70d6746c018f6791222a1fbbf",
+    },
+    "logistic-held": {
+        "slises-uni-m5_seed0.csv": "f90b715cfe3abf7199dc4d4f3300a2384422d73674634678ced98197a5a7fa54",
+        "spectral-full_seed0.csv": "7ea66bb759ce225648b55c035aff1d5af06f66eab976e1ef00e81b6a0cde4c96",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "c246df7fcb6de2f31af85145a7967af0eacbb28d2eb4bd0ea6defa7eda573ff7",

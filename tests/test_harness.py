@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+from specsum.cli import _method_config
 from specsum.harness import (
     TRACE_COLUMNS,
     ExperimentSpec,
@@ -30,7 +31,7 @@ from specsum.harness import (
     write_trace,
 )
 from specsum.problems import DatasetFormatError, batch_value, generate_quadratic
-from specsum.solvers import IterationRecord, RunTrace, SolverConfig
+from specsum.solvers import IterationRecord, RunTrace, SolverConfig, run_solver
 
 
 @pytest.fixture(scope="module")
@@ -342,3 +343,17 @@ class TestRngStreams:
         b = rng_for_run(7, 1).integers(0, 1000, 5)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+    @pytest.mark.parametrize("token", ["slises-ais", "slises-uni", "slises-mod",
+                                       "spectral-full", "sgd", "svrg-bb", "sgd-bb",
+                                       "sgd-bb-smooth"])
+    def test_generator_built_at_the_first_draw_keeps_the_stream(self, tiny_problem,
+                                                                tmp_path, token):
+        # run_single hands the driver a factory; a generator built before the
+        # run must give the same records
+        cfg = _method_config(token, SolverConfig(m=2, S=2, maxiter=12, seed=7))
+        _, lazy = run_single(tiny_problem, cfg, seed=7, out_dir=str(tmp_path))
+        eager = run_solver(tiny_problem, cfg, rng_for_run(7, 0))
+        assert lazy.records == eager.records
+        assert all(np.array_equal(a.indices, b.indices)
+                   for a, b in zip(lazy.records, eager.records, strict=True))

@@ -258,6 +258,46 @@ def test_stationary_estimator_holds_until_the_redraw(method, cost):
                and r.f_full == 0.0 for r in rows)
 
 
+def sparse_logistic(N, n, seed, lam):
+    """The draws of the benchmark's sparse logistic dataset, without the file."""
+    rng = np.random.default_rng(seed)
+    w = 3.0 * rng.standard_normal(n)
+    mask = rng.random((N, n)) < 0.5
+    X = rng.standard_normal((N, n)) * mask / np.sqrt(0.5 * n)
+    y = np.where(X @ w + rng.standard_normal(N) > 0.0, 1.0, -1.0)
+    return LogisticProblem(X, y, lam)
+
+
+@pytest.mark.parametrize("method", ["slises", "spectral-full"])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: generate_quadratic(5, 30, np.random.default_rng(1)), id="quadratic"),
+    pytest.param(lambda: sparse_logistic(100, 10, 3, 1e-2), id="logistic")])
+def test_held_rows_report_the_row_that_reached_their_iterate(build, method):
+    # these full-batch runs hold for more than a chunk; a held row (step 0) is
+    # at the iterate of the last row that moved and carries its reported
+    # bits, whatever stack reported that row (a logistic iterate reported
+    # alone and in a stack can differ in the last bits), and is not reported
+    P = build()
+    reported = []
+    report = P.report
+
+    def counting_report(X):
+        reported.append(len(X))
+        return report(X)
+
+    P.report = counting_report
+    tr = run_solver(P, SolverConfig(method=method, m=5, S=P.N, maxiter=80, seed=0))
+    source, held = tr.records[0], 0
+    for rec in tr.records[1:]:
+        if rec.alpha == 0.0:
+            held += 1
+            assert (rec.f_full, rec.grad_norm_full) == (source.f_full, source.grad_norm_full)
+        else:
+            source = rec
+    assert held > solvers.REPORT_CHUNK
+    assert sum(reported) == len(tr.records) - held
+
+
 @pytest.mark.parametrize("method,damping,exponent", [
     ("slises", True, 1.0), ("slises", False, 0.0), ("spectral-full", True, 0.0),
     ("slises-modified", True, 1.25), ("slises-modified", False, 1.25)])
