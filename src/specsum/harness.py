@@ -17,11 +17,12 @@ there; other runs in the batch are unaffected.
 their configs and the experiment they name.  Before the first run every
 config is validated and every run named, as ``<label>_seed<seed>.csv``:
 a repeated label or seed is refused, so no run overwrites another, and
-so is a negative seed.  The cells of the (config x seed) grid then run
-one after another and are independent: problem oracles are immutable
-and shared read-only, every run owns its generator and meter, and each
-config gets its own seed stream.  Traces, aggregates and frozen
-instances are written atomically (temp + rename).
+so are a negative seed and an empty list of configs or seeds.  The
+cells of the (config x seed) grid then run one after another and are
+independent: problem oracles are immutable and shared read-only, every
+run owns its generator and meter, and each config gets its own seed
+stream.  Traces, aggregates and frozen instances are written atomically
+(temp + rename).
 """
 
 import contextlib
@@ -49,6 +50,9 @@ TRACE_COLUMNS = (
 )
 
 AGGREGATIONS = ("per-run", "median", "mean")
+
+# experiment -> the command-line flag that lists its configs
+GRID_FLAGS = {"sweep-m": "--m-grid", "compare": "--methods"}
 
 
 @dataclass
@@ -233,6 +237,9 @@ def check_grid(experiment, configs, seeds, N=None):
     the component count ``N`` when it is given, and every run has its own
     name; returns the runs' labels.  Only the checks against ``N`` need the
     problem, so a caller may run the others before it builds one."""
+    for flag, values in ((GRID_FLAGS[experiment], configs), ("--seeds", seeds)):
+        if not len(values):
+            raise ValueError(f"{experiment}: {flag} is empty, so there is nothing to run")
     labels = [cfg.display_label() for cfg in configs]
     for label, cfg in zip(labels, configs):
         try:

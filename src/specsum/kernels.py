@@ -6,15 +6,21 @@ vectorized numpy; ``BACKEND`` names that implementation in trace
 headers.  Every call is deterministic.
 
 A kernel called with ``idx`` an ascending run lo, lo+1, ..., hi inside
-0..N-1 (every S=1 draw, every full-index call and any draw that
-happens to be consecutive) reads those rows in place, through a slice;
-any other ``idx`` (a permutation, a draw with duplicates or gaps)
-gathers a copy of its rows first.  Both paths sum the same rows in the
-same order, so they give the same bits.
+0..N-1 (every full-index call and any draw that happens to be
+consecutive) reads those rows in place, through a slice; any other
+``idx`` (a permutation, a draw with duplicates or gaps) gathers a copy
+of its rows first.  Both paths sum the same rows in the same order, so
+they give the same bits.
 
 ``quad_value`` takes the products A_i (x-b_i) through ``matmul`` and
 sums them against x-b_i in one ``vdot``; ``quad_gradient`` keeps its
-two-operand ``einsum``, which ``matmul`` does not speed up.
+two-operand ``einsum``, which ``matmul`` does not speed up.  A quadratic
+kernel called with one index (every S=1 draw) reads A_i as one 2-D
+matrix: the value takes the matrix-vector product A_i @ (x-b_i), the
+gradient the einsum "jk,k->j".  These give the bits of the batch
+formulas over the one-row stack, without their overhead for a batch of
+one.  A gradient must not take A_i @ (x-b_i): its bits differ from the
+einsum's.
 
 The three logistic kernels share one chain, and take the negated
 labels -y, which ``LogisticProblem`` builds once, so the label sign is
@@ -49,7 +55,9 @@ BACKEND = "numpy"
 
 def _rows(idx, N):
     """``slice(lo, hi + 1)`` when ``idx`` is the run lo..hi inside 0..N-1,
-    so indexing reads the rows in place; ``idx`` itself otherwise."""
+    so indexing reads the rows in place; ``idx`` itself otherwise.  The
+    quadratic kernels read a one-index call as one 2-D row instead; a
+    one-index logistic call still reads its row through a slice."""
     if idx.size:
         lo, hi = int(idx[0]), int(idx[-1])
         if (0 <= lo and hi < N and hi - lo == idx.size - 1
@@ -60,6 +68,10 @@ def _rows(idx, N):
 
 def quad_value(A, b, idx, x):
     """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``."""
+    if idx.size == 1:
+        i = idx[0]
+        dx = x - b[i]
+        return 0.5 * float(np.vdot(dx, A[i] @ dx))
     r = _rows(idx, b.shape[0])
     dx = x[None, :] - b[r]
     Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
@@ -68,6 +80,9 @@ def quad_value(A, b, idx, x):
 
 def quad_gradient(A, b, idx, x):
     """Mean of A_i (x-b_i) over the indices in ``idx``."""
+    if idx.size == 1:
+        i = idx[0]
+        return np.einsum("jk,k->j", A[i], x - b[i])
     r = _rows(idx, b.shape[0])
     dx = x[None, :] - b[r]
     return np.einsum("ijk,ik->j", A[r], dx) / idx.size

@@ -125,6 +125,8 @@ class SolverConfig:
             raise ValueError("eta must be in (0, 1)")
         if self.maxiter < 1:
             raise ValueError("maxiter must be >= 1")
+        if self.seed < 0:  # numpy would refuse it only at the first draw
+            raise ValueError(f"seeds must be >= 0, got {self.seed}")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         for name in ("eta0", "eta1"):
@@ -237,7 +239,7 @@ class _Driver:
         self._queued += 1
         # a NaN entry fails the comparison too, and every x fails a radius of -inf
         if (self._queued == REPORT_CHUNK
-                or not np.abs(self.x).max() <= self.problem.report_radius):
+                or not np.maximum.reduce(np.abs(self.x)) <= self.problem.report_radius):
             self._report()
 
     def _report(self):
@@ -360,12 +362,20 @@ class SlisesDriver(_Driver):
                         phi0 = problems.batch_value(P, self.sample, self.x, self.meter)
                     ctx = ArmijoContext(phi0=phi0, dm=dm, eta=cfg.eta, t=0.5 ** k)
                     x0, sample, meter = self.x, self.sample, self.meter
-                    res = lsp_search(
-                        lambda a: problems.batch_value(P, sample, x0 + a * d, meter), ctx)
+                    trial = None
+
+                    def phi(a):
+                        nonlocal trial
+                        trial = x0 + a * d
+                        return problems.batch_value(P, sample, trial, meter)
+
+                    res = lsp_search(phi, ctx)
                     alpha, trials = res.alpha, res.trials
                     self._held = res.status == HELD
-                    if not self._held:  # a held search returns alpha = 0 and keeps x
-                        self.x = x0 + alpha * d
+                    if not self._held:
+                        # an accepted or exhausted search ends on its last
+                        # trial, x0 + alpha*d; a held one keeps x0
+                        self.x = trial
                     self._base_value = res.phi_alpha
 
         self._append_record(resampled, np.nan if c is None else c, gamma,

@@ -302,6 +302,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"specsum: {message}\n"
         assert not out.exists()
 
+    # a missing dataset is an I/O error (2) once the problem is built, so
+    # exit 1 shows that the refusal came first
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--method", "sgd", "--seed", "-1"], "seeds must be >= 0, got -1"),
+        (["run", "--method", "spectral-full", "--seed", "-1"], "seeds must be >= 0, got -1"),
+        (["sweep-m", "--seeds", ","], "sweep-m: --seeds is empty, so there is nothing to run"),
+        (["sweep-m", "--m-grid", ","], "sweep-m: --m-grid is empty, so there is nothing to run"),
+        (["compare", "--methods", ","], "compare: --methods is empty, so there is nothing to run"),
+    ])
+    def test_refused_before_a_missing_dataset_is_read(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "refused"
+        assert main([*argv, "--dataset", str(tmp_path / "nonexistent"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"specsum: {message}\n"
+        assert not out.exists()
+
     def test_sample_larger_than_the_problem_is_refused_after_the_build(
             self, instance, tmp_path, capsys):
         for argv, prefix in ((["run"], ""), (["sweep-m"], "sweep-m: run m=1: "),

@@ -245,6 +245,60 @@ class TestReportedLoss:
             assert abs(got - ref) <= 4 * n * np.finfo(float).eps * scale
 
 
+def one_row_quad_value(A, b, i, x):
+    # the batch formula over the one-row stack A[i:i+1]
+    r = slice(i, i + 1 or None)
+    dx = x[None, :] - b[r]
+    Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
+    return 0.5 * float(np.vdot(dx, Adx)) / 1
+
+
+def one_row_quad_gradient(A, b, i, x):
+    r = slice(i, i + 1 or None)
+    return np.einsum("ijk,ik->j", A[r], x[None, :] - b[r]) / 1
+
+
+class TestSingleRowQuadratic:
+    """A one-index quadratic call reads A_i as one 2-D matrix and keeps
+    the bytes of the batch formulas over the one-row stack, for every
+    dimension across the SIMD tails, at the first, last and a negative
+    index, and at non-finite iterates."""
+
+    N = 4
+
+    @staticmethod
+    def assert_same_bytes(A, b, i, x):
+        idx = np.array([i], dtype=np.int64)
+        with np.errstate(all="ignore"):
+            got_v, ref_v = kernels.quad_value(A, b, idx, x), one_row_quad_value(A, b, i, x)
+            got_g, ref_g = kernels.quad_gradient(A, b, idx, x), one_row_quad_gradient(A, b, i, x)
+        assert np.float64(got_v).tobytes() == np.float64(ref_v).tobytes()
+        assert got_g.dtype == ref_g.dtype and got_g.shape == ref_g.shape
+        assert got_g.tobytes() == ref_g.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 131))
+    def test_finite_iterates(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((self.N, n, n))
+        A = A + A.transpose(0, 2, 1)
+        b = rng.standard_normal((self.N, n))
+        for i in (0, 2, self.N - 1, -1, -self.N):
+            for scale in (1e-3, 1.0, 1e3):
+                self.assert_same_bytes(A, b, i, rng.standard_normal(n) * scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 17, 100, 129])
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_iterates(self, n, special):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((self.N, n, n))
+        b = rng.standard_normal((self.N, n))
+        for where in {0, n // 2, n - 1}:
+            x = rng.standard_normal(n)
+            x[where] = special
+            for i in (1, -1):
+                self.assert_same_bytes(A, b, i, x)
+
+
 def same_bits(a, b):
     """``a`` and ``b`` equal bit for bit, except for the sign of a NaN
     (``repr`` prints ``nan`` either way, so no trace can show it)."""

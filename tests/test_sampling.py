@@ -61,6 +61,19 @@ class TestUniformDraw:
         with pytest.raises(ValueError):
             uniform_draw(3, 4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 1000, 20000, 2**31 - 1, 2**32, 2**32 + 1,
+                                   2**40])
+    def test_one_index_takes_the_stream_of_choice(self, N):
+        # S=1 draws a scalar; it must keep rng.choice's array and stream
+        for seed in range(20):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                got, want = uniform_draw(N, 1, ours), ref.choice(N, size=1, replace=False)
+                assert type(got) is np.ndarray
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+            assert ours.random() == ref.random()
+
     def test_determinism(self):
         a = uniform_draw(20, 5, np.random.default_rng(7))
         b = uniform_draw(20, 5, np.random.default_rng(7))
