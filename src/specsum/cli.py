@@ -6,8 +6,9 @@ counts) and ``compare`` (one aggregate over a set of methods).  Every
 subcommand accepts ``--config FILE`` holding ``key = value`` lines with
 keys named exactly like the long flags; explicit flags override the
 file, which overrides the defaults.  Keys that name no flag of the
-subcommand are ignored, and a switch such as ``no-reuse`` is set by
-the values 1, true, yes or on.
+subcommand are ignored.  A switch such as ``no-reuse`` is set by the
+values 1, true, yes or on and left unset by 0, false, no or off, in any
+case; any other value is refused like a bad flag value.
 
 Solver and problem defaults are declared once, as the field defaults of
 :class:`~specsum.solvers.SolverConfig` and
@@ -152,6 +153,11 @@ def build_parser():
     return parser, keyed
 
 
+# a config-file switch value (any case) -> whether it sets the switch
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(parser, actions, path):
     """Make the file's values the parser's defaults: flag > file > default.
 
@@ -162,7 +168,10 @@ def _apply_config(parser, actions, path):
         if action is None:
             continue  # no flag of this subcommand names the key
         if action.nargs == 0:  # a switch such as --no-reuse
-            if raw.lower() in ("1", "true", "yes", "on"):
+            if raw.lower() not in _SWITCH_VALUES:
+                parser.error(f"{path}: {key} = {raw!r} is not one of "
+                             f"{', '.join(_SWITCH_VALUES)}")
+            if _SWITCH_VALUES[raw.lower()]:
                 action.default = action.const
         elif action.choices is not None and raw not in action.choices:
             parser.error(f"{path}: {key} = {raw!r} is not one of {', '.join(action.choices)}")

@@ -94,12 +94,10 @@ def rng_for_run(seed, stream=0):
 def _fmt(v):
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, (int, np.integer, np.bool_)):  # a bool is an int
         return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # a numpy float's repr names its type
     return str(v)
 
 

@@ -62,11 +62,18 @@ sgd
     Plain stochastic gradient with step 1/k, fresh uniform batch each
     iteration, no line search, no function evaluations.
 svrg-bb / sgd-bb / sgd-bb-smooth
-    Epoch-based baselines whose step size is the spectral ratio of
-    consecutive epoch snapshots scaled by 1/p; svrg-bb adds a
-    variance-reduction full gradient each epoch, sgd-bb replaces it
-    with a recursively averaged stochastic gradient, optionally
-    smoothing the step sizes with a running geometric mean.
+    Epoch-based baselines whose step size is the spectral ratio
+    ``bb_coefficient`` of consecutive epoch snapshots, scaled by 1/p;
+    svrg-bb adds a variance-reduction full gradient each epoch, sgd-bb
+    replaces it with a recursively averaged stochastic gradient,
+    optionally smoothing the step sizes with a running geometric mean.
+    svrg-bb takes a finite positive ratio c as c/p and sgd-bb a finite
+    nonzero one as |c|/p; any other ratio (a vanishing or non-finite
+    snapshot difference, zero curvature, or a ratio that overflows or
+    underflows) keeps the previous step size.
+
+Every spectral ratio, SLiSeS's and the epoch baselines', is
+``steplength.bb_coefficient``, looked up as this module's global.
 """
 
 import math
@@ -333,14 +340,13 @@ class SlisesDriver(_Driver):
             self._base_value = None
             alpha, trials = 1.0, 0
         else:
-            use_anchor = k == 0 or (resampled and cfg.m > 1)
-            if use_anchor:
-                c = anchor_coefficient(g)
+            if k == 0 or (resampled and cfg.m > 1):
+                c = None  # anchor: a cross-batch difference reads no curvature
             else:
                 c = bb_coefficient(self.x - self.sstate.prev_x,
                                    g - self.sstate.prev_g)
-                if c is None:
-                    c = anchor_coefficient(g)
+            if c is None:
+                c = anchor_coefficient(g)
             self.sstate.update(self.x, g)
             if c is None:
                 # stationary estimator: hold the iterate until the next redraw
@@ -425,7 +431,8 @@ class SvrgBbDriver(_EpochDriver):
 
     Each epoch (p = 2n updates by default) opens with a full gradient at
     the snapshot; from the second epoch on the step size is
-    ||dx||^2 / (dx'dg) / p over consecutive snapshots.
+    ||dx||^2 / (dx'dg) / p over consecutive snapshots, when that ratio is
+    finite and positive.
     """
 
     p_per_n = 2
@@ -435,12 +442,10 @@ class SvrgBbDriver(_EpochDriver):
         snap = self.x.copy()
         snap_g = problems.full_gradient(self.problem, snap, self.meter)
         if self._snap is not None:
-            dx = snap - self._snap
-            dg = snap_g - self._snap_g
-            denom = float(dx @ dg)
-            if np.isfinite(denom) and denom > 0.0:
-                self._eta = float(dx @ dx) / denom / self._p
-            # degenerate snapshot difference: keep the previous step size
+            c = bb_coefficient(snap - self._snap, snap_g - self._snap_g)
+            if c is not None and 0.0 < c < math.inf:
+                self._eta = c / self._p
+            # else a degenerate snapshot difference: keep the previous step size
         self._snap, self._snap_g = snap, snap_g
 
     def step(self):
@@ -459,9 +464,10 @@ class SgdBbDriver(_EpochDriver):
     Within each epoch (p = n updates by default) a recursive average of the
     stochastic gradients is accumulated with weight beta; from the
     third epoch on the step size is ||dx||^2 / |dx'dg| / p over
-    consecutive epoch starts and averaged gradients.  The smoothing
-    variant replaces each step size by the running geometric mean of
-    the de-trended sizes e * eta_e, divided by the epoch index.
+    consecutive epoch starts and averaged gradients, when that ratio is
+    finite and nonzero.  The smoothing variant replaces each step size
+    by the running geometric mean of the de-trended sizes e * eta_e,
+    divided by the epoch index.
     """
 
     def __init__(self, problem, config, rng):
@@ -482,11 +488,9 @@ class SgdBbDriver(_EpochDriver):
         if e == 1:
             self._eta = self._eta_raw = self._eta1
         elif e > 1:
-            dx = xt - self._xt_prev
-            dg = self._acc - self._ghat_prev
-            denom = abs(float(dx @ dg))
-            if np.isfinite(denom) and denom > 0.0:
-                self._eta_raw = float(dx @ dx) / denom / self._p
+            c = bb_coefficient(xt - self._xt_prev, self._acc - self._ghat_prev)
+            if c is not None and 0.0 < abs(c) < math.inf:
+                self._eta_raw = abs(c) / self._p
             # else keep the previous raw step size
             if self._smooth and self._eta_raw > 0.0:
                 self._log_sum += math.log(e * self._eta_raw)

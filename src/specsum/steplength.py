@@ -3,11 +3,14 @@
 The spectral (Barzilai-Borwein) coefficient ||s||^2 / (s'y) is computed
 from the iterate step s and gradient difference y; its inverse is a
 Rayleigh quotient of the subsampled Hessian when both gradients come
-from the same batch.  At batch-redraw iterations the solvers anchor the
-coefficient at 1/||g|| instead, since a gradient difference across
-batches carries no curvature information.  The raw coefficient is then
-clipped into [gamma_min, gamma_max] and divided by the iteration count
-(or a higher power of it) to produce the diminishing step scale.
+from the same batch.  ``bb_coefficient`` is the one implementation of
+the ratio: SLiSeS takes it over consecutive iterates, and the epoch
+baselines svrg-bb and sgd-bb over consecutive epoch snapshots.  At
+batch-redraw iterations the solvers anchor the coefficient at 1/||g||
+instead, since a gradient difference across batches carries no
+curvature information.  The raw coefficient is then clipped into
+[gamma_min, gamma_max] and divided by the iteration count (or a higher
+power of it) to produce the diminishing step scale.
 
 Degenerate measurements yield sentinels rather than exceptions:
 ``bb_coefficient`` returns ``inf`` for zero curvature (s'y == 0, which

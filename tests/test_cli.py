@@ -73,6 +73,29 @@ class TestRun:
         assert header["reuse"] == "0" and header["damping"] == "1"
         assert len(rows["k"]) == 5
 
+    @pytest.mark.parametrize("value,reuse", [("1", "0"), ("TRUE", "0"), ("Yes", "0"),
+                                             ("on", "0"), ("0", "1"), ("false", "1"),
+                                             ("No", "1"), ("OFF", "1")])
+    def test_switch_values_in_config_file(self, instance, tmp_path, capsys, value, reuse):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"no-reuse = {value}\nmaxiter = 4\n")
+        assert main(["run", "--instance", instance, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r")]) == 0
+        header, _ = read_trace(capsys.readouterr().out.strip())
+        assert header["reuse"] == reuse
+
+    @pytest.mark.parametrize("line", ["no-reuse = ture", "no-damping = of", "no-reuse ="])
+    def test_misspelled_switch_value_is_refused(self, instance, tmp_path, capsys, line):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(line + "\n")
+        out = tmp_path / "refused"
+        assert main(["run", "--instance", instance, "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+        key, _, value = line.partition("=")
+        assert f"{cfgfile}: {key.strip()} = {value.strip()!r} is not one of" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_no_damping_is_refused_by_a_method_that_ignores_it(self, tmp_path, capsys):
         # only slises reads damping; elsewhere the header said damping = 0
         # above the rows of the damped run

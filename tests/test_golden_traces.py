@@ -1,13 +1,15 @@
-"""Pinned trace bytes: five tiny CLI invocations against recorded digests.
+"""Pinned trace bytes: six tiny CLI invocations against recorded digests.
 
 Each invocation writes its traces and its aggregate into a fresh
 directory, and the SHA-256 of every file written must equal the digest
 recorded for it.  A change that claims byte-identical traces is checked
 here on an S=1 ``sweep-m``, a ``spectral-full`` run on a frozen instance,
 a logistic ``compare`` over a sparse dataset, a logistic ``compare``
-whose ``spectral-full`` run calls the full-index estimators, and a
-logistic ``compare`` whose runs hold across report chunks.  A second set of
-digests covers each trace with its ``f_full`` column cut out, and a third
+whose ``spectral-full`` run calls the full-index estimators, a
+logistic ``compare`` whose runs hold across report chunks, and a
+``compare`` of the epoch baselines over eight epochs on a frozen
+instance.  A second set of digests covers each trace with its
+``f_full`` column cut out, and a third
 with both reported columns, ``f_full`` and ``grad_norm_full``, cut out, so
 that a change to how the reported objective or gradient norm is computed,
 which moves the first sets, cannot hide a change to a cost or step column.
@@ -87,11 +89,28 @@ def _logistic_held(tmp_path):
             "--seeds", "0", "--maxiter", "64", "--S", "60", "--m", "5", "--lambda", "1e-1"]
 
 
+def _epoch_baselines(tmp_path):
+    # 8 epochs of 4 updates: svrg-bb takes the spectral ratio from its
+    # second epoch on, sgd-bb and sgd-bb-smooth from their third
+    inst = generate_instance("quadratic", 4, 12, 5, str(tmp_path / "inst.npz"))
+    return ["compare", "--instance", inst, "--methods", "svrg-bb,sgd-bb,sgd-bb-smooth",
+            "--seeds", "0,1", "--p", "4", "--maxiter", "30"]
+
+
 INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
                "logistic-compare": _logistic_compare, "logistic-full": _logistic_full,
-               "logistic-held": _logistic_held}
+               "logistic-held": _logistic_held, "epoch-baselines": _epoch_baselines}
 
 DIGESTS = {
+    "epoch-baselines": {
+        "compare.csv": "c5b3646163051a1bdd767bd537b4662b809eebebdb4bac0c78821c0058e188dc",
+        "sgd-bb-smooth_seed0.csv": "294ef7a773c359ec368812c7c0cbf5b4211f188fce161eab1e29ae2bd17d32e5",
+        "sgd-bb-smooth_seed1.csv": "8be43ba7535471e111d1db2ae1eb0bcd946182304f82738347351e683b9c13b7",
+        "sgd-bb_seed0.csv": "e85f8562ceadfa9f1eb745daa892fde095f8e4398e5134d67466c68247fd9bb4",
+        "sgd-bb_seed1.csv": "88045f504a7d3f5b8efdf17cef0e6a33dceefa32cf39bbc3a1c26cc1738e923b",
+        "svrg-bb_seed0.csv": "964f0cad72d2b75bf8bdfc554a27f352d2339576ebf2fc9e0b80198e3db873fa",
+        "svrg-bb_seed1.csv": "37175f5b258219245d8e670c8aef7335082c091936d4a2fb629b5dbd3b29fbff",
+    },
     "logistic-compare": {
         "compare.csv": "d6704194a6ffefdc2209add67f1ec23e935d6f0fbe25727292753d8de7a6def2",
         "sgd_seed0.csv": "736bae266bc202716f2d1fbabd061ee9836585e7d2200fe5125e7a1b842ead51",
@@ -126,6 +145,14 @@ DIGESTS = {
 # gradient column.  A change to how the reported objective is computed may
 # move the digests above but must leave these.
 COST_DIGESTS = {
+    "epoch-baselines": {
+        "sgd-bb-smooth_seed0.csv": "a3a3683d21be2a43586a8974c307c60cc2b366d86fac784d3f680b34131ab11b",
+        "sgd-bb-smooth_seed1.csv": "ffe92217b47ae2faa2f138b92afdf82c7f934e5db9b0c1046b23c58e123092c2",
+        "sgd-bb_seed0.csv": "4b25e045d635329b0cad127e2a76a339078c0541dd3b7ec7f32d286edbe17214",
+        "sgd-bb_seed1.csv": "a66acb88509b3c30fa853df7f75390d92be1df4d5d11b3adf352be90caa290a0",
+        "svrg-bb_seed0.csv": "44571cd5609652ddad6f598f3bf1e286757be9b84c7e058fb5cc23e1e204dca4",
+        "svrg-bb_seed1.csv": "9082cb4f27ebdceee4dded8630b2f0c9925532bceb39d965eeeeb4a48e07ef06",
+    },
     "logistic-compare": {
         "sgd_seed0.csv": "2700e703ee2178a0f7925576e0593420da74253a84fd793aa17c0e846453f029",
         "slises-ais-m3_seed0.csv": "81c0a8dc9c37b7572e1e7815d5cef7756deb51a9dafc06de6051a220fc9fd130",
@@ -156,6 +183,14 @@ COST_DIGESTS = {
 # every cost and step column.  A change to how a row is reported may move
 # both sets above but must leave these.
 STEP_DIGESTS = {
+    "epoch-baselines": {
+        "sgd-bb-smooth_seed0.csv": "c82e83eebe61bdd044e0f84fd5568191bacd60d707ee063c6d4a6ed4af5c592d",
+        "sgd-bb-smooth_seed1.csv": "7f0576a664713e151c767bed8b36849eab682501155cc0ff006b7cddda713edc",
+        "sgd-bb_seed0.csv": "6bfbdd730f44015db97309f85860bba911d9e1b8ca199096ea96fd3635983470",
+        "sgd-bb_seed1.csv": "3f34c724b6ffd6fae5b499d353b2199a6ff30fb9d85c9140c283460c1f6bac08",
+        "svrg-bb_seed0.csv": "44139f5c0215ca9a9d302b2feaa5c9c33f32f925e2026a63215f2f868018a80d",
+        "svrg-bb_seed1.csv": "b623c5e4889ce6045f5d1888204b64a8c0b32abe1f99478e9d7604af6e499a88",
+    },
     "logistic-compare": {
         "sgd_seed0.csv": "3152334cd056dcf61ddf433d24b31d23dd61867924e4475dbb3c68304646db7a",
         "slises-ais-m3_seed0.csv": "aef690bc0573525d54a27efe42f7158b7586aee0a75d87dad05a009c33d45a35",

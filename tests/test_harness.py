@@ -55,6 +55,15 @@ class TestTraceRoundTrip:
             assert rows["gamma_k"][j] == rec.gamma or (
                 np.isnan(rows["gamma_k"][j]) and np.isnan(rec.gamma))
 
+    def test_numpy_float_fields_are_written_as_floats(self, tiny_problem, tmp_path):
+        # a numpy float's repr is np.float64(0.0001), which read back as text
+        cfg = SolverConfig(eta=np.float64(1e-4), gamma_min=np.float32(0.5), maxiter=3)
+        path, _ = run_single(tiny_problem, cfg, seed=0, out_dir=str(tmp_path))
+        header, _ = read_trace(path)
+        assert header["eta"] == "0.0001"
+        assert header["gamma_min"] == repr(float(np.float32(0.5))) == "0.5"
+        assert _fmt(np.float64(1e-4)) == _fmt(1e-4)
+
     def test_rerun_byte_identical(self, tiny_problem, tmp_path):
         cfg = SolverConfig(method="slises", sampler="ais", maxiter=7)
         p1, _ = run_single(tiny_problem, cfg, seed=5, out_dir=str(tmp_path / "a"))

@@ -380,6 +380,61 @@ class TestBbBaselines:
         assert g_plain[6:] != g_smooth[6:]
 
 
+def epoch_steps(monkeypatch, method, c, p=2, maxiter=8):
+    """The step of each update of an epoch baseline whose every spectral
+    ratio is ``c``, and the number of ratios the run took."""
+    calls = []
+
+    def fixed(s, y):
+        calls.append((s, y))
+        return c
+
+    monkeypatch.setattr(solvers, "bb_coefficient", fixed)
+    P = generate_quadratic(3, 8, np.random.default_rng(16))
+    cfg = SolverConfig(method=method, p=p, maxiter=maxiter, seed=5, eta0=0.01, eta1=0.02)
+    return [r.gamma for r in run_solver(P, cfg).records[1:]], len(calls)
+
+
+DEGENERATE_RATIOS = [None, np.inf, -np.inf, 0.0, np.nan]
+
+
+class TestEpochRatioRule:
+    """svrg-bb takes c/p for a finite positive ratio c, sgd-bb |c|/p for a
+    finite nonzero one; any other ratio keeps the previous step."""
+
+    @pytest.mark.parametrize("c", DEGENERATE_RATIOS + [-0.05])
+    def test_svrg_keeps_its_step(self, monkeypatch, c):
+        # epochs open at k = 0, 2, 4, 6; the last three take a ratio
+        gammas, calls = epoch_steps(monkeypatch, "svrg-bb", c)
+        assert calls == 3
+        assert gammas == [0.01] * 8
+
+    def test_svrg_takes_a_positive_ratio(self, monkeypatch):
+        gammas, _ = epoch_steps(monkeypatch, "svrg-bb", 0.05)
+        assert gammas == [0.01] * 2 + [0.05 / 2] * 6
+
+    @pytest.mark.parametrize("c", DEGENERATE_RATIOS)
+    def test_sgd_bb_keeps_its_step(self, monkeypatch, c):
+        # eta0 in epoch 0, eta1 in epoch 1; epochs 2 and 3 take a ratio
+        gammas, calls = epoch_steps(monkeypatch, "sgd-bb", c)
+        assert calls == 2
+        assert gammas == [0.01] * 2 + [0.02] * 6
+
+    @pytest.mark.parametrize("c", [0.05, -0.05])
+    def test_sgd_bb_takes_the_ratio_magnitude(self, monkeypatch, c):
+        gammas, _ = epoch_steps(monkeypatch, "sgd-bb", c)
+        assert gammas == [0.01] * 2 + [0.02] * 2 + [0.05 / 2] * 4
+
+    @pytest.mark.parametrize("c", DEGENERATE_RATIOS)
+    def test_smoothing_averages_the_kept_step(self, monkeypatch, c):
+        # the raw step stays eta1, so epoch e takes the geometric mean of
+        # 2*eta1 .. e*eta1, divided by e
+        gammas, _ = epoch_steps(monkeypatch, "sgd-bb-smooth", c)
+        assert gammas[:4] == [0.01] * 2 + [0.02] * 2
+        assert gammas[4:6] == [pytest.approx(0.02, rel=1e-15)] * 2
+        assert gammas[6:] == [pytest.approx(0.02 * np.sqrt(6) / 3, rel=1e-15)] * 2
+
+
 class TestMeterOracle:
     @pytest.mark.parametrize("method,reuse", [("slises", True), ("slises", False),
                                               ("slises-modified", True),
