@@ -68,6 +68,13 @@ class ExperimentSpec:
     out_dir: str = "runs"
     aggregation: str = "median"
 
+    def __post_init__(self):
+        # a frozen instance, a dataset or a generated (n, N) quadratic: one only
+        flags = [f"--{name}" for name in ("instance", "dataset", "n", "N")
+                 if getattr(self, name) is not None]
+        if len(flags) > 1 and flags != ["--n", "--N"]:
+            raise ValueError(f"give one problem source, not {' and '.join(flags)}")
+
     def build_problem(self):
         if self.instance:
             return load_instance(self.instance)

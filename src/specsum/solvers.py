@@ -54,6 +54,8 @@ slises-modified
     Variant with measurable step sizes at redraw iterations: there the
     scale is exactly 1/k and the unit step is taken without any search;
     in between, the spectral coefficient is damped by 1/k**(1+delta).
+    An unsearched unit step, this one or a step whose slope predicts no
+    decrease, keeps the iterate's array when its direction is zero.
 spectral-full
     Deterministic full-batch spectral method with the same line search
     and no damping (clip only); it never redraws, so once its search
@@ -323,48 +325,38 @@ class SlisesDriver(_Driver):
             self.sample = self._draw(k)
             self._base_value = None
             self._held = False
-        if self._held:
-            # the same point and batch would only measure the same rounding noise
-            self._append_record(False, np.nan, np.nan, 0.0, 0, self.sample)
-            self.k += 1
-            return
-
-        g = problems.batch_gradient(P, self.sample, self.x, self.meter)
-
-        if self._unit_redraw_steps and resampled:
-            # measurable scale, unit step, no search
-            gamma = 1.0 / max(k, 1)
-            c = np.nan
-            self.sstate.update(self.x, g)
-            self.x = self.x - gamma * g
-            self._base_value = None
-            alpha, trials = 1.0, 0
-        else:
-            if k == 0 or (resampled and cfg.m > 1):
-                c = None  # anchor: a cross-batch difference reads no curvature
+        unit = self._unit_redraw_steps and resampled
+        c = gamma = np.nan
+        alpha, trials = 0.0, 0
+        # a held iterate takes no gradient and no step: the same point and
+        # batch would only measure the same rounding noise
+        if not self._held:
+            g = problems.batch_gradient(P, self.sample, self.x, self.meter)
+            if unit:
+                gamma = 1.0 / max(k, 1)  # measurable scale, unit step, no search
+            elif k == 0 or (resampled and cfg.m > 1):
+                c = anchor_coefficient(g)  # a cross-batch difference reads no curvature
             else:
-                c = bb_coefficient(self.x - self.sstate.prev_x,
-                                   g - self.sstate.prev_g)
-            if c is None:
-                c = anchor_coefficient(g)
+                c = bb_coefficient(self.x - self.sstate.prev_x, g - self.sstate.prev_g)
+                if c is None:
+                    c = anchor_coefficient(g)
             self.sstate.update(self.x, g)
             if c is None:
                 # stationary estimator: hold the iterate until the next redraw
-                gamma, alpha, trials = np.nan, 0.0, 0
-                self._held = True
+                c, self._held = np.nan, True
             else:
-                gamma = damp(c, k, self.policy)
+                gamma = gamma if unit else damp(c, k, self.policy)
                 d = -gamma * g
-                dm = float(g @ d)
-                if dm >= 0.0:
-                    alpha, trials = 1.0, 0
+                if unit or (dm := float(g @ d)) >= 0.0:
+                    # no search: the unit step, which keeps the iterate's
+                    # array when it would not move it
+                    alpha = 1.0
                     if np.any(d):
                         self.x = self.x + d
                         self._base_value = None
                 else:
-                    if cfg.reuse and self._base_value is not None:
-                        phi0 = self._base_value
-                    else:
+                    phi0 = self._base_value if cfg.reuse else None
+                    if phi0 is None:
                         phi0 = problems.batch_value(P, self.sample, self.x, self.meter)
                     ctx = ArmijoContext(phi0=phi0, dm=dm, eta=cfg.eta, t=0.5 ** k)
                     x0, sample, meter = self.x, self.sample, self.meter
@@ -383,9 +375,7 @@ class SlisesDriver(_Driver):
                         # trial, x0 + alpha*d; a held one keeps x0
                         self.x = trial
                     self._base_value = res.phi_alpha
-
-        self._append_record(resampled, np.nan if c is None else c, gamma,
-                            alpha, trials, self.sample)
+        self._append_record(resampled, c, gamma, alpha, trials, self.sample)
         self.k += 1
 
 

@@ -341,6 +341,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"specsum: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep-m"], ["compare", "--methods", "sgd"]])
+    @pytest.mark.parametrize("source, config, flags", [
+        (["--instance", "never.npz", "--dataset", "never.txt"], "",
+         "--instance and --dataset"),
+        (["--dataset", "never.txt", "--n", "3", "--N", "8"], "", "--dataset and --n and --N"),
+        (["--N", "8"], "instance = never.npz\n", "--instance and --N"),
+    ], ids=["instance-dataset", "dataset-generated", "config-instance-N"])
+    def test_ambiguous_problem_source_is_refused(self, monkeypatch, tmp_path, capsys,
+                                                 command, source, config, flags):
+        # the named files do not exist, so exit 1 shows that none was opened
+        def build_problem(spec):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(ExperimentSpec, "build_problem", build_problem)
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "source.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "refused"
+        assert main([*command, *source, "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"specsum: give one problem source, not {flags}\n"
+        assert not out.exists()
+
     def test_sample_larger_than_the_problem_is_refused_after_the_build(
             self, instance, tmp_path, capsys):
         for argv, prefix in ((["run"], ""), (["sweep-m"], "sweep-m: run m=1: "),
@@ -373,6 +395,36 @@ class TestExitCodes:
         wide = tmp_path / "wide.txt"  # no feature matrix is that wide
         wide.write_text("1 9223372036854775808:1\n")
         assert main(["run", "--dataset", str(wide), "--out", str(tmp_path)]) == 2
+
+    def test_failed_rename_leaves_the_target_and_no_temp_file(self, instance, tmp_path):
+        # a directory holds the trace's name, so the rename over it fails
+        out = tmp_path / "runs"
+        target = out / "slises-uni-m3_seed0.csv"
+        target.mkdir(parents=True)
+        (target / "kept.txt").write_text("kept\n")
+        assert main(["run", "--instance", instance, "--maxiter", "3",
+                     "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == [target.name]
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept\n"
+
+    def test_module_entry_point_passes_the_exit_code(self, instance, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# a comment, then a blank line\n\ninstance = {instance}\n"
+                           "maxiter = 4\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "specsum", "run", "--config", str(cfgfile),
+                "--out", str(tmp_path / "r")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_trace(proc.stdout.strip())
+        assert len(rows["k"]) == 5
+        proc = subprocess.run([*argv, "--seed", "-1"], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "specsum: seeds must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("text", ["1 1:nan 2:1.0\n0 1:1.0\n", "1,nan,1.0\n0,1.0,2.0\n"])
     def test_nonfinite_dataset_is_an_io_error(self, tmp_path, text):

@@ -298,6 +298,80 @@ def test_held_rows_report_the_row_that_reached_their_iterate(build, method):
     assert sum(reported) == len(tr.records) - held
 
 
+def count_reports(P):
+    """Make ``P.report`` note the size of each stack it reports; returns the notes."""
+    reported, report = [], P.report
+
+    def counting_report(X):
+        reported.append(len(X))
+        return report(X)
+
+    P.report = counting_report
+    return reported
+
+
+def test_held_row_after_a_flushed_chunk_takes_its_source_report(monkeypatch):
+    # the 16th queued row (k=14) flushes the queue; the search at k=15 holds,
+    # so that row and every later one find the queue empty and copy the
+    # report of the row before them, which no report is made for again
+    searches, search = [], solvers.lsp_search
+
+    def lsp(phi, ctx):
+        searches.append(ctx)
+        if len(searches) == solvers.REPORT_CHUNK:
+            return LspResult(0.0, 1, HELD, ctx.phi0)
+        return search(phi, ctx)
+
+    monkeypatch.setattr(solvers, "lsp_search", lsp)
+    P = sparse_logistic(100, 10, 3, 1e-2)
+    reported = count_reports(P)
+    tr = run_solver(P, SolverConfig(method="spectral-full", maxiter=20, seed=0))
+    source, held = tr.records[solvers.REPORT_CHUNK - 1], tr.records[solvers.REPORT_CHUNK:]
+    assert all(r.alpha > 0.0 for r in tr.records[1:solvers.REPORT_CHUNK])
+    assert reported == [solvers.REPORT_CHUNK]
+    assert held[0].k == solvers.REPORT_CHUNK - 1 and len(searches) == solvers.REPORT_CHUNK
+    for rec in held:
+        assert rec.alpha == 0.0
+        assert (rec.f_full.hex(), rec.grad_norm_full.hex()) == (
+            source.f_full.hex(), source.grad_norm_full.hex())
+
+
+def test_unsearched_step_moves_when_the_predicted_decrease_underflows(monkeypatch):
+    # g = 1e-5 and a subnormal scale: d = -gamma*g is nonzero, but g'd
+    # underflows to -0, so the step is the unit one, with no search
+    gamma = 1e-315
+    monkeypatch.setattr(solvers, "damp", lambda c, k, policy: gamma)
+    P = one_dim_problem(-1e-5)
+    tr = run_solver(P, SolverConfig(method="slises", m=3, S=1, maxiter=1, seed=0))
+    rec = tr.records[1]
+    d = -gamma * 1e-5
+    assert d != 0.0 and 1e-5 * d == 0.0
+    assert (rec.gamma, rec.alpha, rec.lsp_trials, rec.cum_evals) == (gamma, 1.0, 0, 0)
+    assert rec.c == 1.0 / 1e-5
+    assert tr.final_x.tolist() == [d]
+
+
+def test_modified_redraw_on_a_zero_gradient_keeps_the_iterate():
+    # both components are 0.5*(x+1)^2: the unit redraw step at k=0 lands on
+    # the minimizer and k=1 takes the zero step; the redraw at k=2 measures a
+    # zero gradient, so its unit step would not move, and the iterate keeps
+    # its array: that row takes the previous report and is not reported again
+    P = QuadraticProblem(np.ones((2, 1, 1)), np.array([[-1.0], [-1.0]]))
+    reported = count_reports(P)
+    drv = make_solver(P, SolverConfig(method="slises-modified", m=2, S=1, maxiter=3, seed=0))
+    drv.step()
+    drv.step()
+    x = drv.x
+    drv.step()
+    drv._report()
+    k1, k2 = drv.records[2:]
+    assert drv.x is x and x.tolist() == [-1.0]
+    assert k2.resampled and (k2.gamma, k2.alpha, k2.lsp_trials) == (0.5, 1.0, 0)
+    assert np.isnan(k2.c)
+    assert (k2.f_full, k2.grad_norm_full) == (k1.f_full, k1.grad_norm_full) == (0.0, 0.0)
+    assert sum(reported) == 2  # x0 and the minimizer
+
+
 @pytest.mark.parametrize("method,damping,exponent", [
     ("slises", True, 1.0), ("slises", False, 0.0), ("spectral-full", True, 0.0),
     ("slises-modified", True, 1.25), ("slises-modified", False, 1.25)])
