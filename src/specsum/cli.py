@@ -16,11 +16,19 @@ Solver and problem defaults are declared once, as the field defaults of
 or ``compare`` that is neither given nor in the file leaves its field
 at that default.
 
+Each method reads only some :class:`~specsum.solvers.SolverConfig`
+fields, declared once beside its driver.  ``run`` and ``sweep-m`` refuse
+a value, given by a flag or the config file, for a field the method does
+not read, after the value checks; ``sweep-m`` sets ``m`` from its grid,
+so it takes no ``--m`` and refuses a method that does not read ``m``.
+``compare`` passes its flags to every method, and a ``-nodamp`` token
+suffix only to a method that reads ``damping``.
+
 ``run``, ``sweep-m`` and ``compare`` refuse a usage error that does
 not need the problem (an unknown method token, a parameter out of
-range, a repeated run) before they build the problem, so before a
-dataset is parsed; only the checks against its component count N
-(S <= N) wait for it.
+range, a value for a field the method does not read, a repeated run)
+before they build the problem, so before a dataset is parsed; only the
+checks against its component count N (S <= N) wait for it.
 
 Exit codes: 0 success, 1 usage/configuration error (a repeated run
 included), 2 I/O error (malformed, non-finite or overflowing dataset
@@ -38,7 +46,7 @@ import numpy as np
 
 from . import harness
 from .problems import DatasetFormatError
-from .solvers import SAMPLERS, SolverConfig
+from .solvers import METHODS, SAMPLERS, SolverConfig, methods_reading
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,6 +114,8 @@ _SOLVER_FLAGS = (
                       "help": "clip the coefficient but skip the 1/k division"}),
 )
 
+_SEED_FLAG = ("--seed", {"type": int})
+
 _OUT_DIR_FLAG = ("--out", {"dest": "out_dir", "metavar": "DIR", "help": "output directory"})
 
 _AGGREGATE_FLAGS = (
@@ -125,10 +135,12 @@ _SUBCOMMANDS = {
         ("--out", {"help": "output .npz path"}),
     )),
     "run": ("one solver run, one trace CSV", _PROBLEM_FLAGS + _SOLVER_FLAGS + (
-        ("--seed", {"type": int}),
+        _SEED_FLAG,
         _OUT_DIR_FLAG,
     )),
-    "sweep-m": ("aggregate over a grid of m values", _PROBLEM_FLAGS + _SOLVER_FLAGS + (
+    # the grid sets m, so sweep-m takes no --m
+    "sweep-m": ("aggregate over a grid of m values", _PROBLEM_FLAGS + tuple(
+        flag for flag in _SOLVER_FLAGS if flag[0] != "--m") + (
         ("--m-grid", {"type": _int_list, "default": "1,3,5,10",
                       "help": "comma-separated m values"}),
     ) + _AGGREGATE_FLAGS),
@@ -185,41 +197,47 @@ def _from_flags(cls, args):
     return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
-_METHOD_TOKENS = {  # compare token -> (method, sampler; None keeps --sampler)
+# the flag of each SolverConfig field but the method: a field whose method
+# does not read it may not be given to run or sweep-m
+_FIELD_FLAGS = {kw.get("dest", flag[2:].replace("-", "_")): flag
+                for flag, kw in _SOLVER_FLAGS + (_SEED_FLAG,) if flag != "--method"}
+
+
+def _refuse_unread(method, given):
+    """Refuse each (field, flag) pair of ``given`` whose field ``method``
+    does not read."""
+    for name, flag in given:
+        readers = methods_reading(name)
+        if method not in readers:
+            raise ValueError(f"{flag} applies only to {', '.join(readers)}, "
+                             f"not to method {method!r}")
+
+
+def _given(args):
+    """(field, flag) of each solver field given by a flag or the config file."""
+    return [(name, flag) for name, flag in _FIELD_FLAGS.items() if name in args]
+
+
+_METHOD_TOKENS = {  # compare alias -> (method, sampler; None keeps --sampler)
     "slises-ais": ("slises", "ais"),
     "slises-uni": ("slises", "uniform"),
     "slises-uniform": ("slises", "uniform"),
-    "slises": ("slises", None),
-    "slises-modified": ("slises-modified", None),
     "slises-mod": ("slises-modified", None),
-    "spectral-full": ("spectral-full", None),
-    "sgd": ("sgd", "uniform"),
-    "svrg-bb": ("svrg-bb", "uniform"),
-    "sgd-bb": ("sgd-bb", "uniform"),
-    "sgd-bb-smooth": ("sgd-bb-smooth", "uniform"),
 }
 
 
-def _solver_config(args):
-    """The solver config of ``run`` or ``sweep-m``; only slises reads
-    ``--no-damping``."""
-    cfg = _from_flags(SolverConfig, args)
-    if not cfg.damping and cfg.method != "slises":
-        raise ValueError(f"--no-damping applies only to slises, not to method {cfg.method!r}")
-    return cfg
-
-
 def _method_config(token, base):
-    """Translate a compare token into a solver config; only slises tokens
-    read ``-nodamp`` and the shared ``--no-damping``."""
+    """Translate a compare token, a method or an alias with an optional
+    ``-nodamp`` suffix, into a solver config."""
     core = token.removesuffix("-nodamp")
-    if core not in _METHOD_TOKENS:
+    method, sampler = _METHOD_TOKENS.get(core, (core, None))
+    if method not in METHODS:
         raise ValueError(f"unknown method token {token!r}")
-    method, sampler = _METHOD_TOKENS[core]
-    if core != token and method != "slises":
-        raise ValueError(f"method token {token!r}: -nodamp applies only to slises tokens")
+    if core != token and method not in methods_reading("damping"):
+        raise ValueError(f"method token {token!r}: -nodamp applies only to "
+                         f"{', '.join(methods_reading('damping'))} tokens")
     return replace(base, method=method, sampler=sampler or base.sampler,
-                   damping=method != "slises" or (base.damping and core == token))
+                   damping=base.damping and core == token)
 
 
 def cmd_generate(args):
@@ -231,8 +249,9 @@ def cmd_generate(args):
 
 def cmd_run(args):
     spec = _from_flags(harness.ExperimentSpec, args)
-    cfg = _solver_config(args)
+    cfg = _from_flags(SolverConfig, args)
     cfg.validate()
+    _refuse_unread(cfg.method, _given(args))
     problem = spec.build_problem()
     path, _ = harness.run_single(problem, cfg, cfg.seed, spec.out_dir)
     print(path)
@@ -241,8 +260,9 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     spec = _from_flags(harness.ExperimentSpec, args)
-    base = _solver_config(args)
+    base = _from_flags(SolverConfig, args)
     harness.check_grid("sweep-m", harness.sweep_configs(base, args.m_grid), args.seeds)
+    _refuse_unread(base.method, [("m", "--m-grid"), *_given(args)])
     problem = spec.build_problem()
     _, agg = harness.sweep_m(problem, base, args.m_grid,
                              args.seeds, spec.out_dir, how=spec.aggregation)

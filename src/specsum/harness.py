@@ -10,8 +10,10 @@ by carrying its last value forward, and the per-seed curves are reduced
 by median (default) or mean.
 
 A run whose reported objective turns non-finite writes that row (the
-float's own 'inf'/'nan' text acts as the sentinel) and the curve stops
-there; other runs in the batch are unaffected.
+float's own 'inf'/'nan' text acts as the sentinel) and its trace and
+curve end there; the aggregate carries the sentinel forward from its
+evaluation count, so a median or mean over seeds never shows a diverged
+run as a finite plateau.  Other runs in the batch are unaffected.
 
 ``sweep_m`` and ``compare_methods`` run one protocol and differ only in
 their configs and the experiment they name.  Before the first run every
@@ -83,8 +85,9 @@ class ExperimentSpec:
             return logistic_problem(records, self.lam)
         if not self.n or not self.N:
             raise ValueError("generated problems need both n and N")
-        return generate_quadratic(self.n, self.N,
-                                  np.random.default_rng(self.problem_seed))
+        problem = generate_quadratic(self.n, self.N, np.random.default_rng(self.problem_seed))
+        problem.label += f"-seed{self.problem_seed}"  # the label of its frozen twin
+        return problem
 
 
 def rng_for_run(seed, stream=0):
@@ -181,12 +184,13 @@ def run_single(problem, config, seed, out_dir, stream=0):
 
 
 def trace_curve(trace):
-    """(cum_evals, f_full) pairs of a run, cut at the first non-finite f."""
+    """(cum_evals, f_full) pairs of a run, ending at its sentinel row, the
+    first non-finite f, as the written trace does."""
     evals = np.array([r.cum_evals for r in trace.records], dtype=np.float64)
     f = np.array([r.f_full for r in trace.records], dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
-        evals, f = evals[: bad[0]], f[: bad[0]]
+        evals, f = evals[: bad[0] + 1], f[: bad[0] + 1]
     return evals, f
 
 

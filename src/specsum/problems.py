@@ -330,7 +330,7 @@ def logistic_problem(data, lam=1e-4):
     if data.N < 1:
         raise ValueError("dataset is empty")
     return LogisticProblem(data.features, data.labels, lam,
-                           label=f"logistic-n{data.n}-N{data.N}")
+                           label=f"logistic-n{data.n}-N{data.N}-lam{float(lam)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,13 @@ class _Driver:
             self._queued = 0
 
     def header(self):
+        """The method, its label and the config fields it reads, in field
+        order, then the problem's lines."""
         cfg, P = self.config, self.problem
-        params = asdict(cfg)  # field order is the header's key order
-        del params["method"], params["label"]
+        reads = _DRIVERS[cfg.method][1]
         return {
-            "method": cfg.method, "label": cfg.display_label(), **params,
+            "method": cfg.method, "label": cfg.display_label(),
+            **{name: value for name, value in asdict(cfg).items() if name in reads},
             "problem": P.label, "N": P.N, "n": P.n,
             "lipschitz": P.lipschitz, "backend": BACKEND,
         }
@@ -501,15 +503,26 @@ class SgdBbDriver(_EpochDriver):
         self.k += 1
 
 
+# method -> (driver, the SolverConfig fields it reads): a trace header
+# writes only these, and the CLI refuses a value given for any other
 _DRIVERS = {
-    "slises": SlisesDriver,
-    "slises-modified": SlisesDriver,
-    "spectral-full": SlisesDriver,
-    "sgd": SgdDriver,
-    "svrg-bb": SvrgBbDriver,
-    "sgd-bb": SgdBbDriver,
-    "sgd-bb-smooth": SgdBbDriver,
+    "slises": (SlisesDriver, ("m", "S", "eta", "gamma_min", "gamma_max", "maxiter",
+                              "sampler", "eps", "seed", "reuse", "damping")),
+    "slises-modified": (SlisesDriver, ("m", "S", "eta", "gamma_min", "gamma_max", "delta",
+                                       "maxiter", "sampler", "eps", "seed", "reuse")),
+    "spectral-full": (SlisesDriver, ("eta", "gamma_min", "gamma_max", "maxiter", "reuse")),
+    "sgd": (SgdDriver, ("S", "maxiter", "seed")),
+    "svrg-bb": (SvrgBbDriver, ("S", "maxiter", "seed", "eta0", "p")),
+    "sgd-bb": (SgdBbDriver, ("S", "maxiter", "seed", "eta0", "eta1", "beta", "p")),
+    "sgd-bb-smooth": (SgdBbDriver, ("S", "maxiter", "seed", "eta0", "eta1", "beta", "p")),
 }
+
+METHODS = tuple(_DRIVERS)
+
+
+def methods_reading(name):
+    """The methods whose driver reads the :class:`SolverConfig` field ``name``."""
+    return [method for method, (_, reads) in _DRIVERS.items() if name in reads]
 
 
 def make_solver(problem, config, rng=None):
@@ -523,7 +536,7 @@ def make_solver(problem, config, rng=None):
     if rng is None:
         seed = config.seed
         rng = lambda: np.random.default_rng(seed)  # noqa: E731
-    return _DRIVERS[config.method](problem, config, rng)
+    return _DRIVERS[config.method][0](problem, config, rng)
 
 
 def run_solver(problem, config, rng=None):

@@ -251,6 +251,26 @@ class TestSweepAndCompare:
         assert np.all(np.isfinite(rows["f_full"][:-1]))
         assert os.path.exists(out / "sgd_seed0.csv")
 
+    def test_diverged_run_carries_its_sentinel_in_the_aggregate(self, tmp_path, capsys):
+        # the stiff instance above; the aggregate held the last finite value,
+        # 3.1e302, from the sentinel's cost to the end of the grid
+        P = generate_quadratic(5, 20, np.random.default_rng(0))
+        stiff = str(tmp_path / "stiff.npz")
+        np.savez(stiff, A=P.A * 1e3, b=P.b, lipschitz=P.lipschitz * 1e3, seed=0)
+        out = tmp_path / "c"
+        with np.errstate(all="ignore"):
+            assert main(["compare", "--instance", stiff, "--methods",
+                         "slises-modified,slises-uni", "--sampler", "ais", "--m", "2",
+                         "--seeds", "0", "--out", str(out)]) == 0
+        _, agg = read_trace(capsys.readouterr().out.strip())
+        _, rows = read_trace(str(out / "slises-mod-m2-d0.1_seed0.csv"))
+        assert rows["f_full"][-1] == np.inf
+        after = agg["cum_evals"] >= rows["cum_evals"][-1]
+        column = agg["slises-mod-m2-d0.1"]
+        assert after.any() and np.all(column[after] == np.inf)
+        assert np.all(np.isfinite(column[~after]))
+        assert np.all(np.isfinite(agg["slises-uni-m2"]))
+
     def test_shared_no_damping_reaches_only_slises(self, instance, tmp_path, capsys):
         out = tmp_path / "c"
         assert main(["compare", "--instance", instance, "--methods", "slises-uni,spectral-full",
@@ -258,7 +278,7 @@ class TestSweepAndCompare:
         _, rows = read_trace(capsys.readouterr().out.strip())
         assert set(rows) == {"cum_evals", "slises-uni-m3-nodamp", "spectral-full"}
         header, _ = read_trace(str(out / "spectral-full_seed0.csv"))
-        assert header["damping"] == "1"
+        assert "damping" not in header  # spectral-full does not read it
 
     def test_nodamp_token(self, instance, tmp_path, capsys):
         rc = main(["compare", "--instance", instance,
@@ -324,6 +344,55 @@ class TestExitCodes:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"specsum: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["run", "--method", "sgd", "--sampler", "ais", "--m", "7"], "",
+         "--m applies only to slises, slises-modified, not to method 'sgd'"),
+        (["run", "--method", "sgd"], "sampler = ais\n",
+         "--sampler applies only to slises, slises-modified, not to method 'sgd'"),
+        (["run", "--method", "slises"], "delta = 0.5\n",
+         "--delta applies only to slises-modified, not to method 'slises'"),
+        (["run", "--method", "spectral-full", "--seed", "3"], "",
+         "--seed applies only to slises, slises-modified, sgd, svrg-bb, sgd-bb, "
+         "sgd-bb-smooth, not to method 'spectral-full'"),
+        (["run", "--method", "svrg-bb", "--beta", "0.5"], "",
+         "--beta applies only to sgd-bb, sgd-bb-smooth, not to method 'svrg-bb'"),
+        (["run", "--method", "sgd", "--eta", "2"], "", "eta must be in (0, 1)"),
+        (["sweep-m", "--method", "sgd"], "",
+         "--m-grid applies only to slises, slises-modified, not to method 'sgd'"),
+        (["sweep-m", "--method", "sgd", "--m-grid", "1,3"], "m = 9\n",
+         "--m-grid applies only to slises, slises-modified, not to method 'sgd'"),
+        (["sweep-m", "--eta0", "0.1"], "",
+         "--eta0 applies only to svrg-bb, sgd-bb, sgd-bb-smooth, not to method 'slises'"),
+    ], ids=["run-m", "run-file-sampler", "run-file-delta", "run-seed", "run-beta",
+            "value-checks-first", "sweep-method", "sweep-file-m", "sweep-eta0"])
+    def test_a_value_the_method_does_not_read_is_refused(self, monkeypatch, tmp_path, capsys,
+                                                         argv, config, message):
+        def build_problem(spec):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(ExperimentSpec, "build_problem", build_problem)
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "refused"
+        assert main([*argv, "--dataset", str(tmp_path / "never-read.txt"),
+                     "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"specsum: {message}\n"
+        assert not out.exists()
+
+    def test_sweep_m_takes_m_from_its_grid_only(self, instance, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep-m", "--instance", instance, "--m", "5",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("m = 5\n")  # names no flag of sweep-m, so it is ignored
+        assert main(["sweep-m", "--instance", instance, "--m-grid", "1,2", "--maxiter", "4",
+                     "--config", str(cfgfile), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for m in (1, 2):
+            header, _ = read_trace(str(out / f"m={m}_seed0.csv"))
+            assert header["m"] == str(m)
 
     # a missing dataset is an I/O error (2) once the problem is built, so
     # exit 1 shows that the refusal came first

@@ -23,12 +23,14 @@ on any other the test skips and says which one differs.
 import hashlib
 import os
 import platform
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from specsum.cli import main
-from specsum.harness import generate_instance
+from specsum.cli import _from_flags, build_parser, main
+from specsum.harness import ExperimentSpec, generate_instance, read_trace, run_single
+from specsum.solvers import SolverConfig
 
 PINNED = {"numpy": "2.4.6", "blas": "scipy-openblas", "machine": "x86_64"}
 
@@ -104,39 +106,39 @@ INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
 DIGESTS = {
     "epoch-baselines": {
         "compare.csv": "c5b3646163051a1bdd767bd537b4662b809eebebdb4bac0c78821c0058e188dc",
-        "sgd-bb-smooth_seed0.csv": "294ef7a773c359ec368812c7c0cbf5b4211f188fce161eab1e29ae2bd17d32e5",
-        "sgd-bb-smooth_seed1.csv": "8be43ba7535471e111d1db2ae1eb0bcd946182304f82738347351e683b9c13b7",
-        "sgd-bb_seed0.csv": "e85f8562ceadfa9f1eb745daa892fde095f8e4398e5134d67466c68247fd9bb4",
-        "sgd-bb_seed1.csv": "88045f504a7d3f5b8efdf17cef0e6a33dceefa32cf39bbc3a1c26cc1738e923b",
-        "svrg-bb_seed0.csv": "964f0cad72d2b75bf8bdfc554a27f352d2339576ebf2fc9e0b80198e3db873fa",
-        "svrg-bb_seed1.csv": "37175f5b258219245d8e670c8aef7335082c091936d4a2fb629b5dbd3b29fbff",
+        "sgd-bb-smooth_seed0.csv": "382fac721f0783d474df47c3539a9971c1c8c68830ef06a0f3439fa35e7c3a77",
+        "sgd-bb-smooth_seed1.csv": "078a4855615d07f56fb4ae4cc441a6aaacb154c587a9f078b767d699f056bf8a",
+        "sgd-bb_seed0.csv": "84b64cf2fe90cc42bb1d523a2652871bbd51e5197c483f0e77be0fd86328bf91",
+        "sgd-bb_seed1.csv": "1c4de27f29d9e10dc21011e15b5b0da782d22985f1c57ed9cde521fc09bd2848",
+        "svrg-bb_seed0.csv": "cbc0ffb43e0197e0830ee3dc16588e09c8fa84b188fb065edd7613c113eb8fe1",
+        "svrg-bb_seed1.csv": "d17a78c05d0dfee4abe7582ad3f76df98909e6f39b79b918a5b28df425b0b42c",
     },
     "logistic-compare": {
-        "compare.csv": "d6704194a6ffefdc2209add67f1ec23e935d6f0fbe25727292753d8de7a6def2",
-        "sgd_seed0.csv": "736bae266bc202716f2d1fbabd061ee9836585e7d2200fe5125e7a1b842ead51",
-        "slises-ais-m3_seed0.csv": "0271204fd0816d53ac2663154ecf5ea1ccdda320ec8299ced4d0d449127abba9",
-        "slises-uni-m3_seed0.csv": "0a2d69945e966f6d41949b46b76dd368c80e9f1d907bdd32711b3679d0aacaf5",
-        "svrg-bb_seed0.csv": "4ed291d0af3d4ae98e1becfc4d1a83d46409f1b721107964fb116fcff0e578c2",
+        "compare.csv": "dcc1f03e92be78e61b421ac7592124056c3e9512c13ae97669fd1ae673f2a1e2",
+        "sgd_seed0.csv": "818fbeddfc1b207429ea8b8ca38b99cc6f215fa96932b3adbf0c2cd6751b3691",
+        "slises-ais-m3_seed0.csv": "fb90718ff712ad30778389ed9c01b78dd35525db7586149ed1fd8f0dbb9bc63d",
+        "slises-uni-m3_seed0.csv": "945ede1642a89a3a74549f9f6efadda55d8159d376791c11130003781a796383",
+        "svrg-bb_seed0.csv": "e7dd30f2f51c29269613b175ed91fa3e50b786e8f16d71209d210b0d145bec18",
     },
     "logistic-full": {
-        "compare.csv": "94817b4284ee9759dd5ce98698752cbbcccbef9164a189ee7628ef2eeb980829",
-        "slises-mod-m3-d0.1_seed0.csv": "0a01c596e16836d7ff8bcf52228b16bfaa50c6fa17fd083ed4debd4af64c0106",
-        "spectral-full_seed0.csv": "02cd82f0b0012d9c4a275c25df89d252a712a2bcbd315f4a2fc4888e99a56cc0",
+        "compare.csv": "6ed8e932a7009ac4255935062af9a85a2778d9598bfac5b7e1adbaae2849c703",
+        "slises-mod-m3-d0.1_seed0.csv": "4277dcbeae1d96d3e0dd1a5ed7da2eb127b7fb11b93a255353e1536bbbaaf945",
+        "spectral-full_seed0.csv": "df86b5e678c7937cb22929a7e373aa570f77c3736d0b8f477d1a3464371961da",
     },
     "logistic-held": {
-        "compare.csv": "043c7e9adf0d1ab0beac97e1fc9eb0db6c21dba5975e7d6a8602503e56169628",
-        "slises-uni-m5_seed0.csv": "d82578341375ed1cb6a41f255ef95ba8533b7e4471efcee556fc85e20f3a321a",
-        "spectral-full_seed0.csv": "6db648b0d9533f973bf1fb1c1793b3c944e069e0b7c2d37253272987ec4fc927",
+        "compare.csv": "ebbd5d3ed259cd98261369cc317ea7876d52e62b2853ef665e04b89f30ac80b4",
+        "slises-uni-m5_seed0.csv": "5af1c9a6db6591f845a210d1ad0d1a496cef84b14dba5230e1abbce1ed7d1927",
+        "spectral-full_seed0.csv": "5824a1a6b21fe6d68eb931538263275f933687562a1b80c266e2e670dec6ebff",
     },
     "spectral-full": {
-        "spectral-full_seed0.csv": "1548f0e0bbad1d0f8df12f6084b395e358a8e8f535cee00da8842b701f6efa13",
+        "spectral-full_seed0.csv": "2c653833ead6a1cd34e6b62c9973526ab2a95e4d8063392b2d54ad67c6479672",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "78788fd03fc25603caf9ddbc285916031e81fdc338db702a1b402616b75a182a",
-        "m=1_seed1.csv": "3b84525e83416e20a0d5c22afbcfac46c469df857951e16f8a465beabdf1b30b",
-        "m=3_seed0.csv": "fae247e71485ea1af53d919af9e362c5bdd126d2788d8f8d7643cfd72cf44a4d",
-        "m=3_seed1.csv": "4b1af062d8d2ef9315dcd5e4df62ee85c851e2738671d6625f5ffa011dd0597a",
-        "sweep_m.csv": "e3835e644c412cd72c5c3a928b9fad607f3f87e72d5a4e6b3862d6bb8d1eebc1",
+        "m=1_seed0.csv": "11a255ecbc01dcb1443b0cdafe6e051729754c28f43479e9826edd76cb923a4b",
+        "m=1_seed1.csv": "fdf01b5a9f339376340669db380dcfaff7e1d15034a350532ae21d858688a1d1",
+        "m=3_seed0.csv": "16af884b372c1dcba15b4bb298894756a248c2bd6bd95abfc6ae08ff50c5a34d",
+        "m=3_seed1.csv": "8cdb7d41a20088367d970cc895f608d8819df8a702924a508b49ab2aacc994c8",
+        "sweep_m.csv": "808a103bfa80eef06fa51d24e6aa60a0dc479bef884a9a21b888d83b22ff2c10",
     },
 }
 
@@ -146,35 +148,35 @@ DIGESTS = {
 # move the digests above but must leave these.
 COST_DIGESTS = {
     "epoch-baselines": {
-        "sgd-bb-smooth_seed0.csv": "a3a3683d21be2a43586a8974c307c60cc2b366d86fac784d3f680b34131ab11b",
-        "sgd-bb-smooth_seed1.csv": "ffe92217b47ae2faa2f138b92afdf82c7f934e5db9b0c1046b23c58e123092c2",
-        "sgd-bb_seed0.csv": "4b25e045d635329b0cad127e2a76a339078c0541dd3b7ec7f32d286edbe17214",
-        "sgd-bb_seed1.csv": "a66acb88509b3c30fa853df7f75390d92be1df4d5d11b3adf352be90caa290a0",
-        "svrg-bb_seed0.csv": "44571cd5609652ddad6f598f3bf1e286757be9b84c7e058fb5cc23e1e204dca4",
-        "svrg-bb_seed1.csv": "9082cb4f27ebdceee4dded8630b2f0c9925532bceb39d965eeeeb4a48e07ef06",
+        "sgd-bb-smooth_seed0.csv": "4cc66bd7f5bab6e1a4b4c26024451d9bcaa75ac5980412f0268e2d3e6ab48d41",
+        "sgd-bb-smooth_seed1.csv": "4ff7dc7008bfa22aa8a096c44ac6da57e14be2775cee42bad80ed68e064a5dd2",
+        "sgd-bb_seed0.csv": "01e5f7183690457f4e0220e561fe3c2cd7a39541e520666f2a54e3cbb0b72e09",
+        "sgd-bb_seed1.csv": "5759890b7b50962929ecce1918f3b656f288bbba343fb8f1366c233bd1864d07",
+        "svrg-bb_seed0.csv": "eb6f42e24efe54985793546d3eb4ff3289643b4d988ac21097582b13f21b2c2d",
+        "svrg-bb_seed1.csv": "600c85c6647ac7a40160e1b087a124d58353b8be736d38b1c5bb4b959f84627d",
     },
     "logistic-compare": {
-        "sgd_seed0.csv": "2700e703ee2178a0f7925576e0593420da74253a84fd793aa17c0e846453f029",
-        "slises-ais-m3_seed0.csv": "81c0a8dc9c37b7572e1e7815d5cef7756deb51a9dafc06de6051a220fc9fd130",
-        "slises-uni-m3_seed0.csv": "7f2a991f120345c4f164edee0f019a2b9125334d598ada09b1ab09f2cc6381db",
-        "svrg-bb_seed0.csv": "efedc5de65e4ede643fce39bdc04f49ad65ce4403e17e75dfd38c782a37e1d3d",
+        "sgd_seed0.csv": "d17d0cb689a29209283eceaa1d411aed05322f8249ed93b92664525e4775815f",
+        "slises-ais-m3_seed0.csv": "c0631739da18776c78d5ffc6251c1e4dbd7ca60fbf698baebab87f1f37838840",
+        "slises-uni-m3_seed0.csv": "450e3a314aed0cdafa2cef49816e6b8c7f96fa0ee725f54b35b2c4b985ff49e5",
+        "svrg-bb_seed0.csv": "57e2cfac5404c85f4de49c8d70cd5f84288853ccb68884f2652db72a2ca935fa",
     },
     "logistic-full": {
-        "slises-mod-m3-d0.1_seed0.csv": "b3afe1d0c7d323c566ada3db9a96d73e638bc72590ef3f259bf283970e279c8f",
-        "spectral-full_seed0.csv": "9bf5ca058205b8366cda0840f7b8cfaf9f9e9274fc2997ee7286deb0c7bd5e6d",
+        "slises-mod-m3-d0.1_seed0.csv": "85c97e07e3a74287ba0b55faa0040810804d1aecea7b72c0d9db352ca8676ddf",
+        "spectral-full_seed0.csv": "9c4eca16959a57fc3ece29f6909404451d10832b73cb6723c0f0e01e66fde356",
     },
     "logistic-held": {
-        "slises-uni-m5_seed0.csv": "af874bcd18e965aaf6a2909c4804a7fcd4c96fa09d6fa599e908f77105a4a392",
-        "spectral-full_seed0.csv": "6d420b6d79ad8bb64e0a035bd5790e61814b0506b83f1c291d97e3a8919134d1",
+        "slises-uni-m5_seed0.csv": "c3290944f445f113227d0f24d3a11a2d0f385b14d641ac6a22b1085fe1f8c6e2",
+        "spectral-full_seed0.csv": "5a66ad61d822834291f5f2344667c0e7c8bb77b4f04f9540c0fe50b23880b2eb",
     },
     "spectral-full": {
-        "spectral-full_seed0.csv": "6b369fcbd847d442a06eaf2d8fa1f79a0656db092af0f1d1820336c136fd754f",
+        "spectral-full_seed0.csv": "4a75d0783640329adc503bf919f65e3519a0df0ea5284acef5b086d902af1a77",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "47c6422b1f30a5d7e0a8bc5a4783cb179296f2b91ed01338c1e586b9a635681c",
-        "m=1_seed1.csv": "ebec5e9753f238c2e24975bcf28977cc9178695d2556479cadf9edc57968dcf8",
-        "m=3_seed0.csv": "83f60936f66585bd87021216d63c798965031e37bf78b07d97ff945b398e0dc9",
-        "m=3_seed1.csv": "7e39bc5fe299dde02bf5e4163e74fd9105b8282e4aff042ee5b5966272250193",
+        "m=1_seed0.csv": "1e70e5f590d7b54154864beb8c75ced1e16372ecde03a22ff9aca2673906a2ad",
+        "m=1_seed1.csv": "954a249fd4b6e6f6b453112339522fd2b69cbcfc8090fc828205fe2810655f87",
+        "m=3_seed0.csv": "548a436b1435d59f10e1e573c75c8f6a5158d442f0b0a291197fdd3603096393",
+        "m=3_seed1.csv": "2bcc1fe43c3e0e03c118dd69130cd497c8d8c75d0b7cfa2c47bb56e45d91712d",
     },
 }
 
@@ -184,35 +186,35 @@ COST_DIGESTS = {
 # both sets above but must leave these.
 STEP_DIGESTS = {
     "epoch-baselines": {
-        "sgd-bb-smooth_seed0.csv": "c82e83eebe61bdd044e0f84fd5568191bacd60d707ee063c6d4a6ed4af5c592d",
-        "sgd-bb-smooth_seed1.csv": "7f0576a664713e151c767bed8b36849eab682501155cc0ff006b7cddda713edc",
-        "sgd-bb_seed0.csv": "6bfbdd730f44015db97309f85860bba911d9e1b8ca199096ea96fd3635983470",
-        "sgd-bb_seed1.csv": "3f34c724b6ffd6fae5b499d353b2199a6ff30fb9d85c9140c283460c1f6bac08",
-        "svrg-bb_seed0.csv": "44139f5c0215ca9a9d302b2feaa5c9c33f32f925e2026a63215f2f868018a80d",
-        "svrg-bb_seed1.csv": "b623c5e4889ce6045f5d1888204b64a8c0b32abe1f99478e9d7604af6e499a88",
+        "sgd-bb-smooth_seed0.csv": "48ff12a1db982613a1cb33a9fe32e37f03f36052c55e48f31a73e4da56c342fa",
+        "sgd-bb-smooth_seed1.csv": "0cf33bcd11443b0918b270fac0cd63ce2fc1bdce2bad5c3deb90541448e66542",
+        "sgd-bb_seed0.csv": "21101a1a3033f3a80736631b67cadae6d9ae16abd122ed947d8428d0ec85a675",
+        "sgd-bb_seed1.csv": "a268c73bf4c64b31e7fb1e3c0134869267890704a4f75b31197a15a9e316024f",
+        "svrg-bb_seed0.csv": "1340487e9fce9911a9aaeefc4b5df4b26af9b71380c09902ac4ccc08c0b64392",
+        "svrg-bb_seed1.csv": "86f01f9d860bf8d67f76b01312bb66d534f10564230ece9168cdcef0275c16d8",
     },
     "logistic-compare": {
-        "sgd_seed0.csv": "3152334cd056dcf61ddf433d24b31d23dd61867924e4475dbb3c68304646db7a",
-        "slises-ais-m3_seed0.csv": "aef690bc0573525d54a27efe42f7158b7586aee0a75d87dad05a009c33d45a35",
-        "slises-uni-m3_seed0.csv": "0dfa11f2f0a845764b370b352254166550f5ffb1de7447e6f6cabe43e15d3cd4",
-        "svrg-bb_seed0.csv": "756025271b64d3c48e0fb27265754726aa7472ae8d702e050e6f01468e0314d5",
+        "sgd_seed0.csv": "571ecf8a107f8908ca3a56d2d6dbc45a1b966ba81c0a65a63898e78650c85fe7",
+        "slises-ais-m3_seed0.csv": "1abdd2a68727fdbd9e701adf1a2654b388117b561a48fcb66a4d82de57fb4a5a",
+        "slises-uni-m3_seed0.csv": "5ce8a1d734d0d1f60d61da715a688baab50601cd8e79f4e6f0a1fcb7c7cbde0f",
+        "svrg-bb_seed0.csv": "45a76d9c34494d7c8c17139d38adf6f2e4bbd479b7811d5d9ecc5348609c38aa",
     },
     "logistic-full": {
-        "slises-mod-m3-d0.1_seed0.csv": "6e7c7f126bdbb1240405623b8cb6e09c329143b2f8998aa954e31d4efd769c73",
-        "spectral-full_seed0.csv": "d400b14bb34e16a7e1fb7e32808f0f695303e2d70d6746c018f6791222a1fbbf",
+        "slises-mod-m3-d0.1_seed0.csv": "27a715e7b56c020b939696b6d97b077aa679dcde7f68e0b18e5748c92105c015",
+        "spectral-full_seed0.csv": "26927ba211e826c0817faf8ffe2d3532c1c1b99a17d260708239799a30373da5",
     },
     "logistic-held": {
-        "slises-uni-m5_seed0.csv": "f90b715cfe3abf7199dc4d4f3300a2384422d73674634678ced98197a5a7fa54",
-        "spectral-full_seed0.csv": "7ea66bb759ce225648b55c035aff1d5af06f66eab976e1ef00e81b6a0cde4c96",
+        "slises-uni-m5_seed0.csv": "18fbf1914d947eade9ffbcfb192983c460dd8ebb1314ce1481cf353c3e36bedb",
+        "spectral-full_seed0.csv": "d63bdeaf6cdc696227f4a15ab63862aca883bfe848e1a7fc8b64d0e728e4f865",
     },
     "spectral-full": {
-        "spectral-full_seed0.csv": "c246df7fcb6de2f31af85145a7967af0eacbb28d2eb4bd0ea6defa7eda573ff7",
+        "spectral-full_seed0.csv": "ae3df4374d2665ee86ebc3b597871acae63723834b741a0c7c2f90ac530911b4",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "318a38f7fb33f740ac85226803e457bd24b03752cf719d93145d82f474034adc",
-        "m=1_seed1.csv": "6bced3ea8d62f500fead69716ebf93a832d427da02ce01a7aa6f3bbb9c7edc83",
-        "m=3_seed0.csv": "6dad6669bf42ecb15f3b8706b3120463cb35a268e71aefb7839e089d6ae1f24d",
-        "m=3_seed1.csv": "3487d717e09b090b0262820ecae26c43ec940ec159b933fd5aed2fc90be130cd",
+        "m=1_seed0.csv": "2d620ec46bc704bb29ee4f6e71289a9f470d52155ea56906c129333f66a749c8",
+        "m=1_seed1.csv": "411cfaaec8d2e482bd98f42209ff0d54738a70b74d736f8cbf3bb2e51918b818",
+        "m=3_seed0.csv": "550305022cede9350a0480e02ecd2441d81f1520aacefb0384e3e997a13c2a13",
+        "m=3_seed1.csv": "7fd0813ab1a3689424c09f490930aee2bf679fc724baa2df1b0e2203767662b3",
     },
 }
 
@@ -280,6 +282,37 @@ def test_traces_without_reported_columns_match_the_recorded_digests(name, tmp_pa
     assert cut == STEP_DIGESTS[name]
 
 
+def config_from_header(header):
+    """The SolverConfig a trace header names; a field it does not write, or
+    writes empty (None), keeps its default."""
+    types = {f.name: f.type for f in fields(SolverConfig)}
+    return SolverConfig(**{key: bool(int(val)) if types[key] is bool else types[key](val)
+                           for key, val in header.items() if key in types and val})
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_each_run_is_rebuilt_from_its_trace_header(name, tmp_path):
+    # a header writes every field its method reads, so the config it names
+    # runs the same rows; each config of a compare or sweep draws from the
+    # seed stream of its aggregate column
+    files = written_files(name, tmp_path)
+    argv = INVOCATIONS[name](tmp_path)
+    args = build_parser()[0].parse_args(argv)
+    problem = _from_flags(ExperimentSpec, args).build_problem()
+    out = tmp_path / "out"
+    aggregate = {"compare": "compare.csv", "sweep-m": "sweep_m.csv"}.get(argv[0])
+    columns = list(read_trace(str(out / aggregate))[1])[1:] if aggregate else []
+    traces = [f for f in files if f != aggregate]
+    assert traces
+    for f in traces:
+        cfg = config_from_header(read_trace(str(out / f))[0])
+        stream = columns.index(cfg.label) if columns else 0
+        path, _ = run_single(problem, cfg, cfg.seed, str(tmp_path / "rebuilt"), stream)
+        assert os.path.basename(path) == f
+        with open(path, "rb") as fh:
+            assert fh.read() == files[f]
+
+
 if __name__ == "__main__":
     # Print the three digest sets of the current tree, to paste over the
     # ones above once a declared change of bits has been checked:
@@ -298,8 +331,8 @@ if __name__ == "__main__":
     for set_name, columns in CUT_COLUMNS.items():
         print(f"{set_name} = {{")
         for name in sorted(files):
-            print(f"    {name!r}: {{")
+            print(f'    "{name}": {{')
             for f, digest in digests(files[name], columns).items():
-                print(f"        {f!r}: {digest!r},")
+                print(f'        "{f}": "{digest}",')
             print("    },")
         print("}")

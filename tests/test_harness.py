@@ -90,9 +90,9 @@ class TestTraceRoundTrip:
         assert "inf" in text
         header, rows = read_trace(path)
         assert len(rows["k"]) == 3  # rows after the sentinel are dropped
-        evals, f = trace_curve(trace)
-        assert list(evals) == [0.0, 2.0]
-        assert list(f) == [5.0, 9.0]
+        evals, f = trace_curve(trace)  # the curve keeps the sentinel row, as the file does
+        assert list(evals) == [0.0, 2.0, 3.0]
+        assert list(f) == [5.0, 9.0, np.inf]
 
 
 # floats that repr spells in every way it can: nan, signed infinities and
@@ -176,6 +176,22 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_curves({"a": []}, how="mode")
 
+    def test_a_sentinel_is_carried_forward(self):
+        # a diverged curve ends at its sentinel, which holds to the end of the
+        # grid: a median is inf once most seeds diverged and nan once it
+        # holds a nan, a mean is inf once any seed did
+        finite = (np.array([0.0, 2.0, 6.0]), np.array([5.0, 4.0, 3.0]))
+        inf = (np.array([0.0, 4.0]), np.array([5.0, np.inf]))
+        nan = (np.array([0.0, 4.0]), np.array([5.0, np.nan]))
+        curves = {"one": [finite, finite, inf], "most": [finite, inf, inf], "nan": [finite, nan]}
+        grid, median = aggregate_curves(curves, how="median")
+        assert list(grid) == [0.0, 2.0, 4.0, 6.0]
+        assert list(median["one"]) == [5.0, 4.0, 4.0, 3.0]
+        assert list(median["most"]) == [5.0, 5.0, np.inf, np.inf]
+        assert list(median["nan"][:2]) == [5.0, 4.5] and np.isnan(median["nan"][2:]).all()
+        _, mean = aggregate_curves(curves, how="mean")
+        assert list(mean["one"][2:]) == [np.inf, np.inf]
+
     def test_duplicate_budget_keeps_latest_value(self):
         # two records at the same evaluation count: the later state wins
         c = (np.array([0.0, 0.0, 1.0]), np.array([7.0, 5.0, 3.0]))
@@ -229,6 +245,16 @@ class TestExperiments:
         assert Q.N == 2 and Q.lam == 1e-3
         with pytest.raises(ValueError):
             ExperimentSpec().build_problem()
+
+    def test_problem_labels_name_their_draw(self, tmp_path):
+        # a generated quadratic takes the label of its frozen twin
+        P = ExperimentSpec(n=3, N=5, problem_seed=7).build_problem()
+        twin = load_instance(generate_instance("quadratic", 3, 5, 7, str(tmp_path / "q.npz")))
+        assert P.label == twin.label == "quadratic-n3-N5-seed7"
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:0.5\n0 2:1.0\n")
+        Q = ExperimentSpec(dataset=str(data), lam=1e-3).build_problem()
+        assert Q.label == "logistic-n2-N2-lam0.001"
 
 
 class TestInstances:

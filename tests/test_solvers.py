@@ -1,8 +1,11 @@
 """Iteration drivers: hand traces, coefficient regimes, metering, replay."""
 
+from dataclasses import astuple, fields, replace
+
 import numpy as np
 import pytest
 
+from conftest import make_logistic
 from specsum.problems import (
     LogisticProblem,
     QuadraticProblem,
@@ -14,7 +17,7 @@ from specsum.problems import (
 from specsum import solvers
 from specsum.linesearch import HELD, LspResult
 from specsum.sampling import should_resample
-from specsum.solvers import SolverConfig, make_solver, run_solver
+from specsum.solvers import SAMPLERS, SolverConfig, make_solver, run_solver
 
 
 def one_dim_problem(target):
@@ -687,6 +690,47 @@ class TestReplay:
         assert [r.f_full for r in tr.records] == [full_value(P, x) for x in xs]
         assert ([r.grad_norm_full for r in tr.records]
                 == [float(np.linalg.norm(full_gradient(P, x))) for x in xs])
+
+
+# a valid value other than its default for each field some method does not read
+OTHER_VALUES = {"m": 5, "S": 2, "eta": 0.3, "gamma_min": 1e-5, "gamma_max": 1e5,
+                "delta": 0.5, "eps": 0.5, "seed": 9, "eta0": 0.05, "eta1": 0.07,
+                "beta": 0.5, "p": 3, "reuse": False, "damping": False}
+
+
+def trace_bits(trace):
+    """Every column and batch of every row, and the final iterate, as bytes."""
+    return [repr(astuple(rec)) for rec in trace.records], trace.final_x.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: generate_quadratic(4, 10, np.random.default_rng(7)), id="quadratic"),
+    pytest.param(lambda: make_logistic(4, 12, seed=8), id="logistic")])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("method", solvers.METHODS)
+def test_a_field_the_method_does_not_read_moves_no_bit(build, sampler, method):
+    # the table beside the drivers says what a method reads: any other
+    # field, set to another valid value, leaves every row as it was
+    P = build()
+    base = SolverConfig(method=method, sampler=sampler, maxiter=16, seed=1)
+    other = {**OTHER_VALUES, "sampler": "uniform" if sampler == "ais" else "ais"}
+    reads = solvers._DRIVERS[method][1]
+    unread = [f.name for f in fields(SolverConfig) if f.name not in (*reads, "method", "label")]
+    want = trace_bits(run_solver(P, base))
+    for name in unread:
+        assert trace_bits(run_solver(P, replace(base, **{name: other[name]}))) == want, name
+
+
+def test_the_header_writes_the_fields_its_method_reads():
+    P = generate_quadratic(3, 6, np.random.default_rng(2))
+    for method in solvers.METHODS:
+        header = run_solver(P, SolverConfig(method=method, maxiter=2)).header
+        names = [f.name for f in fields(SolverConfig)]
+        read = [name for name in names if name in solvers._DRIVERS[method][1]]
+        assert list(header) == ["method", "label", *read,
+                                "problem", "N", "n", "lipschitz", "backend"]
+    assert solvers.methods_reading("damping") == ["slises"]
+    assert solvers.methods_reading("m") == ["slises", "slises-modified"]
 
 
 class TestConfigValidation:
