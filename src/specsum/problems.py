@@ -178,6 +178,9 @@ class QuadraticProblem(FiniteSumProblem):
         # of its one-row report (a matrix-matrix product sums in other orders)
         MX = np.matmul(X[:, None, :], self._mean_A.T)[:, 0, :]
         f = 0.5 * np.vecdot(X, MX) - np.vecdot(X, self._mean_Ab) + self._const
+        # f >= 0 on an SPD instance; past overflow the fused products of
+        # vecdot can keep a first -inf term, which is still an overflow
+        f[f == -np.inf] = np.inf
         return f, MX - self._mean_Ab
 
 
@@ -299,11 +302,14 @@ def generate_quadratic(n, N, rng):
     """Random sum-of-quadratics instance.
 
     For each component: b_i entries i.i.d. Uniform[1, 31]; A_i =
-    Q_i D_i Q_i' with D_i diagonal i.i.d. Uniform[1, 101] and Q_i the
-    orthonormal eigenvector matrix of the symmetrized standard-normal
-    matrix 0.5*(C_i + C_i').  The gradient Lipschitz constant is the
-    largest drawn eigenvalue; the minimizer solves (sum A_i) x =
-    sum A_i b_i.
+    Q_i D_i Q_i' with D_i diagonal i.i.d. Uniform[1, 101] and Q_i the Q
+    factor of ``qr(C_i)`` for a standard-normal n x n matrix C_i.  That
+    factor is Haar-distributed on O(n) up to the signs of its columns
+    (Mezzadri, "How to generate random matrices from the classical
+    compact groups", Notices AMS 2007), and Q_i D_i Q_i' does not see
+    those signs, so each A_i is a Haar rotation of D_i.  The gradient
+    Lipschitz constant is the largest drawn eigenvalue; the minimizer
+    solves (sum A_i) x = sum A_i b_i.
 
     Draw order per component is fixed (b_i, then D_i, then C_i) so a
     seeded generator reproduces the instance exactly.
@@ -318,7 +324,7 @@ def generate_quadratic(n, N, rng):
         b[i] = rng.uniform(1.0, 31.0, size=n)
         d = rng.uniform(1.0, 101.0, size=n)
         C = rng.standard_normal((n, n))
-        _, Q = np.linalg.eigh(0.5 * (C + C.T))
+        Q, _ = np.linalg.qr(C)
         M = (Q * d) @ Q.T
         A[i] = 0.5 * (M + M.T)
         lip = max(lip, float(d.max()))

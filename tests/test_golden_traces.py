@@ -105,13 +105,13 @@ INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
 
 DIGESTS = {
     "epoch-baselines": {
-        "compare.csv": "c5b3646163051a1bdd767bd537b4662b809eebebdb4bac0c78821c0058e188dc",
-        "sgd-bb-smooth_seed0.csv": "382fac721f0783d474df47c3539a9971c1c8c68830ef06a0f3439fa35e7c3a77",
-        "sgd-bb-smooth_seed1.csv": "078a4855615d07f56fb4ae4cc441a6aaacb154c587a9f078b767d699f056bf8a",
-        "sgd-bb_seed0.csv": "84b64cf2fe90cc42bb1d523a2652871bbd51e5197c483f0e77be0fd86328bf91",
-        "sgd-bb_seed1.csv": "1c4de27f29d9e10dc21011e15b5b0da782d22985f1c57ed9cde521fc09bd2848",
-        "svrg-bb_seed0.csv": "cbc0ffb43e0197e0830ee3dc16588e09c8fa84b188fb065edd7613c113eb8fe1",
-        "svrg-bb_seed1.csv": "d17a78c05d0dfee4abe7582ad3f76df98909e6f39b79b918a5b28df425b0b42c",
+        "compare.csv": "f1ec00e2f28eddb1d52b20d9627e6dec0b2bbfcaa3b2e7d47fa0aee1de12972e",
+        "sgd-bb-smooth_seed0.csv": "1c7dae446c4b2d79b9663e6c9e69d057ed45c95b7818ece2c4c191cfea53115b",
+        "sgd-bb-smooth_seed1.csv": "f85a0b7aea59b167358173d9118133751670bfe81d7dbd9e70e0d6847a2500c0",
+        "sgd-bb_seed0.csv": "f24633b53a50827d2a51c3c164f667288099cca33412794c97e229f2a7545626",
+        "sgd-bb_seed1.csv": "a4f3b3902daf0e79cff26978c14583749f9e10c2acf9b353f7d1650ec375035e",
+        "svrg-bb_seed0.csv": "05c82fa9ef9a4072287a86fa8be514185a991a017712a3560f79282df8c5b15b",
+        "svrg-bb_seed1.csv": "55d8175e17afc14cb653eb9e0406acea3c68dd564f13fe257dd2eeb3378d20db",
     },
     "logistic-compare": {
         "compare.csv": "dcc1f03e92be78e61b421ac7592124056c3e9512c13ae97669fd1ae673f2a1e2",
@@ -131,14 +131,14 @@ DIGESTS = {
         "spectral-full_seed0.csv": "5824a1a6b21fe6d68eb931538263275f933687562a1b80c266e2e670dec6ebff",
     },
     "spectral-full": {
-        "spectral-full_seed0.csv": "2c653833ead6a1cd34e6b62c9973526ab2a95e4d8063392b2d54ad67c6479672",
+        "spectral-full_seed0.csv": "a139ee84500a5fb5267bebc444e3cdc9ecf93680c4030b33b927981ec5b1e506",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "11a255ecbc01dcb1443b0cdafe6e051729754c28f43479e9826edd76cb923a4b",
-        "m=1_seed1.csv": "fdf01b5a9f339376340669db380dcfaff7e1d15034a350532ae21d858688a1d1",
-        "m=3_seed0.csv": "16af884b372c1dcba15b4bb298894756a248c2bd6bd95abfc6ae08ff50c5a34d",
-        "m=3_seed1.csv": "8cdb7d41a20088367d970cc895f608d8819df8a702924a508b49ab2aacc994c8",
-        "sweep_m.csv": "808a103bfa80eef06fa51d24e6aa60a0dc479bef884a9a21b888d83b22ff2c10",
+        "m=1_seed0.csv": "0f1e9e3336104c81f29b37b8024ac3752f3bfce339f0de67b507c54b5f25223d",
+        "m=1_seed1.csv": "c3a7572cbce03e0555e2155bc14e6ad0185143860fc8a0c029b7bbc0df6a3591",
+        "m=3_seed0.csv": "0c797ac61229dd3f877407279d70229aaaf4cd43eec1634152891ecfc680d2f8",
+        "m=3_seed1.csv": "5211ab56ebd6a4ad0567f514df81da17a6434f9caeaaf3ae928abdd53b080844",
+        "sweep_m.csv": "8a440837dfc49ad4272cee16dee895ff442bf85fe16c084b27f4ff0518b96294",
     },
 }
 
@@ -148,12 +148,12 @@ DIGESTS = {
 # move the digests above but must leave these.
 COST_DIGESTS = {
     "epoch-baselines": {
-        "sgd-bb-smooth_seed0.csv": "4cc66bd7f5bab6e1a4b4c26024451d9bcaa75ac5980412f0268e2d3e6ab48d41",
-        "sgd-bb-smooth_seed1.csv": "4ff7dc7008bfa22aa8a096c44ac6da57e14be2775cee42bad80ed68e064a5dd2",
-        "sgd-bb_seed0.csv": "01e5f7183690457f4e0220e561fe3c2cd7a39541e520666f2a54e3cbb0b72e09",
-        "sgd-bb_seed1.csv": "5759890b7b50962929ecce1918f3b656f288bbba343fb8f1366c233bd1864d07",
-        "svrg-bb_seed0.csv": "eb6f42e24efe54985793546d3eb4ff3289643b4d988ac21097582b13f21b2c2d",
-        "svrg-bb_seed1.csv": "600c85c6647ac7a40160e1b087a124d58353b8be736d38b1c5bb4b959f84627d",
+        "sgd-bb-smooth_seed0.csv": "9a682714bfc40ab54a86d3516f26ba27e65165401f7a76122fc13c9d6f840ae7",
+        "sgd-bb-smooth_seed1.csv": "0f1d882ebcbc28733c88e00ecdd949d59d57457c2778a4481a2e163f4a78f5cc",
+        "sgd-bb_seed0.csv": "803938328cc4177ae4eaab3e9a13efee9648cd3e64e08d4328c45da59d186dc1",
+        "sgd-bb_seed1.csv": "d22749daee81a28902a7dc536bf084a224bcab12e752cb6a1d48068bb3cd0a41",
+        "svrg-bb_seed0.csv": "d159f9fd3922031a6c2a0e426e29abefcc904dae51e621bc2c003d104e60c9fb",
+        "svrg-bb_seed1.csv": "06f25e2d34570ea0756629202a42a68f84ae0e3ef7f58d1cc76520f827c85399",
     },
     "logistic-compare": {
         "sgd_seed0.csv": "d17d0cb689a29209283eceaa1d411aed05322f8249ed93b92664525e4775815f",
@@ -170,13 +170,13 @@ COST_DIGESTS = {
         "spectral-full_seed0.csv": "5a66ad61d822834291f5f2344667c0e7c8bb77b4f04f9540c0fe50b23880b2eb",
     },
     "spectral-full": {
-        "spectral-full_seed0.csv": "4a75d0783640329adc503bf919f65e3519a0df0ea5284acef5b086d902af1a77",
+        "spectral-full_seed0.csv": "5b8d9cb9668433a1ead8f7fd0d34ed114dcedd3554a57026d8f318fbc6f1d852",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "1e70e5f590d7b54154864beb8c75ced1e16372ecde03a22ff9aca2673906a2ad",
-        "m=1_seed1.csv": "954a249fd4b6e6f6b453112339522fd2b69cbcfc8090fc828205fe2810655f87",
-        "m=3_seed0.csv": "548a436b1435d59f10e1e573c75c8f6a5158d442f0b0a291197fdd3603096393",
-        "m=3_seed1.csv": "2bcc1fe43c3e0e03c118dd69130cd497c8d8c75d0b7cfa2c47bb56e45d91712d",
+        "m=1_seed0.csv": "d38d244ee5a72e81526f074448d559f48aa2de7a14b01b788413accf872d2fa1",
+        "m=1_seed1.csv": "2207bc5b7d18ed383966a852ac5ddd6c20a402edfd7fd8ded7deba0ba4dacd8b",
+        "m=3_seed0.csv": "f7f9c01cfec6b30e8e57ff2038db183e12333638d7cc066bd91bbf90406d5700",
+        "m=3_seed1.csv": "c78e2b0f96e08436501b7278e35641fc17d28dd1b26f8f4154dfe4e40fba5c3c",
     },
 }
 
@@ -186,12 +186,12 @@ COST_DIGESTS = {
 # both sets above but must leave these.
 STEP_DIGESTS = {
     "epoch-baselines": {
-        "sgd-bb-smooth_seed0.csv": "48ff12a1db982613a1cb33a9fe32e37f03f36052c55e48f31a73e4da56c342fa",
-        "sgd-bb-smooth_seed1.csv": "0cf33bcd11443b0918b270fac0cd63ce2fc1bdce2bad5c3deb90541448e66542",
-        "sgd-bb_seed0.csv": "21101a1a3033f3a80736631b67cadae6d9ae16abd122ed947d8428d0ec85a675",
-        "sgd-bb_seed1.csv": "a268c73bf4c64b31e7fb1e3c0134869267890704a4f75b31197a15a9e316024f",
-        "svrg-bb_seed0.csv": "1340487e9fce9911a9aaeefc4b5df4b26af9b71380c09902ac4ccc08c0b64392",
-        "svrg-bb_seed1.csv": "86f01f9d860bf8d67f76b01312bb66d534f10564230ece9168cdcef0275c16d8",
+        "sgd-bb-smooth_seed0.csv": "6385af377bc900b9a9999e69bce13d8727d35ff1baf4f0b9c9ea6d642476cb14",
+        "sgd-bb-smooth_seed1.csv": "f7af87c6b15bf58fa86d3a72f9afaefb3833fb9e3f700d376df3ab739ff75efa",
+        "sgd-bb_seed0.csv": "bd203849310ec0dfae8118a274e72ea4ef09a01a8e53e8f0d81354bb3d24a884",
+        "sgd-bb_seed1.csv": "3abbfd9cf10f420cea738ac69f1cd8e33c286c879dad5c8db2a5b082d066ecf0",
+        "svrg-bb_seed0.csv": "fb3481907cd6b9128b0b5c27e9f387b606331df80b86201fd00ec9a5be2b1c84",
+        "svrg-bb_seed1.csv": "365a09b6aa6d81e68c09ca1681b778986a4aa1bf66a5042f4a2f1beeec2e2edb",
     },
     "logistic-compare": {
         "sgd_seed0.csv": "571ecf8a107f8908ca3a56d2d6dbc45a1b966ba81c0a65a63898e78650c85fe7",
@@ -208,13 +208,13 @@ STEP_DIGESTS = {
         "spectral-full_seed0.csv": "d63bdeaf6cdc696227f4a15ab63862aca883bfe848e1a7fc8b64d0e728e4f865",
     },
     "spectral-full": {
-        "spectral-full_seed0.csv": "ae3df4374d2665ee86ebc3b597871acae63723834b741a0c7c2f90ac530911b4",
+        "spectral-full_seed0.csv": "659d950d9685806bb26619b4d9708c25c75521fa39548ac63ea4054b9494d263",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "2d620ec46bc704bb29ee4f6e71289a9f470d52155ea56906c129333f66a749c8",
-        "m=1_seed1.csv": "411cfaaec8d2e482bd98f42209ff0d54738a70b74d736f8cbf3bb2e51918b818",
-        "m=3_seed0.csv": "550305022cede9350a0480e02ecd2441d81f1520aacefb0384e3e997a13c2a13",
-        "m=3_seed1.csv": "7fd0813ab1a3689424c09f490930aee2bf679fc724baa2df1b0e2203767662b3",
+        "m=1_seed0.csv": "e89cedb18f90ace047429209ea5244e24bc711abaae1591d11e8e05ac5f0538d",
+        "m=1_seed1.csv": "f7886507d1a9203083ee677844aedfba1c4fa363b1f0a3f4a2f24e859a0d782f",
+        "m=3_seed0.csv": "236c625610929100132b495b16dabc06df9899ac625096408dd81d43ee26cf08",
+        "m=3_seed1.csv": "e03b10209f8b322624cfe290f3e305750cac33b40de1cccecbad5dd1d647ebc5",
     },
 }
 

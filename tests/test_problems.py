@@ -78,6 +78,20 @@ class TestQuadraticGenerator:
         top = max(np.linalg.eigvalsh(Ai)[-1] for Ai in P.A)
         assert P.lipschitz == pytest.approx(top, rel=1e-12)
 
+    @given(n=st.integers(1, 12), N=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_replayed_draws(self, n, N, seed):
+        # each component draws b_i, then d_i, then C_i; A_i = Q_i D_i Q_i'
+        # with Q_i orthonormal has the spectrum of d_i
+        P = generate_quadratic(n, N, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for i in range(N):
+            b = rng.uniform(1.0, 31.0, size=n)
+            d = rng.uniform(1.0, 101.0, size=n)
+            rng.standard_normal((n, n))
+            assert np.array_equal(P.b[i], b)
+            np.testing.assert_allclose(np.linalg.eigvalsh(P.A[i]), np.sort(d),
+                                       rtol=1e-12, atol=0)
+
     def test_seed_reproducibility(self):
         P1 = generate_quadratic(4, 5, np.random.default_rng(9))
         P2 = generate_quadratic(4, 5, np.random.default_rng(9))
@@ -361,6 +375,14 @@ class TestQuadraticReportRadius:
         x = np.full((1, 3), 1e3 * P.report_radius)
         with np.errstate(over="ignore"):
             assert not np.isfinite(P.report(x)[0][0])
+
+    def test_overflowed_value_is_inf_not_minus_inf(self):
+        # f >= 0 on an SPD instance, but past overflow x'Mx's fused products
+        # keep the first term's -inf although the later terms are +inf
+        P = QuadraticProblem(np.array([[[1.0, -0.9], [-0.9, 1.0]]]), np.zeros((1, 2)))
+        with np.errstate(over="ignore"):
+            f, _ = P.report(np.array([[4e154, 5e154], [2.0, 0.0]]))
+        assert f[0] == np.inf and f[1] == 2.0
 
     def test_constant_near_overflow_leaves_no_radius(self):
         # b'Ab / 2 = realmax / 3.6: no x is known to report finite, so

@@ -596,7 +596,7 @@ class TestDivergence:
     def test_quadratic_run_ends_at_sentinel_row(self):
         # the stiff instance above: sgd's iterate grows past the report
         # radius, about 3e150, and then past 1e154, where f overflows, on
-        # row 43; the rows before it are deferred and reported in chunks
+        # row 44; the rows before it are deferred and reported in chunks
         P = generate_quadratic(5, 20, np.random.default_rng(0))
         stiff = QuadraticProblem(P.A * 1e3, P.b, lipschitz=P.lipschitz * 1e3)
         cfg = SolverConfig(method="sgd", seed=0)
@@ -609,8 +609,8 @@ class TestDivergence:
                 xs.append(drv.x)
         f = np.array([r.f_full for r in tr.records])
         assert np.abs(xs[solvers.REPORT_CHUNK]).max() <= stiff.report_radius
-        assert len(tr.records) == 44 and tr.records[-1].k == 42
-        assert (tr.records[-1].cum_evals, tr.records[-1].grad_pass_cost) == (0, 43)
+        assert len(tr.records) == 45 and tr.records[-1].k == 43
+        assert (tr.records[-1].cum_evals, tr.records[-1].grad_pass_cost) == (0, 44)
         assert not np.isfinite(f[-1])
         assert np.all(np.isfinite(f[:-1]))
         assert np.array_equal(tr.final_x, xs[len(f) - 1])
