@@ -17,12 +17,14 @@ or ``compare`` that is neither given nor in the file leaves its field
 at that default.
 
 Each method reads only some :class:`~specsum.solvers.SolverConfig`
-fields, declared once beside its driver.  ``run`` and ``sweep-m`` refuse
-a value, given by a flag or the config file, for a field the method does
-not read, after the value checks; ``sweep-m`` sets ``m`` from its grid,
-so it takes no ``--m`` and refuses a method that does not read ``m``.
-``compare`` passes its flags to every method, and a ``-nodamp`` token
-suffix only to a method that reads ``damping``.
+fields, declared once beside its driver, and only those are checked
+for range.  ``run`` and ``sweep-m`` refuse a value, given by a flag or
+the config file, for a field the method does not read, after the value
+checks; ``sweep-m`` sets ``m`` from its grid, so it takes no ``--m`` and
+refuses a method that does not read ``m``.  ``compare`` passes its
+flags to every method, refuses a flag that none of its methods reads,
+and passes a ``-nodamp`` token suffix only to a method that reads
+``damping``.
 
 ``run``, ``sweep-m`` and ``compare`` refuse a usage error that does
 not need the problem (an unknown method token, a parameter out of
@@ -203,14 +205,15 @@ _FIELD_FLAGS = {kw.get("dest", flag[2:].replace("-", "_")): flag
                 for flag, kw in _SOLVER_FLAGS + (_SEED_FLAG,) if flag != "--method"}
 
 
-def _refuse_unread(method, given):
-    """Refuse each (field, flag) pair of ``given`` whose field ``method``
-    does not read."""
+def _refuse_unread(methods, given):
+    """Refuse each (field, flag) pair of ``given`` whose field none of
+    ``methods`` reads."""
+    methods = list(dict.fromkeys(methods))
     for name, flag in given:
         readers = methods_reading(name)
-        if method not in readers:
-            raise ValueError(f"{flag} applies only to {', '.join(readers)}, "
-                             f"not to method {method!r}")
+        if not set(methods) & set(readers):
+            raise ValueError(f"{flag} applies only to {', '.join(readers)}, not to "
+                             f"method{'s' * (len(methods) > 1)} {', '.join(map(repr, methods))}")
 
 
 def _given(args):
@@ -251,7 +254,7 @@ def cmd_run(args):
     spec = _from_flags(harness.ExperimentSpec, args)
     cfg = _from_flags(SolverConfig, args)
     cfg.validate()
-    _refuse_unread(cfg.method, _given(args))
+    _refuse_unread([cfg.method], _given(args))
     problem = spec.build_problem()
     path, _ = harness.run_single(problem, cfg, cfg.seed, spec.out_dir)
     print(path)
@@ -262,7 +265,7 @@ def cmd_sweep(args):
     spec = _from_flags(harness.ExperimentSpec, args)
     base = _from_flags(SolverConfig, args)
     harness.check_grid("sweep-m", harness.sweep_configs(base, args.m_grid), args.seeds)
-    _refuse_unread(base.method, [("m", "--m-grid"), *_given(args)])
+    _refuse_unread([base.method], [("m", "--m-grid"), *_given(args)])
     problem = spec.build_problem()
     _, agg = harness.sweep_m(problem, base, args.m_grid,
                              args.seeds, spec.out_dir, how=spec.aggregation)
@@ -275,6 +278,7 @@ def cmd_compare(args):
     base = _from_flags(SolverConfig, args)
     configs = [_method_config(tok, base) for tok in args.methods]
     harness.check_grid("compare", configs, args.seeds)
+    _refuse_unread([cfg.method for cfg in configs], _given(args))
     problem = spec.build_problem()
     _, agg = harness.compare_methods(problem, configs, args.seeds, spec.out_dir,
                                      how=spec.aggregation)

@@ -67,15 +67,20 @@ def _rows(idx, N):
 
 
 def quad_value(A, b, idx, x):
-    """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``."""
+    """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``; a
+    value of -inf is returned as inf."""
     if idx.size == 1:
         i = idx[0]
         dx = x - b[i]
-        return 0.5 * float(np.vdot(dx, A[i] @ dx))
-    r = _rows(idx, b.shape[0])
-    dx = x[None, :] - b[r]
-    Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
-    return 0.5 * float(np.vdot(dx, Adx)) / idx.size
+        v = 0.5 * float(np.vdot(dx, A[i] @ dx))
+    else:
+        r = _rows(idx, b.shape[0])
+        dx = x[None, :] - b[r]
+        Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
+        v = 0.5 * float(np.vdot(dx, Adx)) / idx.size
+    # each term is >= 0 on SPD data; past overflow vdot can keep a first
+    # -inf product, which is still an overflow, not a decrease
+    return np.inf if v == -np.inf else v
 
 
 def quad_gradient(A, b, idx, x):

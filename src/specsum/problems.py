@@ -18,8 +18,6 @@ the bits of the charged estimators ``batch_value`` and ``batch_gradient``
 on the full index (see :mod:`specsum.kernels`).
 """
 
-import math
-import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -82,11 +80,6 @@ class FiniteSumProblem:
     label : str
         Problem name used in trace headers.
 
-    report_radius : float
-        The report of any x with max|x| <= report_radius is finite, so a
-        trace row at such an x may be reported later, together with
-        others; -inf when no x is known to be.
-
     Subclasses provide vectorized ``batch_value(indices, x)`` and
     ``batch_gradient(indices, x)``, ``component_gradient(i, x)`` (the
     gradient estimator on ``[i]``; each subclass defines its own, which
@@ -99,6 +92,10 @@ class FiniteSumProblem:
     precomputed aggregates and differs from both estimators in the last
     bits.  A quadratic row of a stack has the bits of its one-row
     report; a logistic row takes the matrix-matrix products' rounding.
+    A row's report depends on its own iterate only: a row whose value
+    overflows or is NaN leaves the bits of the other rows of its stack,
+    so the driver can report a diverging run's rows together and end its
+    trace at the first non-finite one (see :mod:`specsum.solvers`).
     """
 
     N = 0
@@ -106,7 +103,6 @@ class FiniteSumProblem:
     lipschitz = None
     minimizer = None
     optimal_value = None
-    report_radius = -np.inf
     label = "finite-sum"
 
 
@@ -118,10 +114,8 @@ class QuadraticProblem(FiniteSumProblem):
     aggregates (mean matrix M, mean A_i b_i and a constant), so reporting
     costs O(n^2) per row regardless of N.  It takes one matrix-vector
     product Mx per row of the stack, so each row has the bits of its
-    one-row report.  ``report_radius`` follows from the same aggregates
-    (see :func:`_quadratic_report_radius`).  An aggregate or a minimizer
-    that is not finite (the data overflow when summed) raises
-    :class:`NonFiniteInstanceError`.
+    one-row report.  An aggregate or a minimizer that is not finite (the
+    data overflow when summed) raises :class:`NonFiniteInstanceError`.
     """
 
     def __init__(self, A, b, lipschitz=None, label="quadratic"):
@@ -140,9 +134,6 @@ class QuadraticProblem(FiniteSumProblem):
             self._const = 0.5 * float(np.einsum("ij,ij->", b, Ab)) / self.N
         _require_finite("quadratic", _mean_A=self._mean_A, _mean_Ab=self._mean_Ab,
                         _const=self._const)
-        self.report_radius = _quadratic_report_radius(
-            float(np.max(np.abs(self._mean_A))), float(np.max(np.abs(self._mean_Ab))),
-            self._const, self.n)
         if lipschitz is None:
             lipschitz = max(float(np.linalg.eigvalsh(Ai)[-1]) for Ai in A)
         self.lipschitz = float(lipschitz)
@@ -184,40 +175,13 @@ class QuadraticProblem(FiniteSumProblem):
         return f, MX - self._mean_Ab
 
 
-def _quadratic_report_radius(a, b, const, n):
-    """A radius r such that the quadratic report of any x with max|x| <= r
-    is finite, given the largest entries ``a`` of the mean matrix M and
-    ``b`` of the mean A_i b_i, and the constant.
-
-    Each entry of Mx is at most n a r in size, x'Mx at most n^2 a r^2
-    and x'(mean A_i b_i) at most n b r; r keeps each below realmax / 16,
-    so the value, at most the sum of the last two and the constant, and
-    each gradient entry, at most n a r + b, stay finite in any summation
-    order.  A constant or a ``b`` past realmax / 16 leaves no radius
-    (-inf); the spare factors cover the rounding of the products.  A
-    quotient past realmax is inf, so the value bound takes its square
-    root before it divides (realmax / (16 n^2 a) may overflow where its
-    root does not), and r is at most realmax, so x itself is finite.
-    """
-    big = sys.float_info.max  # Python floats: a quotient past it is inf, with no warning
-    head = big / 16.0
-    if not (abs(const) <= head and b <= head):
-        return -math.inf
-    r_grad = head / (n * a) if a else math.inf
-    r_value = math.sqrt(head) / (n * math.sqrt(a)) if a else math.inf
-    r_linear = head / (n * b) if b else math.inf
-    return min(r_grad, r_value, r_linear, big)
-
-
 class LogisticProblem(FiniteSumProblem):
     """L2-regularized logistic regression over labeled feature rows.
 
     f_i(x) = log(1 + exp(-y_i * a_i'x)) + 0.5*lam*||x||^2 with labels
     y_i in {-1, +1}.  ``lipschitz`` is lam + max_i ||a_i||^2 / 4; one
     that is not finite (a feature whose square overflows) raises
-    :class:`NonFiniteInstanceError`.  ``report_radius`` follows from the
-    same largest squared row norm (see :func:`_logistic_report_radius`).
-    The problem keeps the negated labels ``neg_labels``, the form the
+    :class:`NonFiniteInstanceError`.  The problem keeps the negated labels ``neg_labels``, the form the
     logistic kernels take.
     """
 
@@ -235,10 +199,8 @@ class LogisticProblem(FiniteSumProblem):
         self.lam = float(lam)
         self.N, self.n = features.shape
         self.label = label
-        sq_max = float(np.max(_squared_row_norms(features)))
-        self.lipschitz = self.lam + 0.25 * sq_max
+        self.lipschitz = self.lam + 0.25 * float(np.max(_squared_row_norms(features)))
         _require_finite("logistic", lipschitz=self.lipschitz)
-        self.report_radius = _logistic_report_radius(sq_max, self.N, self.n, self.lam)
 
     def component_gradient(self, i, x):
         return self.batch_gradient(np.array([i]), x)
@@ -256,24 +218,6 @@ class LogisticProblem(FiniteSumProblem):
     def report(self, X):
         X = np.asarray(X, dtype=np.float64)
         return kernels.logistic_report(self.features, self.neg_labels, self.lam, X)
-
-
-def _logistic_report_radius(sq_max, N, n, lam):
-    """A radius r such that the logistic report of any x with max|x| <= r
-    is finite, given the largest squared row norm ``sq_max``.
-
-    A margin is at most ||a_i||_1 r <= sqrt(n sq_max) r in size, and r
-    keeps that below realmax / (32 N), so the sum of N losses, each at
-    most its margin plus log 2, stays finite in any summation order.  r
-    also keeps n r^2 below realmax / (4 max(1, lam)), so ||x||^2 and
-    lam/2 ||x||^2 stay finite.  The spare factors cover the rounding of
-    ``sq_max`` and of the products.  A gradient entry is at most
-    sqrt(sq_max) + lam r, finite for every instance with a finite
-    Lipschitz constant.
-    """
-    big = sys.float_info.max  # Python floats: a quotient past it is inf, with no warning
-    r_loss = big / (32.0 * N * math.sqrt(n) * math.sqrt(sq_max)) if sq_max else math.inf
-    return min(r_loss, math.sqrt(big / (4.0 * n * max(1.0, lam))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,22 @@ turns non-finite stops at that row, so its trace ends at the divergence
 sentinel.  The reported columns ``f_full`` and ``grad_norm_full`` come
 from the problem's uncharged ``report``, which takes a stack of
 iterates: a row is queued with its iterate, and the queue is reported
-in one call once it holds ``REPORT_CHUNK`` rows, when ``run`` returns,
-and at once when an iterate leaves the problem's ``report_radius`` (a
-problem with a radius of -inf has every row reported as it is
-appended).  A queued row's objective is therefore finite, and the run
-stops on the same row whatever the queue holds.  A held row, whose
-iterate is the previous row's own array (no driver writes an iterate in
-place), is not queued: it takes that row's reported values once they are
-known, so a held iterate is reported once, and every row at it carries
-the same bits whichever stack reported it.  ``REPORT_CHUNK`` is
-16: a logistic report's cost per row still falls past 16, but its stack
-of margins, 16 arrays of N floats, is the largest that kept the peak
-resident memory of the benchmark's logistic workload within 3% of a
-stack of 8 (stacks of 24 and 32 took 8-11% more).  Every column but
+in one call once it holds ``REPORT_CHUNK`` rows and when ``run``
+returns, at no other time.  A report ends the trace at its first row
+whose objective is not finite: it deletes the rows after that sentinel
+and makes the sentinel's iterate the run's final one.  A diverging run
+so computes up to ``REPORT_CHUNK - 1`` iterations past its sentinel
+and discards them; a row's report does not depend on the other rows of
+its stack, so the run ends on the same row whatever the queue holds.
+A held row, whose iterate is the previous row's own array (no driver
+writes an iterate in place), is not queued: it takes that row's
+reported values once they are known, so a held iterate is reported
+once, and every row at it carries the same bits whichever stack
+reported it.  ``REPORT_CHUNK`` is 16: a logistic report's cost per row
+still falls past 16, but its stack of margins, 16 arrays of N floats,
+is the largest that kept the peak resident memory of the benchmark's
+logistic workload within 3% of a stack of 8 (stacks of 24 and 32 took
+8-11% more).  Every column but
 the two reported ones is set when its row is appended; ``records`` is
 complete once ``run`` returns.  One cost meter per run, charged only by
 the ``problems`` estimator entry points, keeps both cost columns:
@@ -124,36 +127,36 @@ class SolverConfig:
     label: str = None
 
     def validate(self, N=None):
+        """Refuse an unknown method, or a value out of range for a field
+        the method reads (``S`` also against the component count ``N``,
+        when it is given); a field the method does not read is not
+        checked, since no value of it changes the run."""
         if self.method not in _DRIVERS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must be in (0, 1)")
-        if self.maxiter < 1:
-            raise ValueError("maxiter must be >= 1")
-        if self.seed < 0:  # numpy would refuse it only at the first draw
-            raise ValueError(f"seeds must be >= 0, got {self.seed}")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        for name in ("eta0", "eta1"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if self.beta is not None and not 0 < self.beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
-        if self.p is not None and self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.S < 1 or (N is not None and self.S > N):
-            raise ValueError(f"need 1 <= S <= N, got S={self.S}")
-        if self.method == "slises-modified":
-            if not self.delta > 0:
-                raise ValueError("slises-modified needs delta > 0")
-            if self.m < 2:
-                raise ValueError("slises-modified needs m > 1")
-        DampingPolicy(self.gamma_min, self.gamma_max)
+        reads = _DRIVERS[self.method][1]
+        for name, ok, message in (
+                ("sampler", self.sampler in SAMPLERS, f"unknown sampler {self.sampler!r}"),
+                ("m", self.m >= 1, "m must be >= 1"),
+                ("eta", 0 < self.eta < 1, "eta must be in (0, 1)"),
+                ("maxiter", self.maxiter >= 1, "maxiter must be >= 1"),
+                # numpy would refuse a negative seed only at the first draw
+                ("seed", self.seed >= 0, f"seeds must be >= 0, got {self.seed}"),
+                ("eps", self.eps > 0, "eps must be positive"),
+                ("eta0", self.eta0 is None or 0 < self.eta0 < math.inf,
+                 "eta0 must be finite and positive"),
+                ("eta1", self.eta1 is None or 0 < self.eta1 < math.inf,
+                 "eta1 must be finite and positive"),
+                ("beta", self.beta is None or 0 < self.beta <= 1, "beta must be in (0, 1]"),
+                ("p", self.p is None or self.p >= 1, "p must be >= 1"),
+                ("S", 1 <= self.S and (N is None or self.S <= N),
+                 f"need 1 <= S <= N, got S={self.S}"),
+                ("delta", self.delta > 0, "slises-modified needs delta > 0")):
+            if name in reads and not ok:
+                raise ValueError(message)
+        if self.method == "slises-modified" and self.m < 2:
+            raise ValueError("slises-modified needs m > 1")
+        if "gamma_min" in reads:
+            DampingPolicy(self.gamma_min, self.gamma_max)
 
     def display_label(self):
         if self.label:
@@ -246,20 +249,26 @@ class _Driver:
         self._waiting.append((rec, self._queued))
         self._queue[self._queued] = self.x
         self._queued += 1
-        # a NaN entry fails the comparison too, and every x fails a radius of -inf
-        if (self._queued == REPORT_CHUNK
-                or not np.maximum.reduce(np.abs(self.x)) <= self.problem.report_radius):
+        if self._queued == REPORT_CHUNK:
             self._report()
 
     def _report(self):
-        """Fill in the reported columns of the waiting rows."""
+        """Fill in the reported columns of the waiting rows, and end the
+        trace at the first whose objective is not finite, the sentinel:
+        the rows after it are deleted and its iterate becomes the run's."""
         if self._queued:
             f, G = self.problem.report(self._queue[:self._queued])
             # vecdot takes each row's dot as g @ g does: np.linalg.norm's bits
             f, norms = f.tolist(), np.sqrt(np.vecdot(G, G)).tolist()
-            for rec, slot in self._waiting:
+            # the waiting rows are the last records, in order
+            first = len(self.records) - len(self._waiting)
+            for i, (rec, slot) in enumerate(self._waiting):
                 rec.f_full = f[slot]
                 rec.grad_norm_full = norms[slot]
+                if not math.isfinite(f[slot]):
+                    del self.records[first + i + 1:]
+                    self.x = self._queue[slot].copy()
+                    break
             self._waiting.clear()
             self._queued = 0
 
@@ -276,8 +285,8 @@ class _Driver:
         }
 
     def run(self):
-        # stop after maxiter steps or at the first non-finite objective;
-        # a row waits only while the queue holds its iterate, which is finite
+        # stop after maxiter steps or at the first non-finite objective,
+        # which a report finds at the latest REPORT_CHUNK - 1 steps later
         while self.k < self.config.maxiter and (
                 self._queued or math.isfinite(self.records[-1].f_full)):
             self.step()

@@ -322,7 +322,7 @@ class TestExitCodes:
         (["run", "--method", "adam"], "unknown method 'adam'"),
         (["run", "--method", "sgd", "--no-damping"],
          "--no-damping applies only to slises, not to method 'sgd'"),
-        (["run", "--method", "sgd", "--eta0", "nan"], "eta0 must be finite and positive"),
+        (["run", "--method", "svrg-bb", "--eta0", "nan"], "eta0 must be finite and positive"),
         (["sweep-m", "--m-grid", "0,3"], "sweep-m: run m=0: m must be >= 1"),
         (["sweep-m", "--seeds", "0,0"],
          "sweep-m: run seed 0 is repeated; every run needs its own trace file"),
@@ -332,6 +332,9 @@ class TestExitCodes:
         (["compare", "--methods", "slises-uni,slises-mod", "--m", "1"],
          "compare: run slises-mod-m1-d0.1: slises-modified needs m > 1"),
         (["compare", "--seeds", "0,-1"], "compare: seeds must be >= 0, got -1"),
+        # sgd does not read eta0, so no value of it is checked for sgd
+        (["run", "--method", "sgd", "--eta0", "nan"],
+         "--eta0 applies only to svrg-bb, sgd-bb, sgd-bb-smooth, not to method 'sgd'"),
     ])
     def test_usage_errors_are_refused_before_the_problem_is_built(
             self, monkeypatch, tmp_path, capsys, argv, message):
@@ -357,7 +360,8 @@ class TestExitCodes:
          "sgd-bb-smooth, not to method 'spectral-full'"),
         (["run", "--method", "svrg-bb", "--beta", "0.5"], "",
          "--beta applies only to sgd-bb, sgd-bb-smooth, not to method 'svrg-bb'"),
-        (["run", "--method", "sgd", "--eta", "2"], "", "eta must be in (0, 1)"),
+        (["run", "--method", "sgd", "--S", "0", "--eta", "0.3"], "",
+         "need 1 <= S <= N, got S=0"),
         (["sweep-m", "--method", "sgd"], "",
          "--m-grid applies only to slises, slises-modified, not to method 'sgd'"),
         (["sweep-m", "--method", "sgd", "--m-grid", "1,3"], "m = 9\n",
@@ -380,6 +384,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"specsum: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--methods", "slises-uni,sgd", "--eta0", "nan"],
+         "--eta0 applies only to svrg-bb, sgd-bb, sgd-bb-smooth, "
+         "not to methods 'slises', 'sgd'"),
+        (["--methods", "slises-uni,sgd", "--eta0", "0.1"],
+         "--eta0 applies only to svrg-bb, sgd-bb, sgd-bb-smooth, "
+         "not to methods 'slises', 'sgd'"),
+        (["--methods", "slises-uni,svrg-bb", "--eta0", "nan"],
+         "compare: run svrg-bb: eta0 must be finite and positive"),
+        (["--methods", "spectral-full,sgd", "--S", "7"],
+         "compare: run sgd: need 1 <= S <= N, got S=7"),
+    ], ids=["unread-bad-value", "unread-value", "read-bad-value", "S-past-N"])
+    def test_compare_refuses_a_value_in_the_name_of_a_method_that_reads_it(
+            self, tmp_path, capsys, argv, message):
+        # a value is checked for the methods that read it, and a flag that
+        # none of the methods reads is refused
+        out = tmp_path / "refused"
+        assert main(["compare", "--n", "3", "--N", "6", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"specsum: {message}\n"
+        assert not out.exists()
+
+    def test_compare_takes_a_flag_that_one_of_its_methods_reads(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["compare", "--n", "3", "--N", "6", "--methods", "spectral-full,sgd",
+                     "--S", "2", "--maxiter", "5", "--out", str(out)]) == 0
+        header, _ = read_trace(str(out / "sgd_seed0.csv"))
+        assert header["S"] == "2"
+        assert "S" not in read_trace(str(out / "spectral-full_seed0.csv"))[0]
+
     def test_sweep_m_takes_m_from_its_grid_only(self, instance, tmp_path, capsys):
         out = tmp_path / "s"
         assert main(["sweep-m", "--instance", instance, "--m", "5",
@@ -398,10 +431,14 @@ class TestExitCodes:
     # exit 1 shows that the refusal came first
     @pytest.mark.parametrize("argv, message", [
         (["run", "--method", "sgd", "--seed", "-1"], "seeds must be >= 0, got -1"),
-        (["run", "--method", "spectral-full", "--seed", "-1"], "seeds must be >= 0, got -1"),
+        (["run", "--method", "svrg-bb", "--seed", "-1"], "seeds must be >= 0, got -1"),
         (["sweep-m", "--seeds", ","], "sweep-m: --seeds is empty, so there is nothing to run"),
         (["sweep-m", "--m-grid", ","], "sweep-m: --m-grid is empty, so there is nothing to run"),
         (["compare", "--methods", ","], "compare: --methods is empty, so there is nothing to run"),
+        # spectral-full never draws, so it reads no seed
+        (["run", "--method", "spectral-full", "--seed", "-1"],
+         "--seed applies only to slises, slises-modified, sgd, svrg-bb, sgd-bb, "
+         "sgd-bb-smooth, not to method 'spectral-full'"),
     ])
     def test_refused_before_a_missing_dataset_is_read(self, tmp_path, capsys, argv, message):
         out = tmp_path / "refused"

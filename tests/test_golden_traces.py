@@ -1,4 +1,4 @@
-"""Pinned trace bytes: six tiny CLI invocations against recorded digests.
+"""Pinned trace bytes: seven tiny CLI invocations against recorded digests.
 
 Each invocation writes its traces and its aggregate into a fresh
 directory, and the SHA-256 of every file written must equal the digest
@@ -8,7 +8,8 @@ a logistic ``compare`` over a sparse dataset, a logistic ``compare``
 whose ``spectral-full`` run calls the full-index estimators, a
 logistic ``compare`` whose runs hold across report chunks, and a
 ``compare`` of the epoch baselines over eight epochs on a frozen
-instance.  A second set of digests covers each trace with its
+instance, and a ``compare`` on a stiff frozen instance whose
+``slises-modified`` run diverges and ends at its sentinel row.  A second set of digests covers each trace with its
 ``f_full`` column cut out, and a third
 with both reported columns, ``f_full`` and ``grad_norm_full``, cut out, so
 that a change to how the reported objective or gradient norm is computed,
@@ -20,6 +21,7 @@ version, BLAS library and machine architecture they were recorded with;
 on any other the test skips and says which one differs.
 """
 
+import contextlib
 import hashlib
 import os
 import platform
@@ -30,6 +32,7 @@ import pytest
 
 from specsum.cli import _from_flags, build_parser, main
 from specsum.harness import ExperimentSpec, generate_instance, read_trace, run_single
+from specsum.problems import generate_quadratic
 from specsum.solvers import SolverConfig
 
 PINNED = {"numpy": "2.4.6", "blas": "scipy-openblas", "machine": "x86_64"}
@@ -99,9 +102,26 @@ def _epoch_baselines(tmp_path):
             "--seeds", "0,1", "--p", "4", "--maxiter", "30"]
 
 
+def _stiff_divergence(tmp_path):
+    # the stiff instance of the CLI divergence tests, A scaled by 1e3: the
+    # slises-modified run with AIS and m=2 ends at its sentinel row
+    P = generate_quadratic(5, 20, np.random.default_rng(0))
+    inst = str(tmp_path / "stiff.npz")
+    np.savez(inst, A=P.A * 1e3, b=P.b, lipschitz=P.lipschitz * 1e3, seed=0)
+    return ["compare", "--instance", inst, "--methods", "slises-modified,sgd",
+            "--sampler", "ais", "--m", "2", "--seeds", "0"]
+
+
 INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
                "logistic-compare": _logistic_compare, "logistic-full": _logistic_full,
-               "logistic-held": _logistic_held, "epoch-baselines": _epoch_baselines}
+               "logistic-held": _logistic_held, "epoch-baselines": _epoch_baselines,
+               "stiff-divergence": _stiff_divergence}
+
+
+def _overflow_allowed(name):
+    """Silence numpy's floating-point warnings for an invocation that
+    diverges on purpose; any other invocation must raise none."""
+    return np.errstate(all="ignore") if name == "stiff-divergence" else contextlib.nullcontext()
 
 DIGESTS = {
     "epoch-baselines": {
@@ -132,6 +152,11 @@ DIGESTS = {
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "a139ee84500a5fb5267bebc444e3cdc9ecf93680c4030b33b927981ec5b1e506",
+    },
+    "stiff-divergence": {
+        "compare.csv": "362d3506e6aa6ba03ece604223774b9ff947f4b09e8e25967eb20cad0716b533",
+        "sgd_seed0.csv": "095024d3ead265af1e9af1a9b2fde46dae4244a17f60602437b45a94cdf3a346",
+        "slises-mod-m2-d0.1_seed0.csv": "61a1b5d8af01539c878669a8a062b743b51c66235cbd039ce095c28efca48d58",
     },
     "sweep-m": {
         "m=1_seed0.csv": "0f1e9e3336104c81f29b37b8024ac3752f3bfce339f0de67b507c54b5f25223d",
@@ -172,6 +197,10 @@ COST_DIGESTS = {
     "spectral-full": {
         "spectral-full_seed0.csv": "5b8d9cb9668433a1ead8f7fd0d34ed114dcedd3554a57026d8f318fbc6f1d852",
     },
+    "stiff-divergence": {
+        "sgd_seed0.csv": "84ea921c42a6b136f9ab488889ca0619dbd26dd8553f706a23ea4a5af0a45d9f",
+        "slises-mod-m2-d0.1_seed0.csv": "6d678119f35458e8a20535473370152c87e098694362324b2027d101ecc593f6",
+    },
     "sweep-m": {
         "m=1_seed0.csv": "d38d244ee5a72e81526f074448d559f48aa2de7a14b01b788413accf872d2fa1",
         "m=1_seed1.csv": "2207bc5b7d18ed383966a852ac5ddd6c20a402edfd7fd8ded7deba0ba4dacd8b",
@@ -210,6 +239,10 @@ STEP_DIGESTS = {
     "spectral-full": {
         "spectral-full_seed0.csv": "659d950d9685806bb26619b4d9708c25c75521fa39548ac63ea4054b9494d263",
     },
+    "stiff-divergence": {
+        "sgd_seed0.csv": "e1026ecdedc53828d039545d3b32f1148957b5a7af33872ed7048142588595bc",
+        "slises-mod-m2-d0.1_seed0.csv": "fecb78311ebb9de7a14448c550acdd10376a2a8f7699652d6103e5f6c0e4dc09",
+    },
     "sweep-m": {
         "m=1_seed0.csv": "e89cedb18f90ace047429209ea5244e24bc711abaae1591d11e8e05ac5f0538d",
         "m=1_seed1.csv": "f7886507d1a9203083ee677844aedfba1c4fa363b1f0a3f4a2f24e859a0d782f",
@@ -236,7 +269,8 @@ def without_columns(data, *names):
 def written_files(name, tmp_path):
     """The bytes of every file one invocation writes, keyed by file name."""
     out = tmp_path / "out"
-    assert main(INVOCATIONS[name](tmp_path) + ["--out", str(out)]) == 0
+    with _overflow_allowed(name):
+        assert main(INVOCATIONS[name](tmp_path) + ["--out", str(out)]) == 0
     return {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
 
 
@@ -307,7 +341,8 @@ def test_each_run_is_rebuilt_from_its_trace_header(name, tmp_path):
     for f in traces:
         cfg = config_from_header(read_trace(str(out / f))[0])
         stream = columns.index(cfg.label) if columns else 0
-        path, _ = run_single(problem, cfg, cfg.seed, str(tmp_path / "rebuilt"), stream)
+        with _overflow_allowed(name):
+            path, _ = run_single(problem, cfg, cfg.seed, str(tmp_path / "rebuilt"), stream)
         assert os.path.basename(path) == f
         with open(path, "rb") as fh:
             assert fh.read() == files[f]

@@ -244,13 +244,23 @@ class TestReportedLoss:
             got = kernels.quad_value(A, b, idx, x)
             assert abs(got - ref) <= 4 * n * np.finfo(float).eps * scale
 
+    @pytest.mark.parametrize("idx", [[0], [0, 1], [0, 2]], ids=["one-index", "run", "gather"])
+    def test_quad_value_past_overflow_is_inf_not_minus_inf(self, idx):
+        # x'Ax >= 0 for an SPD A, but past overflow vdot keeps its first -inf
+        # product, which a line search would take for a decrease
+        A = np.tile([[1.0, -0.9], [-0.9, 1.0]], (3, 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernels.quad_value(A, np.zeros((3, 2)), np.array(idx), np.array([4e154, 5e154]))
+        assert got == np.inf
+
 
 def one_row_quad_value(A, b, i, x):
-    # the batch formula over the one-row stack A[i:i+1]
+    # the batch formula over the one-row stack A[i:i+1], -inf taken as inf
     r = slice(i, i + 1 or None)
     dx = x[None, :] - b[r]
     Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
-    return 0.5 * float(np.vdot(dx, Adx)) / 1
+    v = 0.5 * float(np.vdot(dx, Adx)) / 1
+    return np.inf if v == -np.inf else v
 
 
 def one_row_quad_gradient(A, b, i, x):
@@ -408,10 +418,11 @@ class TestStackedReport:
         # the quadratic report takes one matrix-vector product per row, so
         # a row of a stack keeps its one-row bits exactly (the gemm X @ M'
         # sums in other orders); rows at the corners of the box max|x| <= r,
-        # just inside them, at the minimizer and in between, mixed in stacks
+        # just inside them, at the minimizer and in between, mixed in stacks;
+        # at r = 1e150 and n = 100, x'Mx comes within a factor 1e5 of overflow
         P = generate_quadratic(n, 4, np.random.default_rng(n))
         rng = np.random.default_rng(c)
-        r = P.report_radius
+        r = 1e150
         signs = np.where(rng.random((c, n)) < 0.5, -1.0, 1.0)
         pool = np.concatenate([r * signs, -r * signs * rng.uniform(0.9, 1.0, size=(c, n)),
                                np.tile(P.minimizer, (c, 1)),

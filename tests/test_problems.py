@@ -1,8 +1,6 @@
 """Problem oracles: generator recipe, gradients, estimators, ingestion."""
 
 import itertools
-import math
-import sys
 import tracemalloc
 import warnings
 from unittest.mock import patch
@@ -11,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from specsum import problems
@@ -30,7 +28,7 @@ from specsum.problems import (
     load_dataset,
     logistic_problem,
 )
-from specsum.solvers import SolverConfig, make_solver
+from specsum.solvers import REPORT_CHUNK
 
 from conftest import make_logistic
 
@@ -284,116 +282,10 @@ class TestLogistic:
         assert np.isfinite(full_value(P, x))
         assert np.all(np.isfinite(full_gradient(P, x)))
 
-    @given(n=st.integers(1, 6), N=st.integers(1, 40), exponent=st.integers(-300, 153),
-           lam=st.sampled_from([0.0, 1e-4, 1.0, 1e300]), same_rows=st.booleans(),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_report_inside_the_radius_is_finite(self, n, N, exponent, lam, same_rows, seed,
-                                                data):
-        # features of any size up to where their squares overflow; the
-        # corners of the box max|x| <= r, aligned with one row so that
-        # its margin is ||a_i||_1 r (with every row that one, every
-        # margin is), and random points inside it
-        rng = np.random.default_rng(seed)
-        feats = rng.standard_normal((N, n)) * 10.0**exponent
-        if same_rows:
-            feats[:] = feats[0]
-        labels = np.full(N, 1.0) if same_rows else np.where(rng.random(N) > 0.5, 1.0, -1.0)
-        with np.errstate(over="ignore"):
-            assume(np.isfinite(np.max(np.sum(feats**2, axis=1))))
-        P = LogisticProblem(feats, labels, lam)
-        r = P.report_radius
-        assert 0 < r < np.inf
-        row = data.draw(st.integers(0, N - 1))
-        X = np.stack([r * np.where(feats[row] < 0, -1.0, 1.0),
-                      -r * np.where(feats[row] < 0, -1.0, 1.0),
-                      r * rng.uniform(-1.0, 1.0, size=n), np.full(n, r)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for stack in (X, X[:1], X[2:3]):
-                f, G = P.report(stack)
-                assert np.all(np.isfinite(f)) and np.all(np.isfinite(G))
-
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_equal_margins_at_the_radius_sum_to_a_finite_value(self, n):
-        # squared row norms of 1e308; at x = -r every loss is its margin
-        # ||a||_1 r = realmax / 1280, and the 40 of them sum to realmax / 32
-        P = LogisticProblem(np.full((40, n), 1e154 / math.sqrt(n)), np.ones(40), 1e-4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            f, G = P.report(np.full((2, n), -P.report_radius))
-        assert np.all(np.isfinite(f)) and np.all(np.isfinite(G))
-        assert f[0] > sys.float_info.max / 1e4
-
-    def test_report_radius_is_the_overflow_scale(self):
-        # the radius is not vacuous: 1e3 times it, the report overflows
-        P = LogisticProblem(np.full((12, 3), 1e150), np.ones(12), 1e-4)
-        x = np.full((1, 3), 1e3 * P.report_radius)
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(P.report(x)[0][0])
-
     def test_negative_regularization_rejected(self):
         for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^regularization must be finite and nonnegative"):
                 LogisticProblem(np.ones((2, 2)), np.array([1.0, -1.0]), lam=lam)
-
-
-class TestQuadraticReportRadius:
-    @given(n=st.integers(1, 6), N=st.integers(1, 8), a_exp=st.integers(-300, 300),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_report_inside_the_radius_is_finite(self, n, N, a_exp, seed, data):
-        # matrices and vectors of any scale whose aggregates are finite;
-        # the corners of the box max|x| <= r aligned with mean A_i b_i,
-        # with a row of the mean matrix and with its leading eigenvector,
-        # and random points inside it
-        b_exp = data.draw(st.integers(-300, max(-300, (300 - a_exp) // 2)))
-        rng = np.random.default_rng(seed)
-        C = rng.standard_normal((N, n, n))
-        A = (C + C.transpose(0, 2, 1)) * 10.0**a_exp
-        b = rng.standard_normal((N, n)) * 10.0**b_exp
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            try:
-                P = QuadraticProblem(A, b, lipschitz=1.0)
-            except (problems.NonFiniteInstanceError, np.linalg.LinAlgError):
-                assume(False)
-        r = P.report_radius
-        assert 0 < r < np.inf
-        row = data.draw(st.integers(0, n - 1))
-        lead = np.linalg.eigh(P._mean_A)[1][:, -1]
-        corners = [np.where(v < 0, -r, r) for v in (P._mean_Ab, P._mean_A[row], lead)]
-        X = np.stack(corners + [-c for c in corners]
-                     + [r * rng.uniform(-1.0, 1.0, size=n), np.full(n, r)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for stack in (X, X[:1], X[6:7]):
-                f, G = P.report(stack)
-                assert np.all(np.isfinite(f)) and np.all(np.isfinite(G))
-
-    def test_report_radius_is_the_overflow_scale(self):
-        # the radius is not vacuous: 1e3 times it, the report overflows
-        P = generate_quadratic(3, 12, np.random.default_rng(0))
-        x = np.full((1, 3), 1e3 * P.report_radius)
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(P.report(x)[0][0])
-
-    def test_overflowed_value_is_inf_not_minus_inf(self):
-        # f >= 0 on an SPD instance, but past overflow x'Mx's fused products
-        # keep the first term's -inf although the later terms are +inf
-        P = QuadraticProblem(np.array([[[1.0, -0.9], [-0.9, 1.0]]]), np.zeros((1, 2)))
-        with np.errstate(over="ignore"):
-            f, _ = P.report(np.array([[4e154, 5e154], [2.0, 0.0]]))
-        assert f[0] == np.inf and f[1] == 2.0
-
-    def test_constant_near_overflow_leaves_no_radius(self):
-        # b'Ab / 2 = realmax / 3.6: no x is known to report finite, so
-        # every row is reported at once, as it is appended
-        P = QuadraticProblem(np.ones((1, 1, 1)), np.full((1, 1), 1e154), lipschitz=1.0)
-        assert P.report_radius == -np.inf
-        drv = make_solver(P, SolverConfig(method="sgd", maxiter=20, seed=0))
-        while drv.k < drv.config.maxiter:
-            assert drv.records[-1].f_full is not None
-            drv.step()
-        assert np.all(np.isfinite([r.f_full for r in drv.run().records]))
 
 
 class TestDatasetLoader:
@@ -593,6 +485,37 @@ class TestReport:
             (f,), (g,) = P.report(x[None])
             assert abs(f - batch_value(P, every, x)) <= 1e-12 * P.lipschitz * R * R
             assert np.max(np.abs(g - batch_gradient(P, every, x))) <= 1e-12 * P.lipschitz * R
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_a_row_does_not_depend_on_the_other_rows_of_its_stack(self, kind):
+        # a diverging run's sentinel and the rows computed past it share a
+        # stack with finite rows: inf, NaN and overflowing rows leave the
+        # finite rows' bits as a stack of finite rows gives them
+        rng = np.random.default_rng(7)
+        P = generate_quadratic(5, 12, rng) if kind == "quadratic" else make_logistic(5, 30, 7)
+        X = 10.0 * rng.standard_normal((REPORT_CHUNK, 5))
+        mixed = X.copy()
+        mixed[2], mixed[15], mixed[7] = np.inf, -np.inf, np.nan
+        mixed[9, 3] = np.nan
+        mixed[11] = 1e200  # finite, but its value overflows
+        bad = [2, 7, 9, 11, 15]
+        finite = np.setdiff1d(np.arange(REPORT_CHUNK), bad)
+        with np.errstate(all="ignore"):
+            f, G = P.report(mixed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ref_f, ref_G = P.report(X)
+        assert not np.any(np.isfinite(f[bad]))
+        assert f[finite].tobytes() == ref_f[finite].tobytes()
+        assert G[finite].tobytes() == ref_G[finite].tobytes()
+
+    def test_overflowed_value_is_inf_not_minus_inf(self):
+        # f >= 0 on an SPD instance, but past overflow x'Mx's fused products
+        # keep the first term's -inf although the later terms are +inf
+        P = QuadraticProblem(np.array([[[1.0, -0.9], [-0.9, 1.0]]]), np.zeros((1, 2)))
+        with np.errstate(over="ignore"):
+            f, _ = P.report(np.array([[4e154, 5e154], [2.0, 0.0]]))
+        assert f[0] == np.inf and f[1] == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,20 @@ class TestMeterOracle:
         assert [r.f_full for r in on.records] == [r.f_full for r in off.records]
 
 
+def stiff_quadratic():
+    """A stiff instance, A scaled by 1e3, on which sgd and slises-modified
+    with m=2 diverge."""
+    P = generate_quadratic(5, 20, np.random.default_rng(0))
+    return QuadraticProblem(P.A * 1e3, P.b, lipschitz=P.lipschitz * 1e3)
+
+
+def huge_logistic():
+    """Features near 1e150, where a large step overflows the margins."""
+    rng = np.random.default_rng(4)
+    return LogisticProblem(rng.standard_normal((12, 3)) * 1e150,
+                           np.where(rng.random(12) > 0.5, 1.0, -1.0), 1e-4)
+
+
 class TestDivergence:
     def test_run_ends_at_sentinel_row(self):
         # a stiff instance on which slises-modified with AIS and m=2 diverges
@@ -594,9 +608,8 @@ class TestDivergence:
         assert np.array_equal(tr.final_x, xs[len(f) - 1])
 
     def test_quadratic_run_ends_at_sentinel_row(self):
-        # the stiff instance above: sgd's iterate grows past the report
-        # radius, about 3e150, and then past 1e154, where f overflows, on
-        # row 44; the rows before it are deferred and reported in chunks
+        # the stiff instance above: sgd's iterate grows past 1e154, where f
+        # overflows, on row 44; the rows before it are reported in chunks
         P = generate_quadratic(5, 20, np.random.default_rng(0))
         stiff = QuadraticProblem(P.A * 1e3, P.b, lipschitz=P.lipschitz * 1e3)
         cfg = SolverConfig(method="sgd", seed=0)
@@ -608,18 +621,17 @@ class TestDivergence:
                 drv.step()
                 xs.append(drv.x)
         f = np.array([r.f_full for r in tr.records])
-        assert np.abs(xs[solvers.REPORT_CHUNK]).max() <= stiff.report_radius
         assert len(tr.records) == 45 and tr.records[-1].k == 43
         assert (tr.records[-1].cum_evals, tr.records[-1].grad_pass_cost) == (0, 44)
         assert not np.isfinite(f[-1])
         assert np.all(np.isfinite(f[:-1]))
         assert np.array_equal(tr.final_x, xs[len(f) - 1])
 
-    def test_nan_iterate_is_reported_at_once(self):
+    def test_nan_iterate_ends_the_trace_at_its_row(self):
         # sgd takes one gradient per step; after REPORT_CHUNK + 2 steps the
         # first REPORT_CHUNK rows are reported and three finite rows are
-        # queued.  The next gradient is NaN: its row is reported as it is
-        # appended, together with the queued rows, and the run ends on it
+        # queued.  The next gradient is NaN: its row is queued like the
+        # others, and the run reports it with its chunk and ends on it
         steps = solvers.REPORT_CHUNK + 2
 
         class NanGradient:
@@ -637,16 +649,75 @@ class TestDivergence:
 
         P = NanGradient(generate_quadratic(4, 8, np.random.default_rng(0)))
         drv = make_solver(P, SolverConfig(method="sgd", maxiter=steps + 20, seed=1))
-        for _ in range(steps):
+        for _ in range(steps + 1):
             drv.step()
         queued = [r.f_full is None for r in drv.records]
-        assert queued == [False] * solvers.REPORT_CHUNK + [True] * 3
-        drv.step()
-        assert np.isnan(drv.records[-1].f_full)
-        assert not any(r.f_full is None for r in drv.records)
+        assert queued == [False] * solvers.REPORT_CHUNK + [True] * 4
         tr = drv.run()
         assert len(tr.records) == steps + 2 and tr.records[-1].k == steps
+        assert np.isnan(tr.records[-1].f_full)
         assert np.all(np.isfinite([r.f_full for r in tr.records[:-1]]))
+        assert np.all(np.isnan(tr.final_x))
+        assert drv.k == 2 * solvers.REPORT_CHUNK - 1  # the step that filled its chunk
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("sentinel", [0, 5, 16, 20, 31, 50])
+    def test_first_non_finite_report_ends_the_trace(self, sentinel, value):
+        # every iterate stays finite, but the report of row `sentinel` and of
+        # every row after it is not: the trace ends at that row, with its
+        # iterate, once the report of its chunk finds it (row 50's chunk
+        # is the last, partial one, reported when the run returns)
+        class TurnsNonFinite:
+            def __init__(self, inner):
+                self._inner = inner
+                self.rows = 0  # rows reported so far; sgd holds no row
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def report(self, X):
+                f, G = self._inner.report(X)
+                f[max(0, sentinel - self.rows):] = value
+                self.rows += len(X)
+                return f, G
+
+        inner = generate_quadratic(4, 8, np.random.default_rng(0))
+        cfg = SolverConfig(method="sgd", maxiter=60, seed=1)
+        drv = make_solver(TurnsNonFinite(inner), cfg)
+        tr = drv.run()
+        f = np.array([r.f_full for r in tr.records])
+        assert len(f) == sentinel + 1 and tr.records[-1].k == max(sentinel - 1, 0)
+        assert not np.isfinite(f[-1]) and np.all(np.isfinite(f[:-1]))
+        replay = make_solver(inner, cfg)
+        for _ in range(sentinel):
+            replay.step()
+        assert np.array_equal(tr.final_x, replay.x)
+        chunk_end = solvers.REPORT_CHUNK * (sentinel // solvers.REPORT_CHUNK + 1) - 1
+        assert drv.k == min(chunk_end, cfg.maxiter)
+        assert drv.k - sentinel <= solvers.REPORT_CHUNK - 1
+
+    @pytest.mark.parametrize("method, sampler", [
+        (method, sampler) for method, (_, reads) in solvers._DRIVERS.items()
+        for sampler in (SAMPLERS if "sampler" in reads else SAMPLERS[:1])])
+    @pytest.mark.parametrize("build", [
+        pytest.param(stiff_quadratic, id="stiff-quadratic"),
+        pytest.param(huge_logistic, id="logistic-1e150")])
+    def test_every_method_ends_at_its_first_non_finite_row(self, build, method, sampler):
+        # a run goes on up to REPORT_CHUNK - 1 steps past its sentinel,
+        # through NaN and infinite iterates, and must not raise there
+        P = build()
+        cfg = SolverConfig(method=method, sampler=sampler, m=2, S=2, maxiter=200, seed=3,
+                           eta0=100.0, eta1=100.0)
+        with np.errstate(all="ignore"):
+            tr = run_solver(P, cfg)
+            replay = make_solver(P, cfg)
+            while replay.k < len(tr.records) - 1:
+                replay.step()
+        f = np.array([r.f_full for r in tr.records])
+        assert np.all(np.isfinite(f[:-1]))
+        assert not np.isfinite(f[-1]) or len(f) == cfg.maxiter + 1
+        assert tr.records[-1].k == len(f) - 2
+        assert tr.final_x.tobytes() == replay.x.tobytes()
 
 
 class TestReplay:
@@ -741,13 +812,21 @@ class TestConfigValidation:
                dict(eps=0.0), dict(eps=np.nan), dict(gamma_min=0.0), dict(gamma_max=0.5),
                dict(method="svrg-bb", p=0), dict(method="sgd-bb", p=-3),
                dict(method="slises-modified", delta=np.nan),
-               dict(method="sgd", eta0=np.nan), dict(method="svrg-bb", eta0=-1.0),
+               dict(method="sgd-bb", eta0=np.nan), dict(method="svrg-bb", eta0=-1.0),
                dict(method="svrg-bb", eta0=np.inf), dict(method="sgd-bb", eta1=0.0),
                dict(method="sgd-bb", beta=-1.0), dict(method="sgd-bb", beta=1.5),
                dict(method="sgd-bb-smooth", beta=np.nan)]
         for kw in bad:
             with pytest.raises(ValueError):
                 run_solver(P, SolverConfig(**kw))
+
+    def test_a_field_the_method_does_not_read_is_not_checked(self):
+        # no value of it changes the run, so a shared value out of range for
+        # one method does not refuse another
+        SolverConfig(method="sgd", eta0=np.nan, eta=2.0, m=0, sampler="halton").validate()
+        SolverConfig(method="spectral-full", S=7, seed=-1, eps=0.0).validate(6)
+        with pytest.raises(ValueError, match="need 1 <= S <= N"):
+            SolverConfig(method="sgd", S=7).validate(6)
 
     def test_display_labels(self):
         assert SolverConfig().display_label() == "slises-uni-m3"
