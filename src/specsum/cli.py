@@ -244,7 +244,7 @@ def _method_config(token, base):
 
 
 def cmd_generate(args):
-    if not args.n or not args.N or not args.out:
+    if args.n is None or args.N is None or not args.out:
         raise ValueError("generate needs --n, --N and --out FILE")
     print(harness.generate_instance(args.family, args.n, args.N, args.seed, args.out))
     return EXIT_OK

@@ -9,11 +9,12 @@ of all evaluation counts forms the grid, each curve is stepped onto it
 by carrying its last value forward, and the per-seed curves are reduced
 by median (default) or mean.
 
-A run whose reported objective turns non-finite writes that row (the
-float's own 'inf'/'nan' text acts as the sentinel) and its trace and
-curve end there; the aggregate carries the sentinel forward from its
-evaluation count, so a median or mean over seeds never shows a diverged
-run as a finite plateau.  Other runs in the batch are unaffected.
+The driver ends a diverging run's trace at its sentinel row, the first
+whose reported objective is not finite; the harness writes and
+aggregates every row it is given, so the file spells the sentinel as
+the float's own 'inf'/'nan' text and the aggregate carries it forward
+from its evaluation count.  A median or mean over seeds so never shows
+a diverged run as a finite plateau, and other runs are unaffected.
 
 ``sweep_m`` and ``compare_methods`` run one protocol and differ only in
 their configs and the experiment they name.  Before the first run every
@@ -28,7 +29,6 @@ stream.  Traces, aggregates and frozen instances are written atomically
 """
 
 import contextlib
-import math
 import os
 import tempfile
 import zipfile
@@ -78,13 +78,13 @@ class ExperimentSpec:
             raise ValueError(f"give one problem source, not {' and '.join(flags)}")
 
     def build_problem(self):
-        if self.instance:
+        if self.instance is not None:
             return load_instance(self.instance)
-        if self.dataset:
+        if self.dataset is not None:
             records = load_dataset(self.dataset, detect_format(self.dataset))
             return logistic_problem(records, self.lam)
-        if not self.n or not self.N:
-            raise ValueError("generated problems need both n and N")
+        if self.n is None or self.N is None:
+            raise ValueError("give a problem source: --instance, --dataset or --n and --N")
         problem = generate_quadratic(self.n, self.N, np.random.default_rng(self.problem_seed))
         problem.label += f"-seed{self.problem_seed}"  # the label of its frozen twin
         return problem
@@ -127,19 +127,24 @@ def _atomic_write(path, mode="w"):
         raise
 
 
-def write_trace(trace, path):
-    """Write one run as CSV, each field as ``_fmt`` spells it; returns the path."""
-    lines = [f"# {key} = {_fmt(val)}" for key, val in trace.header.items()]
-    lines.append(",".join(TRACE_COLUMNS))
-    for r in trace.records:
-        lines.append(f"{r.k},{r.resampled:d},{r.c!r},{r.gamma!r},{r.alpha!r},"
-                     f"{r.lsp_trials},{r.cum_evals},{r.grad_pass_cost},"
-                     f"{r.f_full!r},{r.grad_norm_full!r}")
-        if not math.isfinite(r.f_full):
-            break  # the curve ends at the divergence sentinel
+def _write_csv(path, header, columns, rows):
+    """Write the ``# key = value`` lines of ``header``, the column line and
+    the data rows, each a line already joined, atomically; returns the path."""
+    lines = [f"# {key} = {_fmt(val)}" for key, val in header.items()]
+    lines.append(",".join(columns))
+    lines.extend(rows)
     with _atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def write_trace(trace, path):
+    """Write one run as CSV, a row per record, each field as ``_fmt``
+    spells it; returns the path."""
+    return _write_csv(path, trace.header, TRACE_COLUMNS, (
+        f"{r.k},{r.resampled:d},{r.c!r},{r.gamma!r},{r.alpha!r},"
+        f"{r.lsp_trials},{r.cum_evals},{r.grad_pass_cost},"
+        f"{r.f_full!r},{r.grad_norm_full!r}" for r in trace.records))
 
 
 def read_trace(path):
@@ -184,13 +189,9 @@ def run_single(problem, config, seed, out_dir, stream=0):
 
 
 def trace_curve(trace):
-    """(cum_evals, f_full) pairs of a run, ending at its sentinel row, the
-    first non-finite f, as the written trace does."""
+    """(cum_evals, f_full) arrays of every record of a run."""
     evals = np.array([r.cum_evals for r in trace.records], dtype=np.float64)
     f = np.array([r.f_full for r in trace.records], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(f))
-    if bad.size:
-        evals, f = evals[: bad[0] + 1], f[: bad[0] + 1]
     return evals, f
 
 
@@ -227,14 +228,11 @@ def aggregate_curves(curves_by_label, how="median"):
 
 
 def write_aggregate(path, grid, columns, header=None):
-    lines = [f"# {key} = {_fmt(val)}" for key, val in (header or {}).items()]
-    lines.append(",".join(["cum_evals"] + list(columns)))
+    """Write the grid and the columns over it as CSV; returns the path."""
     cols = [np.asarray(c, dtype=np.float64).tolist() for c in columns.values()]
-    for row in zip(np.asarray(grid, dtype=np.float64).tolist(), *cols):
-        lines.append(",".join(map(repr, row)))
-    with _atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    rows = zip(np.asarray(grid, dtype=np.float64).tolist(), *cols)
+    return _write_csv(path, header or {}, ["cum_evals", *columns],
+                      (",".join(map(repr, row)) for row in rows))
 
 
 # ---------------------------------------------------------------------------

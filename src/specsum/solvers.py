@@ -219,6 +219,7 @@ class _Driver:
         self._queued = 0
         self._waiting = []  # (record, queue slot) of every row not yet reported
         self._row_x = None  # the iterate of the last row appended
+        self._diverged = False  # set by the report that ends the trace at its sentinel
         self._append_record(resampled=False, c=np.nan, gamma=np.nan,
                             alpha=np.nan, trials=0, indices=np.empty(0, dtype=np.int64))
 
@@ -268,6 +269,7 @@ class _Driver:
                 if not math.isfinite(f[slot]):
                     del self.records[first + i + 1:]
                     self.x = self._queue[slot].copy()
+                    self._diverged = True
                     break
             self._waiting.clear()
             self._queued = 0
@@ -285,10 +287,9 @@ class _Driver:
         }
 
     def run(self):
-        # stop after maxiter steps or at the first non-finite objective,
-        # which a report finds at the latest REPORT_CHUNK - 1 steps later
-        while self.k < self.config.maxiter and (
-                self._queued or math.isfinite(self.records[-1].f_full)):
+        # stop after maxiter steps or once a report has found the sentinel,
+        # at the latest REPORT_CHUNK - 1 steps after it
+        while self.k < self.config.maxiter and not self._diverged:
             self.step()
         self._report()
         return RunTrace(header=self.header(), records=self.records,

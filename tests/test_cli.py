@@ -319,6 +319,22 @@ class TestExitCodes:
             assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
+        (["run", "--n", "0", "--N", "5"], "n and N must be positive"),
+        (["sweep-m", "--n", "4", "--N", "-2"], "n and N must be positive"),
+        (["generate", "--n", "0", "--N", "5"], "n and N must be positive"),
+        (["run"], "give a problem source: --instance, --dataset or --n and --N"),
+        (["compare", "--n", "4"], "give a problem source: --instance, --dataset or --n and --N"),
+        (["generate", "--n", "4", "--N", "5", "--out", ""], "generate needs --n, --N and --out FILE"),
+    ])
+    def test_a_size_of_zero_is_given_not_missing(self, tmp_path, capsys, argv, message):
+        # a size of 0 or below reaches the generator's own check
+        out = tmp_path / "refused"
+        flag = [] if "--out" in argv else ["--out", str(out)]
+        assert main([*argv, *flag]) == 1
+        assert capsys.readouterr().err == f"specsum: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
         (["run", "--method", "adam"], "unknown method 'adam'"),
         (["run", "--method", "sgd", "--no-damping"],
          "--no-damping applies only to slises, not to method 'sgd'"),

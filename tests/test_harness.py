@@ -77,22 +77,22 @@ class TestTraceRoundTrip:
         assert not all(np.array_equal(r0.indices, r1.indices)
                        for r0, r1 in zip(t0.records, t1.records, strict=True))
 
-    def test_divergence_sentinel_ends_curve(self, tmp_path):
+    def test_writer_and_curve_keep_rows_past_a_sentinel(self, tmp_path):
+        # the driver ends a trace at its sentinel; the harness keeps every
+        # record it is given, here a row after a hand-made sentinel
         recs = [
             IterationRecord(0, False, np.nan, np.nan, np.nan, 0, 0, 0, 5.0, 1.0),
-            IterationRecord(0, True, 1.0, 1.0, 1.0, 1, 2, 1, 9.0, 2.0),
-            IterationRecord(1, False, 1.0, 1.0, 1.0, 1, 3, 2, np.inf, np.inf),
-            IterationRecord(2, False, 1.0, 1.0, 1.0, 1, 4, 3, np.nan, np.nan),
+            IterationRecord(0, True, 1.0, 1.0, 1.0, 1, 2, 1, np.inf, np.inf),
+            IterationRecord(1, False, 1.0, 1.0, 1.0, 1, 3, 2, 7.0, 2.0),
         ]
         trace = RunTrace(header={"method": "slises"}, records=recs, final_x=np.zeros(1))
         path = write_trace(trace, str(tmp_path / "t.csv"))
-        text = Path(path).read_text()
-        assert "inf" in text
-        header, rows = read_trace(path)
-        assert len(rows["k"]) == 3  # rows after the sentinel are dropped
-        evals, f = trace_curve(trace)  # the curve keeps the sentinel row, as the file does
+        _, rows = read_trace(path)
+        assert list(rows["cum_evals"]) == [0.0, 2.0, 3.0]
+        assert list(rows["f_full"]) == [5.0, np.inf, 7.0]
+        evals, f = trace_curve(trace)
         assert list(evals) == [0.0, 2.0, 3.0]
-        assert list(f) == [5.0, 9.0, np.inf]
+        assert list(f) == [5.0, np.inf, 7.0]
 
 
 # floats that repr spells in every way it can: nan, signed infinities and
@@ -124,11 +124,7 @@ class TestRowFormatting:
         path = str(tmp_path_factory.mktemp("t") / "t.csv")
         write_trace(RunTrace(header={"method": "slises"}, records=records,
                              final_x=np.zeros(1)), path)
-        expected = []
-        for rec in records:
-            expected.append(",".join(_fmt(getattr(rec, f)) for f in FIELDS))
-            if not math.isfinite(rec.f_full):
-                break
+        expected = [",".join(_fmt(getattr(rec, f)) for f in FIELDS) for rec in records]
         assert data_lines(path) == [",".join(TRACE_COLUMNS)] + expected
 
     @given(st.integers(1, 6).flatmap(lambda rows: st.tuples(
@@ -191,6 +187,32 @@ class TestAggregation:
         assert list(median["nan"][:2]) == [5.0, 4.5] and np.isnan(median["nan"][2:]).all()
         _, mean = aggregate_curves(curves, how="mean")
         assert list(mean["one"][2:]) == [np.inf, np.inf]
+
+    @given(st.lists(st.tuples(
+        st.lists(st.integers(0, 5), min_size=0, max_size=4),
+        st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+        st.sampled_from([None, math.inf, math.nan])), min_size=1, max_size=4))
+    def test_aggregate_is_each_runs_last_value_on_the_union_grid(self, drawn):
+        # costs rise from 0 by drawn steps, some of 0; a run may end at a sentinel
+        curves = []
+        for steps, values, sentinel in drawn:
+            evals = np.cumsum([0, *steps]).astype(np.float64)
+            f = np.array(values[:evals.size], dtype=np.float64)
+            if sentinel is not None:
+                f[-1] = sentinel
+            curves.append((evals, f))
+        grid, runs = aggregate_curves({"a": curves}, how="per-run")
+        assert list(grid) == sorted({e for evals, _ in curves for e in evals})
+        for i, (evals, f) in enumerate(curves):
+            expected = [next(v for e, v in zip(evals[::-1], f[::-1]) if e <= g) for g in grid]
+            np.testing.assert_array_equal(runs[f"a/run{i}"], expected)
+            if not np.isfinite(f[-1]):
+                held = runs[f"a/run{i}"][grid >= evals[-1]]
+                assert np.all(held == f[-1]) or np.all(np.isnan(held) & np.isnan(f[-1]))
+        stacked = np.vstack(list(runs.values()))
+        for how, reduce in (("median", np.median), ("mean", np.mean)):
+            _, cols = aggregate_curves({"a": curves}, how=how)
+            np.testing.assert_array_equal(cols["a"], reduce(stacked, axis=0))
 
     def test_duplicate_budget_keeps_latest_value(self):
         # two records at the same evaluation count: the later state wins

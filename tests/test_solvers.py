@@ -15,6 +15,7 @@ from specsum.problems import (
     generate_quadratic,
 )
 from specsum import solvers
+from specsum.harness import read_trace, run_single, trace_curve
 from specsum.linesearch import HELD, LspResult
 from specsum.sampling import should_resample
 from specsum.solvers import SAMPLERS, SolverConfig, make_solver, run_solver
@@ -718,6 +719,20 @@ class TestDivergence:
         assert not np.isfinite(f[-1]) or len(f) == cfg.maxiter + 1
         assert tr.records[-1].k == len(f) - 2
         assert tr.final_x.tobytes() == replay.x.tobytes()
+
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(method="sgd", maxiter=200),
+        SolverConfig(method="slises-modified", m=2, maxiter=200)], ids=lambda c: c.method)
+    def test_the_harness_keeps_every_row_of_a_diverged_run(self, tmp_path, cfg):
+        # the driver alone ends the trace at its sentinel: the written trace
+        # and the aggregate's curve keep every record the run returns
+        with np.errstate(all="ignore"):
+            path, tr = run_single(stiff_quadratic(), cfg, seed=3, out_dir=str(tmp_path))
+        _, rows = read_trace(path)
+        assert len(rows["f_full"]) == len(tr.records) < cfg.maxiter + 1
+        assert not np.isfinite(rows["f_full"][-1])
+        evals, f = trace_curve(tr)
+        assert len(evals) == len(f) == len(tr.records)
 
 
 class TestReplay:
