@@ -28,9 +28,12 @@ and passes a ``-nodamp`` token suffix only to a method that reads
 
 ``run``, ``sweep-m`` and ``compare`` refuse a usage error that does
 not need the problem (an unknown method token, a parameter out of
-range, a value for a field the method does not read, a repeated run)
-before they build the problem, so before a dataset is parsed; only the
-checks against its component count N (S <= N) wait for it.
+range, a value for a field the method does not read, a repeated run, a
+``--lambda`` without ``--dataset`` or a ``--problem-seed`` without
+``--n``/``--N``, by flag or config file) before they build the problem,
+so before a dataset or instance file is read; only the checks against
+its component count N (S <= N) wait for it.  ``generate`` refuses a
+negative ``--seed`` before it draws.
 
 Exit codes: 0 success, 1 usage/configuration error (a repeated run
 included), 2 I/O error (malformed, non-finite or overflowing dataset
@@ -243,15 +246,29 @@ def _method_config(token, base):
                    damping=base.damping and core == token)
 
 
+def _experiment(args):
+    """The :class:`~specsum.harness.ExperimentSpec` of the parsed values,
+    refusing ``--lambda`` without ``--dataset`` and ``--problem-seed``
+    without a generated problem, since their source would ignore them."""
+    spec = _from_flags(harness.ExperimentSpec, args)
+    if "lam" in args and spec.dataset is None:
+        raise ValueError("--lambda applies only to a --dataset problem")
+    if "problem_seed" in args and spec.n is None and spec.N is None:
+        raise ValueError("--problem-seed applies only to a generated problem (--n and --N)")
+    return spec
+
+
 def cmd_generate(args):
     if args.n is None or args.N is None or not args.out:
         raise ValueError("generate needs --n, --N and --out FILE")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     print(harness.generate_instance(args.family, args.n, args.N, args.seed, args.out))
     return EXIT_OK
 
 
 def cmd_run(args):
-    spec = _from_flags(harness.ExperimentSpec, args)
+    spec = _experiment(args)
     cfg = _from_flags(SolverConfig, args)
     cfg.validate()
     _refuse_unread([cfg.method], _given(args))
@@ -262,7 +279,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    spec = _from_flags(harness.ExperimentSpec, args)
+    spec = _experiment(args)
     base = _from_flags(SolverConfig, args)
     harness.check_grid("sweep-m", harness.sweep_configs(base, args.m_grid), args.seeds)
     _refuse_unread([base.method], [("m", "--m-grid"), *_given(args)])
@@ -274,7 +291,7 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
-    spec = _from_flags(harness.ExperimentSpec, args)
+    spec = _experiment(args)
     base = _from_flags(SolverConfig, args)
     configs = [_method_config(tok, base) for tok in args.methods]
     harness.check_grid("compare", configs, args.seeds)

@@ -22,9 +22,12 @@ config is validated and every run named, as ``<label>_seed<seed>.csv``:
 a repeated label or seed is refused, so no run overwrites another, and
 so are a negative seed and an empty list of configs or seeds.  The
 cells of the (config x seed) grid then run one after another and are
-independent: problem oracles are immutable and shared read-only, every
-run owns its generator and meter, and each config gets its own seed
-stream.  Traces, aggregates and frozen instances are written atomically
+independent: every run owns its generator and meter, each config gets
+its own seed stream, and the runs share the problem, whose data they
+only read.  They also share a quadratic problem's memo of its last
+one-index product (see :class:`~specsum.problems.QuadraticProblem`),
+but no result depends on it: a hit returns the bits a fresh product
+gives.  Traces, aggregates and frozen instances are written atomically
 (temp + rename).
 """
 
@@ -39,6 +42,7 @@ import numpy as np
 from .problems import (
     DatasetFormatError,
     QuadraticProblem,
+    check_regularization,
     detect_format,
     generate_quadratic,
     load_dataset,
@@ -76,6 +80,10 @@ class ExperimentSpec:
                  if getattr(self, name) is not None]
         if len(flags) > 1 and flags != ["--n", "--N"]:
             raise ValueError(f"give one problem source, not {' and '.join(flags)}")
+        check_regularization(self.lam, "--lambda")
+        # numpy would refuse a negative seed only when the problem is drawn
+        if self.problem_seed < 0:
+            raise ValueError(f"--problem-seed must be >= 0, got {self.problem_seed}")
 
     def build_problem(self):
         if self.instance is not None:

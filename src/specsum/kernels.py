@@ -12,15 +12,19 @@ consecutive) reads those rows in place, through a slice; any other
 of its rows first.  Both paths sum the same rows in the same order, so
 they give the same bits.
 
-``quad_value`` takes the products A_i (x-b_i) through ``matmul`` and
-sums them against x-b_i in one ``vdot``; ``quad_gradient`` keeps its
-two-operand ``einsum``, which ``matmul`` does not speed up.  A quadratic
-kernel called with one index (every S=1 draw) reads A_i as one 2-D
-matrix: the value takes the matrix-vector product A_i @ (x-b_i), the
-gradient the einsum "jk,k->j".  These give the bits of the batch
-formulas over the one-row stack, without their overhead for a batch of
-one.  A gradient must not take A_i @ (x-b_i): its bits differ from the
-einsum's.
+A quadratic kernel called with one index i (every S=1 draw) reads A_i
+as one 2-D matrix and takes one matrix-vector product A_i (x-b_i)
+(``_one_row``): the gradient is that product, and the value is its dot
+with x-b_i, with the bits of the batch value over the one-row stack.
+Given the ``memo`` a ``QuadraticProblem`` owns, the product of the last
+(i, bytes of x) is reused by the next one-index call with that key, so
+a line-search trial's value and the gradient at the accepted point
+share one product, as do a redraw's gradient and its base value.  A hit
+has the bits of a miss and a gradient is returned as a copy, so no
+result depends on the memo.  A batch of several indices takes its
+products through ``matmul`` and one ``vdot`` for the value, and the
+two-operand ``einsum``, which ``matmul`` does not speed up, for the
+gradient; the einsum is for batches only.
 
 The three logistic kernels share one chain, and take the negated
 labels -y, which ``LogisticProblem`` builds once, so the label sign is
@@ -56,8 +60,9 @@ BACKEND = "numpy"
 def _rows(idx, N):
     """``slice(lo, hi + 1)`` when ``idx`` is the run lo..hi inside 0..N-1,
     so indexing reads the rows in place; ``idx`` itself otherwise.  The
-    quadratic kernels read a one-index call as one 2-D row instead; a
-    one-index logistic call still reads its row through a slice."""
+    quadratic kernels read a one-index call as one 2-D row instead
+    (``_one_row``); a one-index logistic call still reads its row
+    through a slice."""
     if idx.size:
         lo, hi = int(idx[0]), int(idx[-1])
         if (0 <= lo and hi < N and hi - lo == idx.size - 1
@@ -66,13 +71,28 @@ def _rows(idx, N):
     return idx
 
 
-def quad_value(A, b, idx, x):
-    """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``; a
-    value of -inf is returned as inf."""
-    if idx.size == 1:
-        i = idx[0]
+def _one_row(A, b, i, x, memo):
+    """x - b_i and A_i (x - b_i) for the one index ``i``; with a ``memo``
+    [key, dx, Adx], taken from it when (i, bytes of x) is its key and
+    stored in it otherwise.  The memo's arrays leave the kernels only as
+    copies."""
+    if memo is None:
         dx = x - b[i]
-        v = 0.5 * float(np.vdot(dx, A[i] @ dx))
+        return dx, A[i] @ dx
+    key = (int(i), x.tobytes())
+    if memo[0] != key:
+        dx = x - b[i]
+        memo[:] = key, dx, A[i] @ dx
+    return memo[1], memo[2]
+
+
+def quad_value(A, b, idx, x, memo=None):
+    """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``; a
+    value of -inf is returned as inf.  ``memo`` serves one-index calls
+    (see ``_one_row``)."""
+    if idx.size == 1:
+        dx, Adx = _one_row(A, b, idx[0], x, memo)
+        v = 0.5 * float(dx.dot(Adx))
     else:
         r = _rows(idx, b.shape[0])
         dx = x[None, :] - b[r]
@@ -83,11 +103,12 @@ def quad_value(A, b, idx, x):
     return np.inf if v == -np.inf else v
 
 
-def quad_gradient(A, b, idx, x):
-    """Mean of A_i (x-b_i) over the indices in ``idx``."""
+def quad_gradient(A, b, idx, x, memo=None):
+    """Mean of A_i (x-b_i) over the indices in ``idx``; a new array on
+    every call.  ``memo`` serves one-index calls (see ``_one_row``)."""
     if idx.size == 1:
-        i = idx[0]
-        return np.einsum("jk,k->j", A[i], x - b[i])
+        Adx = _one_row(A, b, idx[0], x, memo)[1]
+        return Adx if memo is None else Adx.copy()
     r = _rows(idx, b.shape[0])
     dx = x[None, :] - b[r]
     return np.einsum("ijk,ik->j", A[r], dx) / idx.size

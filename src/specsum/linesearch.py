@@ -32,7 +32,7 @@ MAX_TRIALS = 60  # halving floor ~9e-19; guards float pathologies only
 ROUNDING = float(np.finfo(float).eps)  # relative rounding of phi(0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArmijoContext:
     """Inputs of one search: base value, slope, constant and slack."""
 
@@ -42,7 +42,7 @@ class ArmijoContext:
     t: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class LspResult:
     """Accepted step (0 when held), trial count and status."""
 

@@ -59,6 +59,12 @@ def _require_finite(kind, **quantities):
             raise NonFiniteInstanceError(f"{name} of the {kind} instance is not finite")
 
 
+def check_regularization(lam, name="regularization"):
+    """Refuse a regularization weight outside [0, inf), naming it ``name``."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {lam}")
+
+
 def _as_rng(rng):
     if isinstance(rng, np.random.Generator):
         return rng
@@ -116,6 +122,11 @@ class QuadraticProblem(FiniteSumProblem):
     product Mx per row of the stack, so each row has the bits of its
     one-row report.  An aggregate or a minimizer that is not finite (the
     data overflow when summed) raises :class:`NonFiniteInstanceError`.
+
+    Its one-index estimators hand the kernels a one-entry memo, keyed by
+    the index and the bytes of x, that keeps the last product
+    A_i (x-b_i), so a value and a gradient at one index and point compute
+    it once (see :mod:`specsum.kernels`); no result depends on it.
     """
 
     def __init__(self, A, b, lipschitz=None, label="quadratic"):
@@ -125,6 +136,7 @@ class QuadraticProblem(FiniteSumProblem):
             raise ValueError("A must be (N, n, n) and b (N, n)")
         self.A = A
         self.b = b
+        self._memo = [None, None, None]  # see kernels._one_row
         self.N, self.n = b.shape
         self.label = label
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -156,12 +168,12 @@ class QuadraticProblem(FiniteSumProblem):
     def batch_value(self, indices, x):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        return float(kernels.quad_value(self.A, self.b, idx, x))
+        return float(kernels.quad_value(self.A, self.b, idx, x, memo=self._memo))
 
     def batch_gradient(self, indices, x):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        return kernels.quad_gradient(self.A, self.b, idx, x)
+        return kernels.quad_gradient(self.A, self.b, idx, x, memo=self._memo)
 
     def report(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -192,8 +204,7 @@ class LogisticProblem(FiniteSumProblem):
             raise ValueError("features must be (N, n) with one label per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if not 0 <= lam < np.inf:
-            raise ValueError(f"regularization must be finite and nonnegative, got {lam}")
+        check_regularization(lam)
         self.features = features
         self.neg_labels = -labels
         self.lam = float(lam)

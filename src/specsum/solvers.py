@@ -172,7 +172,7 @@ class SolverConfig:
         return self.method
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """One trace row.  ``indices``, kept in memory only, is the row's batch
     array itself, shared with the driver and never written, so compare
@@ -359,7 +359,7 @@ class SlisesDriver(_Driver):
             else:
                 gamma = gamma if unit else damp(c, k, self.policy)
                 d = -gamma * g
-                if unit or (dm := float(g @ d)) >= 0.0:
+                if unit or (dm := float(g.dot(d))) >= 0.0:
                     # no search: the unit step, which keeps the iterate's
                     # array when it would not move it
                     alpha = 1.0

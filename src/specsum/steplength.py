@@ -63,10 +63,10 @@ def bb_coefficient(s, y):
     input is non-finite.  Negative curvature gives a negative value;
     the damping clip maps it to gamma_min.
     """
-    ss = float(np.dot(s, s))
+    ss = float(s.dot(s))
     if not math.isfinite(ss) or ss == 0.0:
         return None
-    sy = float(np.dot(s, y))
+    sy = float(s.dot(y))
     if not math.isfinite(sy):
         return None
     if sy == 0.0:
@@ -76,7 +76,7 @@ def bb_coefficient(s, y):
 
 def anchor_coefficient(g):
     """Gradient-norm anchor 1/||g||, or ``None`` when stationary."""
-    gn = math.sqrt(g @ g)  # np.linalg.norm's formula for a float vector
+    gn = math.sqrt(g.dot(g))  # np.linalg.norm's formula for a float vector
     if not math.isfinite(gn) or gn <= STATIONARY_NORM:
         return None
     return 1.0 / gn

@@ -485,6 +485,53 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"specsum: give one problem source, not {flags}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep-m"], ["compare", "--methods", "sgd"]])
+    @pytest.mark.parametrize("source, config, message", [
+        (["--dataset", "never.txt", "--lambda", "-1"], "",
+         "--lambda must be finite and nonnegative, got -1.0"),
+        (["--dataset", "never.txt", "--lambda", "inf"], "",
+         "--lambda must be finite and nonnegative, got inf"),
+        (["--n", "3", "--N", "5", "--lambda", "-1"], "",
+         "--lambda must be finite and nonnegative, got -1.0"),
+        (["--n", "3", "--N", "5", "--problem-seed", "-4"], "",
+         "--problem-seed must be >= 0, got -4"),
+        (["--n", "3", "--N", "5", "--lambda", "1e-3"], "",
+         "--lambda applies only to a --dataset problem"),
+        (["--n", "3", "--N", "5"], "lambda = 1e-3\n",
+         "--lambda applies only to a --dataset problem"),
+        (["--dataset", "never.txt", "--problem-seed", "7"], "",
+         "--problem-seed applies only to a generated problem (--n and --N)"),
+        (["--instance", "never.npz"], "problem-seed = 7\n",
+         "--problem-seed applies only to a generated problem (--n and --N)"),
+    ], ids=["negative-lambda", "infinite-lambda", "negative-lambda-generated",
+            "negative-problem-seed", "lambda-generated", "config-lambda-generated",
+            "problem-seed-dataset", "config-problem-seed-instance"])
+    def test_a_problem_flag_is_checked_before_the_problem_is_built(
+            self, monkeypatch, tmp_path, capsys, command, source, config, message):
+        # the named files do not exist, so exit 1 shows that none was opened
+        def build_problem(spec):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(ExperimentSpec, "build_problem", build_problem)
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "problem.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "refused"
+        assert main([*command, *source, "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"specsum: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, config", [(["--seed", "-1"], ""), ([], "seed = -1\n")],
+                             ids=["flag", "config"])
+    def test_generate_refuses_a_negative_seed(self, tmp_path, capsys, flags, config):
+        cfgfile = tmp_path / "generate.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "never.npz"
+        assert main(["generate", "--n", "3", "--N", "4", *flags, "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "specsum: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_sample_larger_than_the_problem_is_refused_after_the_build(
             self, instance, tmp_path, capsys):
         for argv, prefix in ((["run"], ""), (["sweep-m"], "sweep-m: run m=1: "),

@@ -154,16 +154,16 @@ DIGESTS = {
         "spectral-full_seed0.csv": "a139ee84500a5fb5267bebc444e3cdc9ecf93680c4030b33b927981ec5b1e506",
     },
     "stiff-divergence": {
-        "compare.csv": "362d3506e6aa6ba03ece604223774b9ff947f4b09e8e25967eb20cad0716b533",
-        "sgd_seed0.csv": "095024d3ead265af1e9af1a9b2fde46dae4244a17f60602437b45a94cdf3a346",
-        "slises-mod-m2-d0.1_seed0.csv": "61a1b5d8af01539c878669a8a062b743b51c66235cbd039ce095c28efca48d58",
+        "compare.csv": "fbe953ea3e71c0e1d7c484f8d9df4744e82702c79d5d556a6d12265c3d6fe316",
+        "sgd_seed0.csv": "5408666e6d6105fd510ad1ec4979014eeef99095f7f3b618df961f88c5b84481",
+        "slises-mod-m2-d0.1_seed0.csv": "d62d40eaed808d1a87711fd7c0630e81ec0c8eab2da4bb4dd7d5c9187c92acb7",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "0f1e9e3336104c81f29b37b8024ac3752f3bfce339f0de67b507c54b5f25223d",
-        "m=1_seed1.csv": "c3a7572cbce03e0555e2155bc14e6ad0185143860fc8a0c029b7bbc0df6a3591",
-        "m=3_seed0.csv": "0c797ac61229dd3f877407279d70229aaaf4cd43eec1634152891ecfc680d2f8",
-        "m=3_seed1.csv": "5211ab56ebd6a4ad0567f514df81da17a6434f9caeaaf3ae928abdd53b080844",
-        "sweep_m.csv": "8a440837dfc49ad4272cee16dee895ff442bf85fe16c084b27f4ff0518b96294",
+        "m=1_seed0.csv": "cf4bda83b85ab24fc1a8609c51ea64989c586724cef2cdc593953055036f0b17",
+        "m=1_seed1.csv": "bfe59aebcc431c6e3060c970b65f99cbbc39e4597447e45e1e90663d6e14a5b6",
+        "m=3_seed0.csv": "a20a3fb0579ca6083d3c068aa9c70c1b98fc0ed00e92cdffba563f5d5e2eca61",
+        "m=3_seed1.csv": "50c3e039845339ba09446b1f52be3f594f663c0d5bda4498651cebc3c67ec695",
+        "sweep_m.csv": "1e0e59af0bad45f13cdb18780159261a1d1167c468e2a3cb94aba448769b42af",
     },
 }
 
@@ -198,14 +198,14 @@ COST_DIGESTS = {
         "spectral-full_seed0.csv": "5b8d9cb9668433a1ead8f7fd0d34ed114dcedd3554a57026d8f318fbc6f1d852",
     },
     "stiff-divergence": {
-        "sgd_seed0.csv": "84ea921c42a6b136f9ab488889ca0619dbd26dd8553f706a23ea4a5af0a45d9f",
-        "slises-mod-m2-d0.1_seed0.csv": "6d678119f35458e8a20535473370152c87e098694362324b2027d101ecc593f6",
+        "sgd_seed0.csv": "9d6d91a420fcf517f50e8ad8e5b6ee8242e477263ece844d763ac1485a55aa21",
+        "slises-mod-m2-d0.1_seed0.csv": "1347c67bf030c869c81d1f35c467ea62d3c30adb8e62b3d8693f81d7139b38c7",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "d38d244ee5a72e81526f074448d559f48aa2de7a14b01b788413accf872d2fa1",
-        "m=1_seed1.csv": "2207bc5b7d18ed383966a852ac5ddd6c20a402edfd7fd8ded7deba0ba4dacd8b",
-        "m=3_seed0.csv": "f7f9c01cfec6b30e8e57ff2038db183e12333638d7cc066bd91bbf90406d5700",
-        "m=3_seed1.csv": "c78e2b0f96e08436501b7278e35641fc17d28dd1b26f8f4154dfe4e40fba5c3c",
+        "m=1_seed0.csv": "0979eae613d9a6b6c2389ef84093339fc3df082d0003d264800c4d8c5f597530",
+        "m=1_seed1.csv": "e31cef8c292440d3810d22b3a7a73112a68caaf29f2b5d9132598f01a3af87d4",
+        "m=3_seed0.csv": "449ca7d25dfbd1296c8f1aca309b000745e3ff929c39223a73e7f1d617b76198",
+        "m=3_seed1.csv": "d24a5869222590d5f8d183475da32155d99a584f90c35e017a4c362bf1a40407",
     },
 }
 
@@ -241,13 +241,13 @@ STEP_DIGESTS = {
     },
     "stiff-divergence": {
         "sgd_seed0.csv": "e1026ecdedc53828d039545d3b32f1148957b5a7af33872ed7048142588595bc",
-        "slises-mod-m2-d0.1_seed0.csv": "fecb78311ebb9de7a14448c550acdd10376a2a8f7699652d6103e5f6c0e4dc09",
+        "slises-mod-m2-d0.1_seed0.csv": "a2c77e0dbfd9f75b37c5f12777759415c73b062999b117992d872ec330f07dd8",
     },
     "sweep-m": {
-        "m=1_seed0.csv": "e89cedb18f90ace047429209ea5244e24bc711abaae1591d11e8e05ac5f0538d",
-        "m=1_seed1.csv": "f7886507d1a9203083ee677844aedfba1c4fa363b1f0a3f4a2f24e859a0d782f",
-        "m=3_seed0.csv": "236c625610929100132b495b16dabc06df9899ac625096408dd81d43ee26cf08",
-        "m=3_seed1.csv": "e03b10209f8b322624cfe290f3e305750cac33b40de1cccecbad5dd1d647ebc5",
+        "m=1_seed0.csv": "33c2d3d7da53a04a1ef649deeb073c597435623daffec16bd29577d4175039e0",
+        "m=1_seed1.csv": "2048388962097945e8cb414644add911a8ba0885751aad59bc08935cde2cb794",
+        "m=3_seed0.csv": "ee4a7c4e1da58b23f02847d2644d130b151d0556282a8556e1a8316bd0aeb1af",
+        "m=3_seed1.csv": "26057ac0965664f6a70af752c5a9264716168c6d09a648cd48870b38e27ef949",
     },
 }
 

@@ -39,6 +39,8 @@ def gathered_quad_value(A, b, idx, x):
 
 
 def gathered_quad_gradient(A, b, idx, x):
+    if idx.size == 1:  # one index: the matrix-vector product A_i (x-b_i)
+        return A[idx][0] @ (x - b[idx][0])
     dx = x[None, :] - b[idx]
     return np.einsum("ijk,ik->j", A[idx], dx) / idx.size
 
@@ -264,13 +266,14 @@ def one_row_quad_value(A, b, i, x):
 
 
 def one_row_quad_gradient(A, b, i, x):
-    r = slice(i, i + 1 or None)
-    return np.einsum("ijk,ik->j", A[r], x[None, :] - b[r]) / 1
+    # the matrix-vector product the value shares
+    return A[i] @ (x - b[i])
 
 
 class TestSingleRowQuadratic:
-    """A one-index quadratic call reads A_i as one 2-D matrix and keeps
-    the bytes of the batch formulas over the one-row stack, for every
+    """A one-index quadratic call reads A_i as one 2-D matrix: the value
+    keeps the bytes of the batch formula over the one-row stack, and the
+    gradient is the matrix-vector product A_i (x-b_i), for every
     dimension across the SIMD tails, at the first, last and a negative
     index, and at non-finite iterates."""
 

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specsum import problems
+from specsum import kernels, problems
 from specsum.problems import (
     DatasetFormatError,
     EvalMeter,
@@ -28,7 +28,7 @@ from specsum.problems import (
     load_dataset,
     logistic_problem,
 )
-from specsum.solvers import REPORT_CHUNK
+from specsum.solvers import REPORT_CHUNK, SolverConfig, run_solver
 
 from conftest import make_logistic
 
@@ -224,6 +224,70 @@ class TestMeter:
         full_value(P, x)
         full_gradient(P, x)
         assert meter.count == 0
+
+
+# one step of a memo workout: a value or gradient call at index i, or an
+# in-place rewrite of the iterate
+_MEMO_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["value", "gradient"]), st.integers(-4, 3)),
+    st.tuples(st.just("rewrite"), st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])),
+        min_size=3, max_size=3)))
+
+
+class TestOneIndexMemo:
+    """A quadratic problem's one-index estimators share one product
+    A_i (x-b_i) through its memo, and no result depends on it."""
+
+    @given(steps=st.lists(_MEMO_STEPS, max_size=40))
+    def test_every_result_is_the_memo_less_kernels(self, steps):
+        P = generate_quadratic(3, 4, np.random.default_rng(21))
+        x = np.random.default_rng(22).standard_normal(3)
+        for kind, arg in steps:
+            if kind == "rewrite":
+                x[:] = arg  # the same array, new bytes
+                continue
+            idx = np.array([arg])
+            with np.errstate(all="ignore"):
+                if kind == "value":
+                    got = np.float64(P.batch_value(idx, x))
+                    ref = np.float64(kernels.quad_value(P.A, P.b, idx, x))
+                else:
+                    got = P.batch_gradient(idx, x)
+                    ref = kernels.quad_gradient(P.A, P.b, idx, x)
+            assert got.tobytes() == ref.tobytes()
+            if kind == "gradient":
+                got[:] = 1e300  # a caller writing into the gradient it was handed
+
+    def test_value_and_gradient_at_one_point_share_the_product(self):
+        P = generate_quadratic(3, 4, np.random.default_rng(23))
+        x = np.arange(3.0)
+        P.batch_gradient([2], x)
+        memo = list(P._memo)
+        P.batch_value([2], x.copy())  # equal bytes: a hit
+        assert all(a is b for a, b in zip(P._memo, memo))
+        P.batch_value([1], x)  # another index: a miss
+        assert P._memo[0] == (1, x.tobytes())
+        P.batch_value([0, 1], x)  # a batch of two leaves the memo alone
+        assert P._memo[0] == (1, x.tobytes())
+
+    def test_a_slises_run_takes_one_product_per_iteration_and_redraw(self):
+        # m=5, S=1: a redraw's gradient and its base value share one product,
+        # and so do the last trial and the next gradient on the same batch
+        P = generate_quadratic(8, 60, np.random.default_rng(3))
+        products = []
+
+        class CountingMemo(list):
+            def __setitem__(self, key, value):
+                products.append(value[0])
+                super().__setitem__(key, value)
+
+        P._memo = CountingMemo(P._memo)
+        records = run_solver(P, SolverConfig(method="slises", m=5, S=1, maxiter=200)).records[1:]
+        assert [r.lsp_trials for r in records] == [1] * 200  # one trial each
+        redraws = sum(r.resampled for r in records)
+        assert redraws == 40
+        assert len(products) == 200 + redraws
 
 
 class TestLogistic:
