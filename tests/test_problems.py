@@ -277,12 +277,13 @@ class TestOneIndexMemo:
         P = generate_quadratic(8, 60, np.random.default_rng(3))
         products = []
 
-        class CountingMemo(list):
-            def __setitem__(self, key, value):
-                products.append(value[0])
-                super().__setitem__(key, value)
+        class CountingA(np.ndarray):
+            # A_i of a one-index call is a view of this class: count its products
+            def __matmul__(self, other):
+                products.append(other)
+                return np.asarray(self) @ other
 
-        P._memo = CountingMemo(P._memo)
+        P.A = P.A.view(CountingA)
         records = run_solver(P, SolverConfig(method="slises", m=5, S=1, maxiter=200)).records[1:]
         assert [r.lsp_trials for r in records] == [1] * 200  # one trial each
         redraws = sum(r.resampled for r in records)
