@@ -23,11 +23,9 @@ a repeated label or seed is refused, so no run overwrites another, and
 so are a negative seed and an empty list of configs or seeds.  The
 cells of the (config x seed) grid then run one after another and are
 independent: every run owns its generator and meter, each config gets
-its own seed stream, and the runs share the problem, whose data they
-only read.  They also share a quadratic problem's memo of its last
-one-index product (see :class:`~specsum.problems.QuadraticProblem`),
-but no result depends on it: a hit returns the bits a fresh product
-gives.  Traces, aggregates and frozen instances are written atomically
+its own seed stream, and the runs share the problem, which they only
+read: what a run's value and gradient share at one point stays with its
+driver.  Traces, aggregates and frozen instances are written atomically
 (temp + rename).
 """
 

@@ -16,15 +16,13 @@ A quadratic kernel called with one index i (every S=1 draw) reads A_i
 as one 2-D matrix and takes one matrix-vector product A_i (x-b_i)
 (``_one_row``): the gradient is that product, and the value is its dot
 with x-b_i, with the bits of the batch value over the one-row stack.
-Given the ``memo`` a ``QuadraticProblem`` owns, the product of the last
-(i, bytes of x) is reused by the next one-index call with that key, so
-a line-search trial's value and the gradient at the accepted point
-share one product, as do a redraw's gradient and its base value.  A hit
-has the bits of a miss and a gradient is returned as a copy, so no
-result depends on the memo.  A batch of several indices takes its
-products through ``matmul`` and one ``vdot`` for the value, and the
-two-operand ``einsum``, which ``matmul`` does not speed up, for the
-gradient; the einsum is for batches only.
+Given a ``point``, its caller's dict for one (batch, iterate), the call
+keeps x-b_i and the product there or takes them from it, so a value and
+a gradient at one point compute the product once; the caller never
+writes into a gradient it was handed.  A batch of several indices
+ignores ``point``: its value takes the products through ``matmul`` and
+one ``vdot``, and its gradient the two-operand ``einsum``, which
+``matmul`` does not speed up, so sharing them would move bits.
 
 The three logistic kernels share one chain, and take the negated
 labels -y, which ``LogisticProblem`` builds once, so the label sign is
@@ -71,27 +69,25 @@ def _rows(idx, N):
     return idx
 
 
-def _one_row(A, b, i, x, memo):
-    """x - b_i and A_i (x - b_i) for the one index ``i``; with a ``memo``
-    [key, dx, Adx], taken from it when (i, bytes of x) is its key and
-    stored in it otherwise.  The memo's arrays leave the kernels only as
-    copies."""
-    if memo is None:
+def _one_row(A, b, i, x, point):
+    """x - b_i and A_i (x - b_i) for the one index ``i``; with a ``point``,
+    the evaluation dict of (i, x), taken from it when it holds them and
+    kept in it otherwise."""
+    if point is None:
         dx = x - b[i]
         return dx, A[i] @ dx
-    key = (int(i), x.tobytes())
-    if memo[0] != key:
+    if "Adx" not in point:
         dx = x - b[i]
-        memo[:] = key, dx, A[i] @ dx
-    return memo[1], memo[2]
+        point["dx"], point["Adx"] = dx, A[i] @ dx
+    return point["dx"], point["Adx"]
 
 
-def quad_value(A, b, idx, x, memo=None):
+def quad_value(A, b, idx, x, point=None):
     """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``; a
-    value of -inf is returned as inf.  ``memo`` serves one-index calls
+    value of -inf is returned as inf.  ``point`` serves one-index calls
     (see ``_one_row``)."""
     if idx.size == 1:
-        dx, Adx = _one_row(A, b, idx[0], x, memo)
+        dx, Adx = _one_row(A, b, idx[0], x, point)
         v = 0.5 * float(dx.dot(Adx))
     else:
         r = _rows(idx, b.shape[0])
@@ -103,12 +99,11 @@ def quad_value(A, b, idx, x, memo=None):
     return np.inf if v == -np.inf else v
 
 
-def quad_gradient(A, b, idx, x, memo=None):
-    """Mean of A_i (x-b_i) over the indices in ``idx``; a new array on
-    every call.  ``memo`` serves one-index calls (see ``_one_row``)."""
+def quad_gradient(A, b, idx, x, point=None):
+    """Mean of A_i (x-b_i) over the indices in ``idx``; for one index and
+    a ``point``, the point's own array (see ``_one_row``)."""
     if idx.size == 1:
-        Adx = _one_row(A, b, idx[0], x, memo)[1]
-        return Adx if memo is None else Adx.copy()
+        return _one_row(A, b, idx[0], x, point)[1]
     r = _rows(idx, b.shape[0])
     dx = x[None, :] - b[r]
     return np.einsum("ijk,ik->j", A[r], dx) / idx.size

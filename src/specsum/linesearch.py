@@ -49,7 +49,6 @@ class LspResult:
     alpha: float
     trials: int
     status: str
-    phi_alpha: float = np.nan
 
 
 def armijo_holds(phi_alpha, ctx, alpha):
@@ -83,26 +82,25 @@ def interp_candidate(dm, alpha, phi_alpha, phi0):
 def lsp_search(phi, ctx, max_trials=MAX_TRIALS):
     """Find an accepted step in (0, 1] for the 1-D estimator ``phi``.
 
-    ``phi(alpha)`` evaluates the subsample value at the trial point;
-    whatever it costs is charged by ``phi`` itself.
+    ``phi(alpha)`` evaluates the subsample value at the trial point; it
+    charges what that costs and keeps what its caller needs of a trial.
 
     If ``max_trials`` tests all fail the last trial step is returned
-    with status ``budget_exhausted``; the final trial value is reported
-    either way so callers can reuse it as the next base value.  A trial
-    step at the rounding floor is not tested: the search returns step 0,
-    the trials spent and phi(0) with status ``held``.
+    with status ``budget_exhausted``; either way the last trial is the
+    step returned.  A trial step at the rounding floor is not tested:
+    the search returns step 0 and the trials spent, with status ``held``.
     """
     alpha = 1.0
     trials = 0
     while True:
         if at_rounding_floor(ctx, alpha):
-            return LspResult(0.0, trials, HELD, ctx.phi0)
+            return LspResult(0.0, trials, HELD)
         phi_a = float(phi(alpha))
         trials += 1
         if armijo_holds(phi_a, ctx, alpha):
-            return LspResult(alpha, trials, ACCEPTED, phi_a)
+            return LspResult(alpha, trials, ACCEPTED)
         if trials >= max_trials:
-            return LspResult(alpha, trials, BUDGET_EXHAUSTED, phi_a)
+            return LspResult(alpha, trials, BUDGET_EXHAUSTED)
         if alpha > 0.1:
             alpha = interp_candidate(ctx.dm, alpha, phi_a, ctx.phi0)
         else:

@@ -86,10 +86,12 @@ class FiniteSumProblem:
     label : str
         Problem name used in trace headers.
 
-    Subclasses provide vectorized ``batch_value(indices, x)`` and
-    ``batch_gradient(indices, x)``, ``component_gradient(i, x)`` (the
-    gradient estimator on ``[i]``; each subclass defines its own, which
-    ``perfbench/tracer.py`` wraps per class) and ``report(X) -> (f, G)``:
+    Subclasses provide vectorized ``batch_value(indices, x, point=None)``
+    and ``batch_gradient(indices, x, point=None)``, which may keep what
+    they share in ``point``, the caller's dict for (indices, x);
+    ``component_gradient(i, x)`` (the gradient estimator on ``[i]``;
+    each subclass defines its own, which ``perfbench/tracer.py`` wraps
+    per class); and ``report(X) -> (f, G)``:
     the full values, shape (c,), and gradients, shape (c, n), of the c
     trace rows whose iterates ``X`` stacks.  The report need only agree
     with the estimators on the full index within rounding: for a one-row
@@ -123,10 +125,9 @@ class QuadraticProblem(FiniteSumProblem):
     one-row report.  An aggregate or a minimizer that is not finite (the
     data overflow when summed) raises :class:`NonFiniteInstanceError`.
 
-    Its one-index estimators hand the kernels a one-entry memo, keyed by
-    the index and the bytes of x, that keeps the last product
-    A_i (x-b_i), so a value and a gradient at one index and point compute
-    it once (see :mod:`specsum.kernels`); no result depends on it.
+    A one-index estimator keeps the product A_i (x-b_i) in its ``point``,
+    so a value and a gradient there compute it once (see
+    :mod:`specsum.kernels`); a batch of several indices ignores it.
     """
 
     def __init__(self, A, b, lipschitz=None, label="quadratic"):
@@ -136,7 +137,6 @@ class QuadraticProblem(FiniteSumProblem):
             raise ValueError("A must be (N, n, n) and b (N, n)")
         self.A = A
         self.b = b
-        self._memo = [None, None, None]  # see kernels._one_row
         self.N, self.n = b.shape
         self.label = label
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -165,15 +165,15 @@ class QuadraticProblem(FiniteSumProblem):
     def component_gradient(self, i, x):
         return self.batch_gradient(np.array([i]), x)
 
-    def batch_value(self, indices, x):
+    def batch_value(self, indices, x, point=None):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        return float(kernels.quad_value(self.A, self.b, idx, x, memo=self._memo))
+        return float(kernels.quad_value(self.A, self.b, idx, x, point=point))
 
-    def batch_gradient(self, indices, x):
+    def batch_gradient(self, indices, x, point=None):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        return kernels.quad_gradient(self.A, self.b, idx, x, memo=self._memo)
+        return kernels.quad_gradient(self.A, self.b, idx, x, point=point)
 
     def report(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -193,8 +193,9 @@ class LogisticProblem(FiniteSumProblem):
     f_i(x) = log(1 + exp(-y_i * a_i'x)) + 0.5*lam*||x||^2 with labels
     y_i in {-1, +1}.  ``lipschitz`` is lam + max_i ||a_i||^2 / 4; one
     that is not finite (a feature whose square overflows) raises
-    :class:`NonFiniteInstanceError`.  The problem keeps the negated labels ``neg_labels``, the form the
-    logistic kernels take.
+    :class:`NonFiniteInstanceError`.  The problem keeps the negated
+    labels ``neg_labels``, the form the logistic kernels take.  Its
+    estimators ignore ``point``.
     """
 
     def __init__(self, features, labels, lam, label="logistic"):
@@ -216,12 +217,12 @@ class LogisticProblem(FiniteSumProblem):
     def component_gradient(self, i, x):
         return self.batch_gradient(np.array([i]), x)
 
-    def batch_value(self, indices, x):
+    def batch_value(self, indices, x, point=None):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
         return float(kernels.logistic_value(self.features, self.neg_labels, self.lam, idx, x))
 
-    def batch_gradient(self, indices, x):
+    def batch_gradient(self, indices, x, point=None):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
         return kernels.logistic_gradient(self.features, self.neg_labels, self.lam, idx, x)
@@ -527,17 +528,21 @@ def load_dataset(path, format):
 # ``indices`` is the batch: an index array, or any sequence of indices.
 
 
-def batch_value(problem, indices, x, meter=None):
-    """Subsample-averaged value; charges ``S`` value units."""
-    v = problem.batch_value(indices, x)
+def batch_value(problem, indices, x, meter=None, *, point=None):
+    """Subsample-averaged value; charges ``S`` value units, and records
+    it as ``"value"`` in ``point``, the caller's dict for (indices, x)."""
+    v = problem.batch_value(indices, x, point=point)
     if meter is not None:
         meter.count += len(indices)
+    if point is not None:
+        point["value"] = v
     return v
 
 
-def batch_gradient(problem, indices, x, meter=None):
-    """Subsample-averaged gradient; charges ``S`` gradient units."""
-    g = problem.batch_gradient(indices, x)
+def batch_gradient(problem, indices, x, meter=None, *, point=None):
+    """Subsample-averaged gradient at the caller's ``point`` dict for
+    (indices, x); charges ``S`` gradient units."""
+    g = problem.batch_gradient(indices, x, point=point)
     if meter is not None:
         meter.grad_count += len(indices)
     return g

@@ -35,7 +35,10 @@ values still expose their cost.  AIS runs also charge S per retired
 batch for the component gradient norms that refresh its scores.  A
 batch is the index array the sampler returns (``spectral-full`` holds
 ``arange(N)``); it is passed as is to the oracles and to the trace
-records.  A run's generator is built at its first draw, from the
+records.  The SLiSeS driver hands its estimators one dict, its point,
+per (batch, iterate): a redraw, an unsearched move and each search trial
+start a new one, and the trial that becomes the iterate hands over its
+own.  A run's generator is built at its first draw, from the
 factory its driver is given, so a run that never draws (``spectral-full``)
 never imports ``numpy.random``, which numpy 2 loads at its first use: that
 import took 11-14 ms of CPU in a fresh process, about half of the
@@ -315,7 +318,7 @@ class SlisesDriver(_Driver):
         self.sstate = SpectralState()
         self.ais = (sampling.AisState.uniform(problem.N, eps=cfg.eps)
                     if cfg.sampler == "ais" and self._redraws else None)
-        self._base_value = None  # cached estimator value at (sample, x)
+        self._point = {}  # what the estimators share at (sample, x)
         self._held = False  # a search held at (sample, x): none until a redraw
 
     def _draw(self, k):
@@ -335,7 +338,7 @@ class SlisesDriver(_Driver):
         resampled = self._redraws and sampling.should_resample(k, cfg.m)
         if resampled:
             self.sample = self._draw(k)
-            self._base_value = None
+            self._point = {}
             self._held = False
         unit = self._unit_redraw_steps and resampled
         c = gamma = np.nan
@@ -343,7 +346,7 @@ class SlisesDriver(_Driver):
         # a held iterate takes no gradient and no step: the same point and
         # batch would only measure the same rounding noise
         if not self._held:
-            g = problems.batch_gradient(P, self.sample, self.x, self.meter)
+            g = problems.batch_gradient(P, self.sample, self.x, self.meter, point=self._point)
             if unit:
                 gamma = 1.0 / max(k, 1)  # measurable scale, unit step, no search
             elif k == 0 or (resampled and cfg.m > 1):
@@ -365,28 +368,28 @@ class SlisesDriver(_Driver):
                     alpha = 1.0
                     if np.any(d):
                         self.x = self.x + d
-                        self._base_value = None
+                        self._point = {}
                 else:
-                    phi0 = self._base_value if cfg.reuse else None
+                    phi0 = self._point.get("value") if cfg.reuse else None
                     if phi0 is None:
-                        phi0 = problems.batch_value(P, self.sample, self.x, self.meter)
+                        phi0 = problems.batch_value(P, self.sample, self.x, self.meter,
+                                                    point=self._point)
                     ctx = ArmijoContext(phi0=phi0, dm=dm, eta=cfg.eta, t=0.5 ** k)
                     x0, sample, meter = self.x, self.sample, self.meter
-                    trial = None
+                    trial = trial_point = None
 
                     def phi(a):
-                        nonlocal trial
-                        trial = x0 + a * d
-                        return problems.batch_value(P, sample, trial, meter)
+                        nonlocal trial, trial_point
+                        trial, trial_point = x0 + a * d, {}
+                        return problems.batch_value(P, sample, trial, meter, point=trial_point)
 
                     res = lsp_search(phi, ctx)
                     alpha, trials = res.alpha, res.trials
                     self._held = res.status == HELD
                     if not self._held:
                         # an accepted or exhausted search ends on its last
-                        # trial, x0 + alpha*d; a held one keeps x0
-                        self.x = trial
-                    self._base_value = res.phi_alpha
+                        # trial, x0 + alpha*d, and its point; a held one keeps x0
+                        self.x, self._point = trial, trial_point
         self._append_record(resampled, c, gamma, alpha, trials, self.sample)
         self.k += 1
 

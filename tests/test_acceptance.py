@@ -61,9 +61,9 @@ class ShadowProblem:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def batch_value(self, indices, x):
+    def batch_value(self, indices, x, point=None):
         self.value_calls += 1
-        return self._inner.batch_value(indices, x)
+        return self._inner.batch_value(indices, x, point=point)
 
 
 @pytest.fixture(scope="module")

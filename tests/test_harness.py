@@ -2,6 +2,7 @@
 
 import gc
 import math
+import pickle
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_logistic
 from specsum.cli import _method_config
 from specsum.harness import (
     TRACE_COLUMNS,
@@ -31,7 +33,7 @@ from specsum.harness import (
     write_trace,
 )
 from specsum.problems import DatasetFormatError, batch_value, generate_quadratic
-from specsum.solvers import IterationRecord, RunTrace, SolverConfig, run_solver
+from specsum.solvers import METHODS, IterationRecord, RunTrace, SolverConfig, run_solver
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +257,21 @@ class TestExperiments:
         header, rows = read_trace(agg)
         assert set(rows) == {"cum_evals", "slises-ais-m3", "sgd"}
         assert len(paths) == 2
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: generate_quadratic(3, 6, np.random.default_rng(100)),
+                     id="quadratic"),
+        pytest.param(lambda: make_logistic(3, 6, seed=100), id="logistic")])
+    @pytest.mark.parametrize("S", [1, 2])
+    def test_a_compare_only_reads_its_problem(self, build, S, tmp_path):
+        # the runs of a grid share the problem: every method leaves its
+        # attributes and the bytes of its arrays as they were
+        P = build()
+        before = pickle.dumps(vars(P))
+        configs = [SolverConfig(method=method, S=S, m=2, maxiter=8) for method in METHODS]
+        compare_methods(P, configs + [SolverConfig(sampler="ais", S=S, m=2, maxiter=8)],
+                        seeds=[0, 1], out_dir=str(tmp_path))
+        assert pickle.dumps(vars(P)) == before
 
     def test_experiment_spec_builds_problems(self, tmp_path):
         spec = ExperimentSpec(n=3, N=5, problem_seed=1)

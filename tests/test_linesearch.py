@@ -94,7 +94,7 @@ class TestLspSearch:
         assert res.alpha == 0.5
         assert res.trials == 2
         assert calls == [1.0, 0.5]
-        assert res.phi_alpha == 0.0
+        assert phi(res.alpha) == 0.0
 
     def test_large_slack_accepts_unit_step(self):
         phi, calls = quad_phi(1.0, -2.0)
@@ -176,7 +176,7 @@ class TestRoundingFloor:
         phi, calls = quad_phi(1.0, -2.0)
         ctx = ArmijoContext(phi0=1e6, dm=-1e-6, eta=1e-4, t=1e-12)
         res = lsp_search(phi, ctx)
-        assert (res.alpha, res.trials, res.status, res.phi_alpha) == (0.0, 0, HELD, 1e6)
+        assert (res.alpha, res.trials, res.status) == (0.0, 0, HELD)
         assert calls == []
 
     def test_hold_after_the_trials_above_the_floor(self):
@@ -190,7 +190,7 @@ class TestRoundingFloor:
 
         ctx = ArmijoContext(phi0=1.0, dm=-1e-10, eta=1e-4, t=0.0)
         res = lsp_search(phi, ctx)
-        assert (res.alpha, res.trials, res.status, res.phi_alpha) == (0.0, 6, HELD, 1.0)
+        assert (res.alpha, res.trials, res.status) == (0.0, 6, HELD)
         assert tested == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
 
     @pytest.mark.parametrize("phi0", [0.0, np.inf, -np.inf, np.nan])
@@ -209,20 +209,27 @@ class TestSearchPostconditions:
            t=st.floats(0.0, 1e3), max_trials=st.integers(1, MAX_TRIALS))
     def test_status_trials_and_step(self, values, phi0, dm, eta, t, max_trials):
         # trial values cycle through arbitrary floats, nan and inf included
-        trial = itertools.cycle(values)
+        trial, tested = itertools.cycle(values), {}
+
+        def phi(a):
+            tested[a] = next(trial)
+            return tested[a]
+
         ctx = ArmijoContext(phi0=phi0, dm=dm, eta=eta, t=t)
-        res = lsp_search(lambda a: next(trial), ctx, max_trials=max_trials)
+        res = lsp_search(phi, ctx, max_trials=max_trials)
+        assert len(tested) == res.trials  # each trial step is new
         if res.status == HELD:
-            # no step, phi0 kept; untried only when the unit step is at the floor
-            assert (res.alpha, res.phi_alpha) == (0.0, phi0)
+            # no step; untried only when the unit step is at the floor
+            assert res.alpha == 0.0
             assert 0 <= res.trials < max_trials
             assert (res.trials == 0) == at_rounding_floor(ctx, 1.0)
             return
         assert 1 <= res.trials <= max_trials
         assert 0.0 < res.alpha <= 1.0
         assert not at_rounding_floor(ctx, res.alpha)  # every tested step is above it
+        assert list(tested)[-1] == res.alpha  # the step is the last trial
         if res.status == ACCEPTED:
-            assert armijo_holds(res.phi_alpha, ctx, res.alpha)
+            assert armijo_holds(tested[res.alpha], ctx, res.alpha)
         else:
             assert res.status == BUDGET_EXHAUSTED
             assert res.trials == max_trials

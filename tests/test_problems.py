@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specsum import kernels, problems
+from specsum import problems
 from specsum.problems import (
     DatasetFormatError,
     EvalMeter,
@@ -226,50 +226,30 @@ class TestMeter:
         assert meter.count == 0
 
 
-# one step of a memo workout: a value or gradient call at index i, or an
-# in-place rewrite of the iterate
-_MEMO_STEPS = st.one_of(
-    st.tuples(st.sampled_from(["value", "gradient"]), st.integers(-4, 3)),
-    st.tuples(st.just("rewrite"), st.lists(
-        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])),
-        min_size=3, max_size=3)))
+_COORDINATE = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
 
 
-class TestOneIndexMemo:
-    """A quadratic problem's one-index estimators share one product
-    A_i (x-b_i) through its memo, and no result depends on it."""
+class TestOneIndexPoint:
+    """The estimators at one (batch, iterate) share what they compute
+    through the caller's point, and no result depends on it."""
 
-    @given(steps=st.lists(_MEMO_STEPS, max_size=40))
-    def test_every_result_is_the_memo_less_kernels(self, steps):
+    @given(first=st.sampled_from(["value", "gradient"]),
+           idx=st.lists(st.integers(-4, 3), min_size=1, max_size=2),
+           x=st.lists(_COORDINATE, min_size=3, max_size=3))
+    def test_a_pair_at_a_fresh_point_is_the_point_less_calls(self, first, idx, x):
+        # a value then a gradient, or a gradient then a value, sharing one
+        # fresh point, has the bytes of the two calls without a point
         P = generate_quadratic(3, 4, np.random.default_rng(21))
-        x = np.random.default_rng(22).standard_normal(3)
-        for kind, arg in steps:
-            if kind == "rewrite":
-                x[:] = arg  # the same array, new bytes
-                continue
-            idx = np.array([arg])
-            with np.errstate(all="ignore"):
-                if kind == "value":
-                    got = np.float64(P.batch_value(idx, x))
-                    ref = np.float64(kernels.quad_value(P.A, P.b, idx, x))
-                else:
-                    got = P.batch_gradient(idx, x)
-                    ref = kernels.quad_gradient(P.A, P.b, idx, x)
-            assert got.tobytes() == ref.tobytes()
-            if kind == "gradient":
-                got[:] = 1e300  # a caller writing into the gradient it was handed
-
-    def test_value_and_gradient_at_one_point_share_the_product(self):
-        P = generate_quadratic(3, 4, np.random.default_rng(23))
-        x = np.arange(3.0)
-        P.batch_gradient([2], x)
-        memo = list(P._memo)
-        P.batch_value([2], x.copy())  # equal bytes: a hit
-        assert all(a is b for a, b in zip(P._memo, memo))
-        P.batch_value([1], x)  # another index: a miss
-        assert P._memo[0] == (1, x.tobytes())
-        P.batch_value([0, 1], x)  # a batch of two leaves the memo alone
-        assert P._memo[0] == (1, x.tobytes())
+        idx, x, point = np.array(idx), np.array(x), {}
+        estimators = {"value": lambda **kw: np.float64(batch_value(P, idx, x, **kw)),
+                      "gradient": lambda **kw: batch_gradient(P, idx, x, **kw)}
+        order = [first, "gradient" if first == "value" else "value"]
+        with np.errstate(all="ignore"):
+            got = [estimators[kind](point=point) for kind in order]
+            ref = [estimators[kind]() for kind in order]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        assert np.float64(point["value"]).tobytes() == got[order.index("value")].tobytes()
+        assert ("Adx" in point) == (idx.size == 1)  # a batch of two ignores the point
 
     def test_a_slises_run_takes_one_product_per_iteration_and_redraw(self):
         # m=5, S=1: a redraw's gradient and its base value share one product,

@@ -36,9 +36,9 @@ class CountingProblem:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def batch_value(self, indices, x):
+    def batch_value(self, indices, x, point=None):
         self.value_calls += 1
-        return self._inner.batch_value(indices, x)
+        return self._inner.batch_value(indices, x, point=point)
 
 
 class TestTraceShape:
@@ -230,7 +230,7 @@ def test_held_search_sticks_until_the_redraw(monkeypatch):
     def lsp(phi, ctx):
         contexts.append(ctx)
         if len(contexts) == 2:
-            return LspResult(0.0, 2, HELD, ctx.phi0)
+            return LspResult(0.0, 2, HELD)
         return search(phi, ctx)
 
     monkeypatch.setattr(solvers, "lsp_search", lsp)
@@ -323,7 +323,7 @@ def test_held_row_after_a_flushed_chunk_takes_its_source_report(monkeypatch):
     def lsp(phi, ctx):
         searches.append(ctx)
         if len(searches) == solvers.REPORT_CHUNK:
-            return LspResult(0.0, 1, HELD, ctx.phi0)
+            return LspResult(0.0, 1, HELD)
         return search(phi, ctx)
 
     monkeypatch.setattr(solvers, "lsp_search", lsp)
@@ -643,9 +643,9 @@ class TestDivergence:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-            def batch_gradient(self, indices, x):
+            def batch_gradient(self, indices, x, point=None):
                 self.calls += 1
-                g = self._inner.batch_gradient(indices, x)
+                g = self._inner.batch_gradient(indices, x, point=point)
                 return g if self.calls <= steps else np.full_like(g, np.nan)
 
         P = NanGradient(generate_quadratic(4, 8, np.random.default_rng(0)))

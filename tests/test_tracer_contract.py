@@ -4,7 +4,8 @@
 module-level oracle, sampler and line-search functions by name.  A
 refactor that moves or renames one of them breaks the benchmark's
 ``--trace 1`` mode; this runs a short traced ``compare`` of every method
-token in a fresh process and checks the iteration count it reports.  A
+token in a fresh process and checks the iteration count it reports, and
+that the value kernel rows it meters are the traces' ``cum_evals``.  A
 traced logistic ``compare`` on a sparse dataset checks the benchmark's
 cross-checks of the kernel rows and line-search trials against the
 traces' cost columns.
@@ -34,8 +35,10 @@ argv = ["compare", "--instance", inst, "--methods",
         "--seeds", "0", "--maxiter", "5", "--out", os.path.join(out, "cmp")]
 rc = tracer.call(cli.main, argv)
 layers, _ = tracer.layer_metrics()
+traces = [harness.read_trace(path)[1] for path in tracer.trace_paths]
 print(json.dumps({"rc": rc, "iterations": layers["solvers.iterations"],
-                  "runs": layers["solvers.runs"]}))
+                  "runs": layers["solvers.runs"], "value_rows": layers["kernels.value.rows"],
+                  "cum_evals": sum(int(cols["cum_evals"][-1]) for cols in traces)}))
 """
 
 
@@ -44,7 +47,8 @@ def test_traced_compare_counts_every_step(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"rc": 0, "iterations": 40, "runs": 8}
+    assert (result["rc"], result["iterations"], result["runs"]) == (0, 40, 8)
+    assert result["value_rows"] == result["cum_evals"]
 
 
 LOGISTIC_SCRIPT = r"""
