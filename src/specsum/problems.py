@@ -18,6 +18,7 @@ the bits of the charged estimators ``batch_value`` and ``batch_gradient``
 on the full index (see :mod:`specsum.kernels`).
 """
 
+import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -298,12 +299,12 @@ def logistic_problem(data, lam=1e-4):
 # ---------------------------------------------------------------------------
 # dataset ingestion
 
-# Characters of text read and converted at a time.  A block's strings and
-# Python numbers are freed before the next block is read.
+# Characters of text read and converted at a time.  A block's strings are
+# freed before the next block is read.
 _BLOCK_CHARS = 1 << 18
 
-# str.translate table deleting every ASCII character but ':' and ' '
-_SEPARATORS_ONLY = {c: None for c in range(128) if chr(c) not in ": "}
+# one sparse feature token, idx:val, as numpy's text parser converts it
+_PAIR = np.dtype([("i", np.int64), ("v", np.float64)])
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -347,26 +348,27 @@ def _read_blocks(fh, linenos):
 
 
 def _sparse_bulk(lines):
-    """One block of sparse rows, converted without a Python loop over tokens.
+    """One block of sparse rows, its feature tokens converted in C.
 
-    Raises ValueError or OverflowError for any block the row-by-row
-    reader must look at.  Deleting every other ASCII character from the
-    space-joined feature tokens leaves ``": : ... :"`` exactly when each
-    token holds one ``:`` and nothing non-ASCII; the index and value
-    strings are then those ``tok.split(":", 1)`` gives, and ``int`` and
-    ``float`` convert them as the row-by-row reader does.
+    Raises ValueError, OverflowError or a Warning for any block the
+    row-by-row reader must look at.  ``np.loadtxt`` refuses a token
+    without exactly one ``:``, an index that is not a signed run of ASCII
+    digits within int64, and a value ``PyOS_string_to_double`` (which
+    ``float`` calls) does not take whole: ``int`` and ``float`` accept
+    what it accepts, with the same bits.  A warning refuses the block
+    (numpy 1.23 took a float-spelled index with a DeprecationWarning).
     """
     heads = list(map(str.split, lines, repeat(None), repeat(1)))
     labels = np.array(list(map(float, map(itemgetter(0), heads))))
     toks = " ".join([h[1] for h in heads if len(h) == 2]).split()
-    flat = " ".join(toks)
-    if flat.translate(_SEPARATORS_ONLY) != (": " * len(toks))[:-1]:
-        raise ValueError("a token without exactly one ':'")
-    parts = flat.replace(" ", ":").split(":") if toks else []
-    cols = np.array(list(map(int, parts[0::2])), dtype=np.int64)
+    pairs = np.empty(0, _PAIR)
+    if toks:  # loadtxt warns on no data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = np.loadtxt(toks, delimiter=":", dtype=_PAIR, comments=None, ndmin=1)
+    cols, vals = pairs["i"], pairs["v"]
     if cols.size and cols.min() < 1:
         raise ValueError("feature index must be >= 1")
-    vals = np.array(list(map(float, parts[1::2])))
     # a label holds no ':' (float rejects it), so ':' counts the features
     counts = np.array(list(map(str.count, lines, repeat(":"))))
     return labels, counts, cols, vals, int(cols.max()) if cols.size else 0
@@ -401,7 +403,7 @@ def _parse_sparse(blocks):
     for nums, lines in blocks:
         try:
             parsed.append((nums, *_sparse_bulk(lines)))
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, Warning):
             parsed.append((nums, *_sparse_rows(nums, lines)))
     n = max(hi for *_, hi in parsed)
     rows = sum(labels.size for _, labels, *_ in parsed)
@@ -489,9 +491,11 @@ def load_dataset(path, format):
     label or feature value or a squared norm that overflows.
 
     The file is read in blocks of whole lines, about 256k characters
-    each, so memory is the feature matrix plus, for sparse rows, one
-    index and one value per stored entry.  Sparse blocks are converted
-    in bulk; dense rows are converted one at a time.
+    each, so memory is the feature matrix plus one block's strings and,
+    for sparse rows, a 16-byte (index, value) pair per stored entry.
+    ``np.loadtxt`` converts a sparse block's ``idx:val`` tokens; a block
+    it refuses, or warns on, is read row by row by ``int`` and ``float``,
+    which name the first bad line.  Dense rows are converted one at a time.
     """
     aliases = {"sparse": SPARSE_FORMAT, SPARSE_FORMAT: SPARSE_FORMAT,
                "dense": DENSE_FORMAT, DENSE_FORMAT: DENSE_FORMAT}

@@ -1,16 +1,21 @@
-"""SLiSeS written plainly, to check the drivers of ``specsum.solvers`` against.
+"""SLiSeS and two baselines written plainly, to check the drivers of
+``specsum.solvers`` against.
 
-``reference_run`` is one loop for ``slises``, ``slises-modified`` and
+``reference_run`` has one loop for ``slises``, ``slises-modified`` and
 ``spectral-full``, as the paper's algorithm states them, with the
 nonmonotone spectral step of Raydan (SIAM J. Optim. 7, 1997) that
-SLiSeS extends.  It keeps no array identity, no shared evaluation and
-no report queue, and it calls no driver: every batch value and
-gradient is recomputed by the kernels, and each row is reported on its
-own.  Costs follow the cost model: S value units per value estimate
-the algorithm pays for (with ``reuse`` the base value at a (batch,
-iterate) already measured by the search that reached it is not paid
-again), S gradient units per gradient estimate, and S per retired AIS
-batch for the component gradient norms that refresh its scores.
+SLiSeS extends; one for ``sgd``; and one for ``svrg-bb``, Algorithm 1
+of Tan, Ma, Dai and Qian (NeurIPS 2016) with a size-S batch, an epoch
+of p updates (2n by default) and the step size ``bb_coefficient / p``
+of consecutive snapshots when that ratio is finite and positive.  The
+loops keep no array identity, no shared evaluation and no report
+queue, and they call no driver: every batch value and gradient is
+recomputed by the kernels, and each row is reported on its own.  Costs
+follow the cost model: S value units per value estimate the algorithm
+pays for (with ``reuse`` the base value at a (batch, iterate) already
+measured by the search that reached it is not paid again), S gradient
+units per gradient estimate, N per full gradient, and S per retired
+AIS batch for the component gradient norms that refresh its scores.
 """
 
 import math
@@ -38,11 +43,21 @@ def _reported(P, x):
     return float(f[0]), float(np.linalg.norm(G[0]))
 
 
+def _first_row(P, x):
+    return [(0, False, math.nan, math.nan, math.nan, 0, 0, 0, *_reported(P, x),
+             np.empty(0, dtype=np.int64))]
+
+
 def reference_run(P, cfg):
     """Rows (k, resampled, c, gamma, alpha, trials, cum_evals,
     grad_pass_cost, f_full, grad_norm_full, batch), the pre-run row first,
     and the final iterate of ``cfg`` on ``P``.  The rows end at the first
     whose reported objective is not finite."""
+    loops = {"sgd": _sgd, "svrg-bb": _svrg_bb}
+    return loops.get(cfg.method, _slises)(P, cfg)
+
+
+def _slises(P, cfg):
     value, gradient = _estimators(P)
     redraws = cfg.method != "spectral-full"
     modified = cfg.method == "slises-modified"
@@ -61,8 +76,7 @@ def reference_run(P, cfg):
     prev_x = prev_g = None
     held = False  # no step until the next redraw
     paid = False  # the value at (batch, x) was paid for by the search that reached x
-    rows = [(0, False, math.nan, math.nan, math.nan, 0, 0, 0, *_reported(P, x),
-             np.empty(0, dtype=np.int64))]
+    rows = _first_row(P, x)
     for k in range(cfg.maxiter):
         resampled = redraws and k % cfg.m == 0
         if resampled:
@@ -124,6 +138,53 @@ def reference_run(P, cfg):
         f, norm = _reported(P, x)
         rows.append((k, resampled, float(c), float(gamma), float(alpha), trials,
                      evals, grads, f, norm, batch))
+        if not math.isfinite(f):
+            break
+    return rows, x
+
+
+def _sgd(P, cfg):
+    _, gradient = _estimators(P)
+    rng = np.random.default_rng(cfg.seed)
+    x = np.zeros(P.n)
+    grads = 0
+    rows = _first_row(P, x)
+    for k in range(cfg.maxiter):
+        batch = sampling.uniform_draw(P.N, cfg.S, rng)
+        gamma = 1.0 / max(k, 1)
+        x = x - gamma * gradient(batch, x)
+        grads += cfg.S
+        f, norm = _reported(P, x)
+        rows.append((k, True, math.nan, gamma, 1.0, 0, 0, grads, f, norm, batch))
+        if not math.isfinite(f):
+            break
+    return rows, x
+
+
+def _svrg_bb(P, cfg):
+    _, gradient = _estimators(P)
+    rng = np.random.default_rng(cfg.seed)
+    p = cfg.p if cfg.p is not None else 2 * P.n
+    eta = cfg.eta0 if cfg.eta0 is not None else 0.01
+    x = np.zeros(P.n)
+    snap = snap_g = None
+    grads = 0
+    rows = _first_row(P, x)
+    for k in range(cfg.maxiter):
+        if k % p == 0:
+            # the full gradient at the new snapshot, from the problem's report
+            prev_snap, prev_snap_g = snap, snap_g
+            snap, snap_g = x.copy(), P.report(x[None])[1][0]
+            grads += P.N
+            if prev_snap is not None:
+                c = bb_coefficient(snap - prev_snap, snap_g - prev_snap_g)
+                if c is not None and 0.0 < c < math.inf:
+                    eta = c / p
+        batch = sampling.uniform_draw(P.N, cfg.S, rng)
+        x = x - eta * (gradient(batch, x) - gradient(batch, snap) + snap_g)
+        grads += 2 * cfg.S
+        f, norm = _reported(P, x)
+        rows.append((k, True, math.nan, eta, 1.0, 0, 0, grads, f, norm, batch))
         if not math.isfinite(f):
             break
     return rows, x

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import problems
@@ -814,3 +814,109 @@ class TestBlockReaderErrors:
             with pytest.raises(DatasetFormatError, match="^line 2: feature index 100000000000 "
                                "is too large for a feature matrix: Unable to allocate"):
                 load_in_blocks(f, "sparse", 1 << 18)
+
+
+# ---------------------------------------------------------------------------
+# the bulk sparse converter against the row-by-row reader on one block
+
+# text fragments feature tokens are made of, among them spellings that
+# int() or float() take and numpy's text parser refuses
+HOSTILE = st.sampled_from([
+    "0", "1", "7", "9", "٣", "１", "_", "+", "-", ".", "e", "E-", "e+", "inf", "nan", "Infinity",
+    "iNF", "-NaN", "#", '"', "'", "\x00", "0x", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809", "1e308", "1e999", "4e-324",
+])
+HALF = st.lists(HOSTILE, max_size=4).map("".join)
+HOSTILE_TOKEN = st.tuples(HALF, st.sampled_from([":", ":", ":", "", "::"]), HALF).map("".join)
+GOOD_TOKEN = st.tuples(st.integers(1, 12), VALUE_TEXT).map(lambda p: f"{p[0]}:{p[1]}")
+
+
+@st.composite
+def sparse_blocks(draw):
+    """One block's stripped, non-blank lines, as the block reader yields
+    them; about half the blocks hold hostile text."""
+    hostile = draw(st.booleans())
+    labels = st.one_of(LABEL_TEXT, HALF.filter(bool)) if hostile else LABEL_TEXT
+    tokens = st.one_of(GOOD_TOKEN, HOSTILE_TOKEN.filter(bool)) if hostile else GOOD_TOKEN
+    return [" ".join([draw(labels)] + draw(st.lists(tokens, max_size=4)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def bulk_accepts(lines):
+    """Whether the bulk converter takes ``lines`` rather than refusing the
+    block the way ``_parse_sparse`` catches; a block it takes must read
+    as ``_sparse_rows`` reads it, bit for bit."""
+    try:
+        got = problems._sparse_bulk(lines)
+    except (ValueError, OverflowError, Warning):
+        return False
+    want = problems._sparse_rows(np.arange(1, len(lines) + 1), lines)
+    for a, b in zip(got[:4], want[:4], strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[4] == want[4]
+    return True
+
+
+class TestSparseBulkConverter:
+    @settings(max_examples=300)
+    @given(lines=sparse_blocks())
+    def test_refuses_or_equals_the_row_by_row_reading(self, lines):
+        bulk_accepts(lines)
+
+    @pytest.mark.parametrize("lines, accepted", [
+        (["1 1.0:5"], False),
+        (["1 1_0:5"], False),
+        (["1 5:1_0"], False),
+        (["1 ٣:2"], False),
+        (["1 -1:5"], False),
+        (["1 9223372036854775808:1"], False),
+        (["1 1:2:3"], False),
+        (["1 3:0.5"], True),
+        (["1", "-1", "0"], True),
+        (["-1 1:-nan 2:1e999 3:4e-324", "1", "+1 07:-0.0"], True),
+    ])
+    def test_fixed_blocks(self, lines, accepted):
+        assert bulk_accepts(lines) == accepted
+
+    def test_a_block_that_warns_is_read_row_by_row(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("1 3:0.5 1:2.0\n-1 2:0.25\n")
+        loadtxt = np.loadtxt
+
+        def warn_and_misread(*args, **kwargs):
+            pairs = loadtxt(*args, **kwargs)
+            pairs["v"] += 1.0
+            warnings.warn("integer field spelled as a float", DeprecationWarning, stacklevel=2)
+            return pairs
+
+        with patch.object(np, "loadtxt", warn_and_misread):
+            with pytest.raises(DeprecationWarning):
+                problems._sparse_bulk(["1 3:0.5"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # as without the suite's "error" filter
+                got = load_dataset(str(f), "sparse")
+        feats, labels = reference_load(f, "sparse")
+        assert got.features.tobytes() == feats.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+
+    def test_a_file_written_as_the_benchmark_writes_takes_the_bulk_path(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = []
+        for _ in range(400):
+            cols = rng.choice(30, size=rng.integers(0, 12)) + 1  # unsorted, repeated
+            vals = rng.standard_normal(cols.size) * 10.0 ** rng.integers(-8, 8, cols.size)
+            label = "1" if rng.random() < 0.5 else "-1"
+            rows.append(" ".join([label] + [f"{j}:{float(v)!r}" for j, v in zip(cols, vals)]))
+        rows[5] = "-1"
+        f = tmp_path / "d.txt"
+        f.write_bytes("".join(row + "\r\n" for row in rows).encode())
+
+        def refuse(*args):
+            raise AssertionError("a well-formed block was read row by row")
+
+        feats, labels = reference_load(f, "sparse")
+        with patch.object(problems, "_sparse_rows", refuse):
+            for block_chars in (1000, problems._BLOCK_CHARS):
+                got = load_in_blocks(f, "sparse", block_chars)
+                assert got.features.tobytes() == feats.tobytes()
+                assert got.labels.tobytes() == labels.tobytes()

@@ -1,4 +1,4 @@
-"""The SLiSeS drivers match the plain loop of ``tests/reference.py``."""
+"""The drivers match the plain loops of ``tests/reference.py``."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_logistic
@@ -17,22 +17,26 @@ from specsum.solvers import SAMPLERS, SolverConfig, run_solver
 
 @st.composite
 def runs(draw):
-    """A small quadratic or logistic problem and a SLiSeS config for it."""
+    """A small quadratic or logistic problem and a config for it."""
     n, N = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     problem_seed = draw(st.integers(0, 2**16))
     if draw(st.booleans()):
         P = generate_quadratic(n, N, np.random.default_rng(problem_seed))
     else:
         P = make_logistic(n, N, seed=problem_seed, lam=draw(st.sampled_from([0.0, 1e-4, 0.1])))
-    method = draw(st.sampled_from(["slises", "slises-modified", "spectral-full"]))
+    method = draw(st.sampled_from(["slises", "slises-modified", "spectral-full", "sgd",
+                                   "svrg-bb"]))
     cfg = SolverConfig(
         method=method, m=draw(st.integers(2 if method == "slises-modified" else 1, 4)),
         S=draw(st.integers(1, N)), sampler=draw(st.sampled_from(SAMPLERS)),
         reuse=draw(st.booleans()), damping=draw(st.booleans()),
-        seed=draw(st.integers(0, 2**16)), maxiter=draw(st.integers(1, 24)))
+        seed=draw(st.integers(0, 2**16)), maxiter=draw(st.integers(1, 24)),
+        eta0=draw(st.sampled_from([None, 0.1, 1.0, 10.0, 1e150])),  # 1e150 can diverge
+        p=draw(st.one_of(st.none(), st.integers(1, 4))))
     return P, cfg
 
 
+@settings(max_examples=200)
 @given(run=runs())
 def test_drivers_match_the_reference_loop(run):
     P, cfg = run
