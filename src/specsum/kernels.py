@@ -18,11 +18,13 @@ as one 2-D matrix and takes one matrix-vector product A_i (x-b_i)
 with x-b_i, with the bits of the batch value over the one-row stack.
 Given a ``point``, its caller's dict for one (batch, iterate), the call
 keeps x-b_i and the product there or takes them from it, so a value and
-a gradient at one point compute the product once; the caller never
-writes into a gradient it was handed.  A batch of several indices
-ignores ``point``: its value takes the products through ``matmul`` and
-one ``vdot``, and its gradient the two-operand ``einsum``, which
-``matmul`` does not speed up, so sharing them would move bits.
+a gradient at one point compute the product once; the gradient is the
+point's own array (see Ownership in the ``solvers`` docstring).  A
+batch of several indices ignores ``point``: its value takes the
+products through ``matmul`` and one ``vdot``, and its gradient the
+two-operand ``einsum``, kept for its bits: ``matmul`` then a sum over
+the batch was faster at three of four shapes measured, but it sums in
+another order.
 
 The three logistic kernels share one chain, and take the negated
 labels -y, which ``LogisticProblem`` builds once, so the label sign is

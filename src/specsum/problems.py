@@ -66,12 +66,6 @@ def check_regularization(lam, name="regularization"):
         raise ValueError(f"{name} must be finite and nonnegative, got {lam}")
 
 
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 class FiniteSumProblem:
     """Oracle for f(x) = (1/N) * sum_i f_i(x).
 
@@ -268,12 +262,12 @@ def generate_quadratic(n, N, rng):
     Lipschitz constant is the largest drawn eigenvalue; the minimizer
     solves (sum A_i) x = sum A_i b_i.
 
-    Draw order per component is fixed (b_i, then D_i, then C_i) so a
-    seeded generator reproduces the instance exactly.
+    ``rng`` is a ``numpy.random.Generator``.  Draw order per component is
+    fixed (b_i, then D_i, then C_i) so a seeded generator reproduces the
+    instance exactly.
     """
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
-    rng = _as_rng(rng)
     A = np.empty((N, n, n))
     b = np.empty((N, n))
     lip = 0.0

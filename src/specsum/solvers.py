@@ -1,5 +1,12 @@
 """Iteration drivers for the subsampled spectral method and baselines.
 
+Ownership.  No array is written after it is handed on: not an iterate,
+a batch gradient, a batch, an epoch snapshot, nor an array a point
+holds.  So the solve path keeps each of them by reference, and an
+array's identity names its value: a driver moves its iterate by binding
+a new array, and ``SpectralState``, an epoch's snapshot and the report
+queue keep the arrays they are given.
+
 All drivers share one tracing and metering scheme: a run that stays
 finite executes ``maxiter`` iterations from x0 = 0 and produces a trace
 with ``maxiter + 1`` records, the first being the pre-run state (step fields
@@ -16,11 +23,11 @@ and makes the sentinel's iterate the run's final one.  A diverging run
 so computes up to ``REPORT_CHUNK - 1`` iterations past its sentinel
 and discards them; a row's report does not depend on the other rows of
 its stack, so the run ends on the same row whatever the queue holds.
-A held row, whose iterate is the previous row's own array (no driver
-writes an iterate in place), is not queued: it takes that row's
-reported values once they are known, so a held iterate is reported
-once, and every row at it carries the same bits whichever stack
-reported it.  ``REPORT_CHUNK`` is 16: a logistic report's cost per row
+A row whose iterate is the previous row's own array (a held search, a
+stationary estimator or a zero step) is not queued: it takes that row's
+reported values once they are known, so an iterate is reported once,
+and every row at it carries the same bits whichever stack reported it.
+``REPORT_CHUNK`` is 16: a logistic report's cost per row
 still falls past 16, but its stack of margins, 16 arrays of N floats,
 is the largest that kept the peak resident memory of the benchmark's
 logistic workload within 3% of a stack of 8 (stacks of 24 and 32 took
@@ -56,6 +63,8 @@ slises
     then keeps its point and batch, without a search, until the next
     redraw; so does an iterate whose batch gradient leaves no
     coefficient (a stationary estimator), with no further gradient.
+    An accepted or budget-exhausted search ends on its last trial,
+    x0 + alpha*d, which becomes the iterate without being recomputed.
 slises-modified
     Variant with measurable step sizes at redraw iterations: there the
     scale is exactly 1/k and the unit step is taken without any search;
@@ -178,8 +187,8 @@ class SolverConfig:
 @dataclass(slots=True)
 class IterationRecord:
     """One trace row.  ``indices``, kept in memory only, is the row's batch
-    array itself, shared with the driver and never written, so compare
-    it with ``np.array_equal``.  ``f_full`` and ``grad_norm_full`` are
+    array itself (see Ownership in the module docstring), so compare it
+    with ``np.array_equal``.  ``f_full`` and ``grad_norm_full`` are
     None while the row waits for its driver's report."""
 
     k: int
@@ -218,8 +227,7 @@ class _Driver:
         self.meter = problems.EvalMeter()
         self.k = 0
         self.records = []
-        self._queue = np.empty((REPORT_CHUNK, problem.n))  # iterates of the queued rows
-        self._queued = 0
+        self._queue = []  # the iterates of the queued rows
         self._waiting = []  # (record, queue slot) of every row not yet reported
         self._row_x = None  # the iterate of the last row appended
         self._diverged = False  # set by the report that ends the trace at its sentinel
@@ -241,27 +249,26 @@ class _Driver:
             f_full=None, grad_norm_full=None, indices=indices)
         self.records.append(rec)
         if self.x is self._row_x:
-            # the previous row's iterate (no driver writes an iterate in
-            # place): this row takes that row's report, now or once it is made
-            if self._queued:
-                self._waiting.append((rec, self._queued - 1))
+            # the previous row's iterate: this row takes that row's report,
+            # now or once it is made
+            if self._queue:
+                self._waiting.append((rec, len(self._queue) - 1))
             else:
                 prev = self.records[-2]
                 rec.f_full, rec.grad_norm_full = prev.f_full, prev.grad_norm_full
             return
         self._row_x = self.x
-        self._waiting.append((rec, self._queued))
-        self._queue[self._queued] = self.x
-        self._queued += 1
-        if self._queued == REPORT_CHUNK:
+        self._waiting.append((rec, len(self._queue)))
+        self._queue.append(self.x)
+        if len(self._queue) == REPORT_CHUNK:
             self._report()
 
     def _report(self):
         """Fill in the reported columns of the waiting rows, and end the
         trace at the first whose objective is not finite, the sentinel:
         the rows after it are deleted and its iterate becomes the run's."""
-        if self._queued:
-            f, G = self.problem.report(self._queue[:self._queued])
+        if self._queue:
+            f, G = self.problem.report(np.array(self._queue))
             # vecdot takes each row's dot as g @ g does: np.linalg.norm's bits
             f, norms = f.tolist(), np.sqrt(np.vecdot(G, G)).tolist()
             # the waiting rows are the last records, in order
@@ -271,11 +278,11 @@ class _Driver:
                 rec.grad_norm_full = norms[slot]
                 if not math.isfinite(f[slot]):
                     del self.records[first + i + 1:]
-                    self.x = self._queue[slot].copy()
+                    self.x = self._queue[slot]
                     self._diverged = True
                     break
             self._waiting.clear()
-            self._queued = 0
+            self._queue.clear()
 
     def header(self):
         """The method, its label and the config fields it reads, in field
@@ -295,8 +302,7 @@ class _Driver:
         while self.k < self.config.maxiter and not self._diverged:
             self.step()
         self._report()
-        return RunTrace(header=self.header(), records=self.records,
-                        final_x=self.x.copy())
+        return RunTrace(header=self.header(), records=self.records, final_x=self.x)
 
 
 class SlisesDriver(_Driver):
@@ -386,9 +392,7 @@ class SlisesDriver(_Driver):
                     res = lsp_search(phi, ctx)
                     alpha, trials = res.alpha, res.trials
                     self._held = res.status == HELD
-                    if not self._held:
-                        # an accepted or exhausted search ends on its last
-                        # trial, x0 + alpha*d, and its point; a held one keeps x0
+                    if not self._held:  # a held search keeps x0
                         self.x, self._point = trial, trial_point
         self._append_record(resampled, c, gamma, alpha, trials, self.sample)
         self.k += 1
@@ -444,7 +448,7 @@ class SvrgBbDriver(_EpochDriver):
     _snap = _snap_g = None  # previous snapshot and its full gradient
 
     def _start_epoch(self):
-        snap = self.x.copy()
+        snap = self.x
         snap_g = problems.full_gradient(self.problem, snap, self.meter)
         if self._snap is not None:
             c = bb_coefficient(snap - self._snap, snap_g - self._snap_g)
@@ -489,7 +493,7 @@ class SgdBbDriver(_EpochDriver):
 
     def _start_epoch(self):
         e = self.k // self._p
-        xt = self.x.copy()
+        xt = self.x
         if e == 1:
             self._eta = self._eta_raw = self._eta1
         elif e > 1:

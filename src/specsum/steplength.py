@@ -30,14 +30,14 @@ STATIONARY_NORM = 1e-14
 
 @dataclass
 class SpectralState:
-    """Previous iterate and gradient, kept for the next BB ratio."""
+    """Previous iterate and gradient, kept by reference for the next BB
+    ratio (see Ownership in the :mod:`specsum.solvers` docstring)."""
 
     prev_x: np.ndarray = None
     prev_g: np.ndarray = None
 
     def update(self, x, g):
-        self.prev_x = np.array(x, dtype=np.float64, copy=True)
-        self.prev_g = np.array(g, dtype=np.float64, copy=True)
+        self.prev_x, self.prev_g = x, g
 
 
 @dataclass

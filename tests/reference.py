@@ -1,21 +1,28 @@
-"""SLiSeS and two baselines written plainly, to check the drivers of
+"""SLiSeS and the baselines written plainly, to check the drivers of
 ``specsum.solvers`` against.
 
 ``reference_run`` has one loop for ``slises``, ``slises-modified`` and
 ``spectral-full``, as the paper's algorithm states them, with the
-nonmonotone spectral step of Raydan (SIAM J. Optim. 7, 1997) that
-SLiSeS extends; one for ``sgd``; and one for ``svrg-bb``, Algorithm 1
-of Tan, Ma, Dai and Qian (NeurIPS 2016) with a size-S batch, an epoch
-of p updates (2n by default) and the step size ``bb_coefficient / p``
-of consecutive snapshots when that ratio is finite and positive.  The
-loops keep no array identity, no shared evaluation and no report
-queue, and they call no driver: every batch value and gradient is
-recomputed by the kernels, and each row is reported on its own.  Costs
-follow the cost model: S value units per value estimate the algorithm
-pays for (with ``reuse`` the base value at a (batch, iterate) already
-measured by the search that reached it is not paid again), S gradient
-units per gradient estimate, N per full gradient, and S per retired
-AIS batch for the component gradient norms that refresh its scores.
+nonmonotone spectral step of Raydan (SIAM J. Optim. 7, 1997) that SLiSeS
+extends; one for ``sgd``; one for ``svrg-bb``, Algorithm 1 of Tan, Ma,
+Dai and Qian (NeurIPS 2016) with a size-S batch, an epoch of p updates
+(2n by default) and the step size ``bb_coefficient / p`` of consecutive
+snapshots when that ratio is finite and positive; and one for ``sgd-bb``
+and ``sgd-bb-smooth``, their Algorithm 2 with a size-S batch, an epoch
+of p updates (n by default), gradients averaged with weight beta (1/p by
+default), the step size eta0 in the first epoch, eta1 in the second, and
+from the third on ``|bb_coefficient| / p`` of consecutive epoch starts
+and averaged gradients when that ratio is finite and nonzero (else the
+previous one).  The smooth variant steps by the running geometric mean
+of e * eta_e over the epochs e >= 2 so far, divided by e.  The loops
+keep no array identity, no shared evaluation and no report queue, and
+they call no driver: every batch value and gradient is recomputed by the
+kernels, and each row is reported on its own.  Costs follow the cost
+model: S value units per value estimate the algorithm pays for (with
+``reuse`` the base value at a (batch, iterate) already measured by the
+search that reached it is not paid again), S gradient units per gradient
+estimate, N per full gradient, and S per retired AIS batch for the
+component gradient norms that refresh its scores.
 """
 
 import math
@@ -53,7 +60,7 @@ def reference_run(P, cfg):
     grad_pass_cost, f_full, grad_norm_full, batch), the pre-run row first,
     and the final iterate of ``cfg`` on ``P``.  The rows end at the first
     whose reported objective is not finite."""
-    loops = {"sgd": _sgd, "svrg-bb": _svrg_bb}
+    loops = {"sgd": _sgd, "svrg-bb": _svrg_bb, "sgd-bb": _sgd_bb, "sgd-bb-smooth": _sgd_bb}
     return loops.get(cfg.method, _slises)(P, cfg)
 
 
@@ -183,6 +190,48 @@ def _svrg_bb(P, cfg):
         batch = sampling.uniform_draw(P.N, cfg.S, rng)
         x = x - eta * (gradient(batch, x) - gradient(batch, snap) + snap_g)
         grads += 2 * cfg.S
+        f, norm = _reported(P, x)
+        rows.append((k, True, math.nan, eta, 1.0, 0, 0, grads, f, norm, batch))
+        if not math.isfinite(f):
+            break
+    return rows, x
+
+
+def _sgd_bb(P, cfg):
+    _, gradient = _estimators(P)
+    rng = np.random.default_rng(cfg.seed)
+    p = cfg.p if cfg.p is not None else P.n
+    beta = cfg.beta if cfg.beta is not None else 1.0 / p
+    x = np.zeros(P.n)
+    starts, averages = [], []  # each epoch's start, and each closed epoch's average
+    ghat = None
+    logs = []  # log(e * eta_e) of the epochs e >= 2 (smooth variant)
+    grads = 0
+    rows = _first_row(P, x)
+    for k in range(cfg.maxiter):
+        if k % p == 0:
+            e = k // p
+            if e > 0:
+                averages.append(ghat)
+            starts.append(x.copy())
+            ghat = np.zeros(P.n)
+            if e == 0:
+                eta = cfg.eta0 if cfg.eta0 is not None else 0.01
+            elif e == 1:
+                eta = raw = cfg.eta1 if cfg.eta1 is not None else 0.01
+            else:
+                c = bb_coefficient(starts[-1] - starts[-2], averages[-1] - averages[-2])
+                if c is not None and 0.0 < abs(c) < math.inf:
+                    raw = abs(c) / p
+                eta = raw
+                if cfg.method == "sgd-bb-smooth":
+                    logs.append(math.log(e * raw))
+                    eta = math.exp(sum(logs) / len(logs)) / e
+        batch = sampling.uniform_draw(P.N, cfg.S, rng)
+        g = gradient(batch, x)
+        x = x - eta * g
+        ghat = beta * g + (1.0 - beta) * ghat
+        grads += cfg.S
         f, norm = _reported(P, x)
         rows.append((k, True, math.nan, eta, 1.0, 0, 0, grads, f, norm, batch))
         if not math.isfinite(f):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_logistic
 from reference import reference_run
 from specsum.problems import generate_quadratic
-from specsum.solvers import SAMPLERS, SolverConfig, run_solver
+from specsum.solvers import METHODS, SAMPLERS, SolverConfig, run_solver
 
 
 @st.composite
@@ -24,14 +24,15 @@ def runs(draw):
         P = generate_quadratic(n, N, np.random.default_rng(problem_seed))
     else:
         P = make_logistic(n, N, seed=problem_seed, lam=draw(st.sampled_from([0.0, 1e-4, 0.1])))
-    method = draw(st.sampled_from(["slises", "slises-modified", "spectral-full", "sgd",
-                                   "svrg-bb"]))
+    method = draw(st.sampled_from(METHODS))
     cfg = SolverConfig(
         method=method, m=draw(st.integers(2 if method == "slises-modified" else 1, 4)),
         S=draw(st.integers(1, N)), sampler=draw(st.sampled_from(SAMPLERS)),
         reuse=draw(st.booleans()), damping=draw(st.booleans()),
         seed=draw(st.integers(0, 2**16)), maxiter=draw(st.integers(1, 24)),
         eta0=draw(st.sampled_from([None, 0.1, 1.0, 10.0, 1e150])),  # 1e150 can diverge
+        eta1=draw(st.sampled_from([None, 0.1, 1.0, 10.0, 1e150])),
+        beta=draw(st.sampled_from([None, 0.1, 0.5, 1.0])),
         p=draw(st.one_of(st.none(), st.integers(1, 4))))
     return P, cfg
 

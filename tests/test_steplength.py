@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from specsum.problems import batch_gradient, generate_quadratic
 from specsum.steplength import (
     DampingPolicy,
-    SpectralState,
     anchor_coefficient,
     bb_coefficient,
     damp,
@@ -143,17 +142,6 @@ class TestSweepingSpectrum:
             w = np.linalg.eigvalsh(H)
             assert 1.0 / c >= w[0] * (1 - 1e-10)
             assert 1.0 / c <= w[-1] * (1 + 1e-10)
-
-
-class TestSpectralState:
-    def test_update_copies(self):
-        st = SpectralState()
-        x = np.ones(3)
-        g = np.full(3, 2.0)
-        st.update(x, g)
-        x[0] = 99.0
-        assert st.prev_x[0] == 1.0
-        assert np.array_equal(st.prev_g, [2.0, 2.0, 2.0])
 
 
 class TestNorm:
