@@ -28,9 +28,10 @@ and passes a ``-nodamp`` token suffix only to a method that reads
 
 ``run``, ``sweep-m`` and ``compare`` refuse a usage error that does
 not need the problem (an unknown method token, a parameter out of
-range, a value for a field the method does not read, a repeated run, a
-``--lambda`` without ``--dataset`` or a ``--problem-seed`` without
-``--n``/``--N``, by flag or config file) before they build the problem,
+range, a value for a field the method does not read, a repeated run,
+two problem sources, a ``--lambda`` without ``--dataset`` or a
+``--problem-seed`` without ``--n``/``--N``, by flag or config file)
+before they build the problem,
 so before a dataset or instance file is read; only the checks against
 its component count N (S <= N) wait for it.  ``generate`` refuses a
 negative ``--seed`` before it draws.

@@ -12,19 +12,20 @@ consecutive) reads those rows in place, through a slice; any other
 of its rows first.  Both paths sum the same rows in the same order, so
 they give the same bits.
 
-A quadratic kernel called with one index i (every S=1 draw) reads A_i
-as one 2-D matrix and takes one matrix-vector product A_i (x-b_i)
-(``_one_row``): the gradient is that product, and the value is its dot
-with x-b_i, with the bits of the batch value over the one-row stack.
-Given a ``point``, its caller's dict for one (batch, iterate), the call
-keeps x-b_i and the product there or takes them from it, so a value and
-a gradient at one point compute the product once; the gradient is the
-point's own array (see Ownership in the ``solvers`` docstring).  A
-batch of several indices ignores ``point``: its value takes the
-products through ``matmul`` and one ``vdot``, and its gradient the
-two-operand ``einsum``, kept for its bits: ``matmul`` then a sum over
-the batch was faster at three of four shapes measured, but it sums in
-another order.
+A quadratic kernel takes the products of its batch from ``_products``:
+dx = x-b_i and A_i dx for each index i, by one matrix-vector product
+for one index (every S=1 draw) and by one ``matmul`` over the batch's
+rows for several.  The value is half the dot of the two over the batch
+size, with the bits of the several-index form over a one-row stack for
+one index; the gradient is the product for one index and the sum of
+the products over the batch, divided by its size, for several.
+
+The point rule: given a ``point``, its caller's dict for one (batch,
+iterate), a quadratic call of any batch size keeps dx and the products
+there or takes them from it, so a value and a gradient at one point
+compute the products once, with the bits of the two calls without a
+point.  A one-index gradient is the point's own array (see Ownership
+in the ``solvers`` docstring).  The logistic kernels take no point.
 
 The three logistic kernels share one chain, and take the negated
 labels -y, which ``LogisticProblem`` builds once, so the label sign is
@@ -59,10 +60,10 @@ BACKEND = "numpy"
 
 def _rows(idx, N):
     """``slice(lo, hi + 1)`` when ``idx`` is the run lo..hi inside 0..N-1,
-    so indexing reads the rows in place; ``idx`` itself otherwise.  The
-    quadratic kernels read a one-index call as one 2-D row instead
-    (``_one_row``); a one-index logistic call still reads its row
-    through a slice."""
+    so indexing reads the rows in place; ``idx`` itself otherwise.  A
+    one-index quadratic call reads its row as one 2-D matrix instead,
+    and a quadratic call whose point holds the products reads no row
+    (the point rule, ``_products``)."""
     if idx.size:
         lo, hi = int(idx[0]), int(idx[-1])
         if (0 <= lo and hi < N and hi - lo == idx.size - 1
@@ -71,44 +72,40 @@ def _rows(idx, N):
     return idx
 
 
-def _one_row(A, b, i, x, point):
-    """x - b_i and A_i (x - b_i) for the one index ``i``; with a ``point``,
-    the evaluation dict of (i, x), taken from it when it holds them and
-    kept in it otherwise."""
-    if point is None:
+def _products(A, b, idx, x, point):
+    """dx = x - b_i and Adx = A_i dx for the indices in ``idx``: two
+    n-vectors for one index, two (S, n) stacks for several.  With a
+    ``point``, the dict of (idx, x), they are taken from it when it
+    holds them and kept in it otherwise."""
+    if point is not None and "Adx" in point:
+        return point["dx"], point["Adx"]
+    if idx.size == 1:
+        i = idx[0]
         dx = x - b[i]
-        return dx, A[i] @ dx
-    if "Adx" not in point:
-        dx = x - b[i]
-        point["dx"], point["Adx"] = dx, A[i] @ dx
-    return point["dx"], point["Adx"]
+        Adx = A[i] @ dx
+    else:
+        r = _rows(idx, b.shape[0])
+        dx = x - b[r]
+        Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
+    if point is not None:
+        point["dx"], point["Adx"] = dx, Adx
+    return dx, Adx
 
 
 def quad_value(A, b, idx, x, point=None):
     """Mean of 0.5*(x-b_i)' A_i (x-b_i) over the indices in ``idx``; a
-    value of -inf is returned as inf.  ``point`` serves one-index calls
-    (see ``_one_row``)."""
-    if idx.size == 1:
-        dx, Adx = _one_row(A, b, idx[0], x, point)
-        v = 0.5 * float(dx.dot(Adx))
-    else:
-        r = _rows(idx, b.shape[0])
-        dx = x[None, :] - b[r]
-        Adx = np.matmul(A[r], dx[:, :, None])[:, :, 0]
-        v = 0.5 * float(np.vdot(dx, Adx)) / idx.size
+    value of -inf is returned as inf."""
+    dx, Adx = _products(A, b, idx, x, point)
+    v = 0.5 * float(np.vdot(dx, Adx)) / idx.size
     # each term is >= 0 on SPD data; past overflow vdot can keep a first
     # -inf product, which is still an overflow, not a decrease
     return np.inf if v == -np.inf else v
 
 
 def quad_gradient(A, b, idx, x, point=None):
-    """Mean of A_i (x-b_i) over the indices in ``idx``; for one index and
-    a ``point``, the point's own array (see ``_one_row``)."""
-    if idx.size == 1:
-        return _one_row(A, b, idx[0], x, point)[1]
-    r = _rows(idx, b.shape[0])
-    dx = x[None, :] - b[r]
-    return np.einsum("ijk,ik->j", A[r], dx) / idx.size
+    """Mean of A_i (x-b_i) over the indices in ``idx``."""
+    Adx = _products(A, b, idx, x, point)[1]
+    return Adx if idx.size == 1 else Adx.sum(axis=0) / idx.size
 
 
 def _margins(z, neg_y):

@@ -83,10 +83,11 @@ class FiniteSumProblem:
 
     Subclasses provide vectorized ``batch_value(indices, x, point=None)``
     and ``batch_gradient(indices, x, point=None)``, which may keep what
-    they share in ``point``, the caller's dict for (indices, x);
-    ``component_gradient(i, x)`` (the gradient estimator on ``[i]``;
-    each subclass defines its own, which ``perfbench/tracer.py`` wraps
-    per class); and ``report(X) -> (f, G)``:
+    they share in ``point``, the caller's dict for (indices, x), so that
+    a value and a gradient there, in either order, have the bits of the
+    two calls without it; ``component_gradient(i, x)`` (the gradient
+    estimator on ``[i]``; each subclass defines its own, which
+    ``perfbench/tracer.py`` wraps per class); and ``report(X) -> (f, G)``:
     the full values, shape (c,), and gradients, shape (c, n), of the c
     trace rows whose iterates ``X`` stacks.  The report need only agree
     with the estimators on the full index within rounding: for a one-row
@@ -120,9 +121,9 @@ class QuadraticProblem(FiniteSumProblem):
     one-row report.  An aggregate or a minimizer that is not finite (the
     data overflow when summed) raises :class:`NonFiniteInstanceError`.
 
-    A one-index estimator keeps the product A_i (x-b_i) in its ``point``,
-    so a value and a gradient there compute it once (see
-    :mod:`specsum.kernels`); a batch of several indices ignores it.
+    Its estimators keep the products A_i (x-b_i) of their batch, of any
+    size, in their ``point``, so a value and a gradient there compute
+    them once (the point rule of :mod:`specsum.kernels`).
     """
 
     def __init__(self, A, b, lipschitz=None, label="quadratic"):
@@ -163,7 +164,7 @@ class QuadraticProblem(FiniteSumProblem):
     def batch_value(self, indices, x, point=None):
         idx = np.asarray(indices, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
-        return float(kernels.quad_value(self.A, self.b, idx, x, point=point))
+        return kernels.quad_value(self.A, self.b, idx, x, point=point)
 
     def batch_gradient(self, indices, x, point=None):
         idx = np.asarray(indices, dtype=np.int64)

@@ -63,6 +63,12 @@ slises
     then keeps its point and batch, without a search, until the next
     redraw; so does an iterate whose batch gradient leaves no
     coefficient (a stationary estimator), with no further gradient.
+    The held search's row writes alpha 0 and the trials it spent; a
+    stationary estimator's row and each later held row write c and
+    gamma as NaN, alpha 0, no trial and unchanged costs.  A zero batch
+    gradient in a BB iteration still has a coefficient when the iterate
+    moved on the previous row: that row takes a zero step without a
+    search (alpha 1), and the hold starts on the next row.
     An accepted or budget-exhausted search ends on its last trial,
     x0 + alpha*d, which becomes the iterate without being recomputed.
 slises-modified
@@ -84,10 +90,11 @@ svrg-bb / sgd-bb / sgd-bb-smooth
     svrg-bb adds a variance-reduction full gradient each epoch, sgd-bb
     replaces it with a recursively averaged stochastic gradient,
     optionally smoothing the step sizes with a running geometric mean.
-    svrg-bb takes a finite positive ratio c as c/p and sgd-bb a finite
-    nonzero one as |c|/p; any other ratio (a vanishing or non-finite
-    snapshot difference, zero curvature, or a ratio that overflows or
-    underflows) keeps the previous step size.
+    svrg-bb steps by c/p and sgd-bb by |c|/p of the ratio c when that
+    step is finite and positive; any other ratio (a vanishing or
+    non-finite snapshot difference, zero curvature, a negative ratio for
+    svrg-bb, or a step that underflows to 0) keeps the previous step
+    size.
 
 Every spectral ratio, SLiSeS's and the epoch baselines', is
 ``steplength.bb_coefficient``, looked up as this module's global.
@@ -428,6 +435,12 @@ class _EpochDriver(_Driver):
         self._eta0 = config.eta0 if config.eta0 is not None else 0.01
         self._eta = self._eta0
 
+    def _epoch_step(self, c, previous):
+        """The step ``c / p`` of the ratio ``c`` when it is finite and
+        positive; ``previous`` for any other ratio, ``None`` included."""
+        step = math.nan if c is None else c / self._p
+        return step if 0.0 < step < math.inf else previous
+
     def _next_batch(self):
         """Open an epoch every p-th update, then draw the update's batch."""
         if self.k % self._p == 0:
@@ -440,7 +453,7 @@ class SvrgBbDriver(_EpochDriver):
 
     Each epoch (p = 2n updates by default) opens with a full gradient at
     the snapshot; from the second epoch on the step size is
-    ||dx||^2 / (dx'dg) / p over consecutive snapshots, when that ratio is
+    ||dx||^2 / (dx'dg) / p over consecutive snapshots, when that step is
     finite and positive.
     """
 
@@ -452,9 +465,7 @@ class SvrgBbDriver(_EpochDriver):
         snap_g = problems.full_gradient(self.problem, snap, self.meter)
         if self._snap is not None:
             c = bb_coefficient(snap - self._snap, snap_g - self._snap_g)
-            if c is not None and 0.0 < c < math.inf:
-                self._eta = c / self._p
-            # else a degenerate snapshot difference: keep the previous step size
+            self._eta = self._epoch_step(c, self._eta)
         self._snap, self._snap_g = snap, snap_g
 
     def step(self):
@@ -473,8 +484,8 @@ class SgdBbDriver(_EpochDriver):
     Within each epoch (p = n updates by default) a recursive average of the
     stochastic gradients is accumulated with weight beta; from the
     third epoch on the step size is ||dx||^2 / |dx'dg| / p over
-    consecutive epoch starts and averaged gradients, when that ratio is
-    finite and nonzero.  The smoothing variant replaces each step size
+    consecutive epoch starts and averaged gradients, when that step is
+    finite and positive.  The smoothing variant replaces each step size
     by the running geometric mean of the de-trended sizes e * eta_e,
     divided by the epoch index.
     """
@@ -498,10 +509,8 @@ class SgdBbDriver(_EpochDriver):
             self._eta = self._eta_raw = self._eta1
         elif e > 1:
             c = bb_coefficient(xt - self._xt_prev, self._acc - self._ghat_prev)
-            if c is not None and 0.0 < abs(c) < math.inf:
-                self._eta_raw = abs(c) / self._p
-            # else keep the previous raw step size
-            if self._smooth and self._eta_raw > 0.0:
+            self._eta_raw = self._epoch_step(None if c is None else abs(c), self._eta_raw)
+            if self._smooth:
                 self._log_sum += math.log(e * self._eta_raw)
                 self._log_n += 1
                 self._eta = math.exp(self._log_sum / self._log_n) / e

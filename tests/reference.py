@@ -7,12 +7,12 @@ nonmonotone spectral step of Raydan (SIAM J. Optim. 7, 1997) that SLiSeS
 extends; one for ``sgd``; one for ``svrg-bb``, Algorithm 1 of Tan, Ma,
 Dai and Qian (NeurIPS 2016) with a size-S batch, an epoch of p updates
 (2n by default) and the step size ``bb_coefficient / p`` of consecutive
-snapshots when that ratio is finite and positive; and one for ``sgd-bb``
+snapshots when that step is finite and positive; and one for ``sgd-bb``
 and ``sgd-bb-smooth``, their Algorithm 2 with a size-S batch, an epoch
 of p updates (n by default), gradients averaged with weight beta (1/p by
 default), the step size eta0 in the first epoch, eta1 in the second, and
 from the third on ``|bb_coefficient| / p`` of consecutive epoch starts
-and averaged gradients when that ratio is finite and nonzero (else the
+and averaged gradients when that step is finite and positive (else the
 previous one).  The smooth variant steps by the running geometric mean
 of e * eta_e over the epochs e >= 2 so far, divided by e.  The loops
 keep no array identity, no shared evaluation and no report queue, and
@@ -185,7 +185,7 @@ def _svrg_bb(P, cfg):
             grads += P.N
             if prev_snap is not None:
                 c = bb_coefficient(snap - prev_snap, snap_g - prev_snap_g)
-                if c is not None and 0.0 < c < math.inf:
+                if c is not None and 0.0 < c / p < math.inf:
                     eta = c / p
         batch = sampling.uniform_draw(P.N, cfg.S, rng)
         x = x - eta * (gradient(batch, x) - gradient(batch, snap) + snap_g)
@@ -221,7 +221,7 @@ def _sgd_bb(P, cfg):
                 eta = raw = cfg.eta1 if cfg.eta1 is not None else 0.01
             else:
                 c = bb_coefficient(starts[-1] - starts[-2], averages[-1] - averages[-2])
-                if c is not None and 0.0 < abs(c) < math.inf:
+                if c is not None and 0.0 < abs(c) / p < math.inf:
                     raw = abs(c) / p
                 eta = raw
                 if cfg.method == "sgd-bb-smooth":

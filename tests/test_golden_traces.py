@@ -1,19 +1,21 @@
-"""Pinned trace bytes: seven tiny CLI invocations against recorded digests.
+"""Pinned trace bytes: eight tiny CLI invocations against recorded digests.
 
 Each invocation writes its traces and its aggregate into a fresh
 directory, and the SHA-256 of every file written must equal the digest
 recorded for it.  A change that claims byte-identical traces is checked
-here on an S=1 ``sweep-m``, a ``spectral-full`` run on a frozen instance,
-a logistic ``compare`` over a sparse dataset, a logistic ``compare``
-whose ``spectral-full`` run calls the full-index estimators, a
-logistic ``compare`` whose runs hold across report chunks, and a
-``compare`` of the epoch baselines over eight epochs on a frozen
-instance, and a ``compare`` on a stiff frozen instance whose
-``slises-modified`` run diverges and ends at its sentinel row.  A second set of digests covers each trace with its
-``f_full`` column cut out, and a third
-with both reported columns, ``f_full`` and ``grad_norm_full``, cut out, so
-that a change to how the reported objective or gradient norm is computed,
-which moves the first sets, cannot hide a change to a cost or step column.
+here on an S=1 ``sweep-m``; a ``spectral-full`` run on a frozen instance;
+a logistic ``compare`` over a sparse dataset; a logistic ``compare``
+whose ``spectral-full`` run calls the full-index estimators; a logistic
+``compare`` whose runs hold across report chunks; a ``compare`` of the
+epoch baselines over eight epochs on a frozen instance; a ``compare`` on
+a stiff frozen instance whose ``slises-modified`` run diverges and ends
+at its sentinel row; and a quadratic ``compare`` at S=3 whose
+``spectral-full`` and ``slises`` gradients sum the products of several
+indices.  A second set of digests covers each trace with its ``f_full``
+column cut out, and a third with both reported columns, ``f_full`` and
+``grad_norm_full``, cut out, so that a change to how the reported
+objective or gradient norm is computed, which moves the first sets,
+cannot hide a change to a cost or step column.
 
 The bits of a floating-point reduction depend on the numpy build and
 the BLAS kernels it picks, so the digests hold only for the numpy
@@ -112,10 +114,19 @@ def _stiff_divergence(tmp_path):
             "--sampler", "ais", "--m", "2", "--seeds", "0"]
 
 
+def _quadratic_batch(tmp_path):
+    # several-index quadratic gradients: spectral-full on all 40 indices,
+    # slises on batches of 3; the batch gradient sums the value's products,
+    # whose bits the smaller spectral-full instance above does not see
+    inst = generate_instance("quadratic", 20, 40, 5, str(tmp_path / "inst.npz"))
+    return ["compare", "--instance", inst, "--methods", "spectral-full,slises-uni",
+            "--seeds", "0", "--S", "3", "--maxiter", "30"]
+
+
 INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
                "logistic-compare": _logistic_compare, "logistic-full": _logistic_full,
                "logistic-held": _logistic_held, "epoch-baselines": _epoch_baselines,
-               "stiff-divergence": _stiff_divergence}
+               "stiff-divergence": _stiff_divergence, "quadratic-batch": _quadratic_batch}
 
 
 def _overflow_allowed(name):
@@ -149,6 +160,11 @@ DIGESTS = {
         "compare.csv": "ebbd5d3ed259cd98261369cc317ea7876d52e62b2853ef665e04b89f30ac80b4",
         "slises-uni-m5_seed0.csv": "5af1c9a6db6591f845a210d1ad0d1a496cef84b14dba5230e1abbce1ed7d1927",
         "spectral-full_seed0.csv": "5824a1a6b21fe6d68eb931538263275f933687562a1b80c266e2e670dec6ebff",
+    },
+    "quadratic-batch": {
+        "compare.csv": "8bd410bd6073d85972c09c8ef8b5772a7437def99667f332de38b67a8255baa1",
+        "slises-uni-m3_seed0.csv": "acc4eee545ea31d0b93f2938bfcfb6f258a9a7b76e460565875a221f1ab0d98d",
+        "spectral-full_seed0.csv": "bf8e9178e1c3bbc20e57b4be2971800bd42990c05157936da2e5346b1ba6d772",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "a139ee84500a5fb5267bebc444e3cdc9ecf93680c4030b33b927981ec5b1e506",
@@ -194,6 +210,10 @@ COST_DIGESTS = {
         "slises-uni-m5_seed0.csv": "c3290944f445f113227d0f24d3a11a2d0f385b14d641ac6a22b1085fe1f8c6e2",
         "spectral-full_seed0.csv": "5a66ad61d822834291f5f2344667c0e7c8bb77b4f04f9540c0fe50b23880b2eb",
     },
+    "quadratic-batch": {
+        "slises-uni-m3_seed0.csv": "5882a9c5e25a96f4bbd54bc559831bd88959eeafb65103575dedebf9599331cf",
+        "spectral-full_seed0.csv": "d0938dd56dc61c38668bac8413df634e4383f7b7b245d9d7ef890671f3796a1a",
+    },
     "spectral-full": {
         "spectral-full_seed0.csv": "5b8d9cb9668433a1ead8f7fd0d34ed114dcedd3554a57026d8f318fbc6f1d852",
     },
@@ -235,6 +255,10 @@ STEP_DIGESTS = {
     "logistic-held": {
         "slises-uni-m5_seed0.csv": "18fbf1914d947eade9ffbcfb192983c460dd8ebb1314ce1481cf353c3e36bedb",
         "spectral-full_seed0.csv": "d63bdeaf6cdc696227f4a15ab63862aca883bfe848e1a7fc8b64d0e728e4f865",
+    },
+    "quadratic-batch": {
+        "slises-uni-m3_seed0.csv": "7e9a1177829b45714ee08bfb1c0003eb68c4c72043c0bb47957c519319727fc5",
+        "spectral-full_seed0.csv": "1a88c881f4081c3a845e76a80e8c3d6897ab24afdb99868792bb28c7b00ae338",
     },
     "spectral-full": {
         "spectral-full_seed0.csv": "659d950d9685806bb26619b4d9708c25c75521fa39548ac63ea4054b9494d263",

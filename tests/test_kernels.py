@@ -41,8 +41,9 @@ def gathered_quad_value(A, b, idx, x):
 def gathered_quad_gradient(A, b, idx, x):
     if idx.size == 1:  # one index: the matrix-vector product A_i (x-b_i)
         return A[idx][0] @ (x - b[idx][0])
+    # several: the value's products, summed over the batch
     dx = x[None, :] - b[idx]
-    return np.einsum("ijk,ik->j", A[idx], dx) / idx.size
+    return np.matmul(A[idx], dx[:, :, None])[:, :, 0].sum(axis=0) / idx.size
 
 
 def gathered_logistic_value(feats, labels, lam, idx, x):

@@ -230,11 +230,12 @@ _COORDINATE = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -
 
 
 class TestOneIndexPoint:
-    """The estimators at one (batch, iterate) share what they compute
-    through the caller's point, and no result depends on it."""
+    """The estimators at one (batch, iterate), of one index or several,
+    share what they compute through the caller's point, and no result
+    depends on it."""
 
     @given(first=st.sampled_from(["value", "gradient"]),
-           idx=st.lists(st.integers(-4, 3), min_size=1, max_size=2),
+           idx=st.lists(st.integers(-4, 3), min_size=1, max_size=3),
            x=st.lists(_COORDINATE, min_size=3, max_size=3))
     def test_a_pair_at_a_fresh_point_is_the_point_less_calls(self, first, idx, x):
         # a value then a gradient, or a gradient then a value, sharing one
@@ -249,7 +250,7 @@ class TestOneIndexPoint:
             ref = [estimators[kind]() for kind in order]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
         assert np.float64(point["value"]).tobytes() == got[order.index("value")].tobytes()
-        assert ("Adx" in point) == (idx.size == 1)  # a batch of two ignores the point
+        assert {"dx", "Adx"} <= set(point)  # every quadratic batch keeps its products
 
     def test_a_slises_run_takes_one_product_per_iteration_and_redraw(self):
         # m=5, S=1: a redraw's gradient and its base value share one product,
@@ -269,6 +270,34 @@ class TestOneIndexPoint:
         redraws = sum(r.resampled for r in records)
         assert redraws == 40
         assert len(products) == 200 + redraws
+
+    @pytest.mark.parametrize("method, S", [("spectral-full", None), ("slises", 3)])
+    def test_a_run_takes_one_product_stack_per_trial_and_redraw(self, method, S):
+        # every trial and every redraw (k=0 included) takes its batch's
+        # products once; a gradient at an accepted trial takes the trial's
+        P = generate_quadratic(6, 30, np.random.default_rng(4))
+        stacks = []
+
+        class CountingA(np.ndarray):
+            # A and each batch of it: count every ufunc (matmul) and every
+            # other numpy function (einsum) that takes one
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                stacks.append(ufunc)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+            def __array_function__(self, func, types, args, kwargs):
+                stacks.append(func)
+                return func(*(np.asarray(a) if isinstance(a, CountingA) else a
+                              for a in args), **kwargs)
+
+        P.A = P.A.view(CountingA)
+        cfg = SolverConfig(method=method, m=5, S=S or 1, maxiter=60)
+        records = run_solver(P, cfg).records[1:]
+        trials = sum(r.lsp_trials for r in records)
+        redraws = sum(r.resampled for r in records) if S else 1  # spectral-full: k=0
+        gradients = records[-1].grad_pass_cost // (S or P.N)
+        assert (redraws, gradients) == ((12, 60) if S else (1, 40))
+        assert len(stacks) == redraws + trials
 
 
 class TestLogistic:

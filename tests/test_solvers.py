@@ -14,7 +14,7 @@ from specsum.problems import (
     full_value,
     generate_quadratic,
 )
-from specsum import solvers
+from specsum import solvers, steplength
 from specsum.harness import read_trace, run_single, trace_curve
 from specsum.linesearch import HELD, LspResult
 from specsum.sampling import should_resample
@@ -473,12 +473,13 @@ def epoch_steps(monkeypatch, method, c, p=2, maxiter=8):
     return [r.gamma for r in run_solver(P, cfg).records[1:]], len(calls)
 
 
-DEGENERATE_RATIOS = [None, np.inf, -np.inf, 0.0, np.nan]
+# 5e-324 is a ratio whose step 5e-324/2 underflows to 0
+DEGENERATE_RATIOS = [None, np.inf, -np.inf, 0.0, np.nan, 5e-324]
 
 
 class TestEpochRatioRule:
-    """svrg-bb takes c/p for a finite positive ratio c, sgd-bb |c|/p for a
-    finite nonzero one; any other ratio keeps the previous step."""
+    """svrg-bb steps by c/p of the ratio c, sgd-bb by |c|/p, when that
+    step is finite and positive; any other ratio keeps the previous step."""
 
     @pytest.mark.parametrize("c", DEGENERATE_RATIOS + [-0.05])
     def test_svrg_keeps_its_step(self, monkeypatch, c):
@@ -511,6 +512,26 @@ class TestEpochRatioRule:
         assert gammas[:4] == [0.01] * 2 + [0.02] * 2
         assert gammas[4:6] == [pytest.approx(0.02, rel=1e-15)] * 2
         assert gammas[6:] == [pytest.approx(0.02 * np.sqrt(6) / 3, rel=1e-15)] * 2
+
+    @pytest.mark.parametrize("method, epoch", [("svrg-bb", 1), ("sgd-bb-smooth", 2)])
+    def test_a_step_that_underflows_once_keeps_the_previous_step(self, monkeypatch,
+                                                                 method, epoch):
+        # the first ratio, 5e-324, makes a step 5e-324/4 that underflows to
+        # 0; the epoch keeps the previous step and the later ratios are the
+        # real ones, so the run keeps moving
+        ratios = [5e-324]
+
+        def first_underflows(s, y):
+            return ratios.pop() if ratios else steplength.bb_coefficient(s, y)
+
+        monkeypatch.setattr(solvers, "bb_coefficient", first_underflows)
+        P = generate_quadratic(3, 6, np.random.default_rng(2))
+        records = run_solver(P, SolverConfig(method=method, p=4, maxiter=16)).records[1:]
+        gammas = [r.gamma for r in records]
+        assert not ratios
+        assert gammas[4 * epoch:4 * epoch + 4] == [pytest.approx(0.01, rel=1e-15)] * 4
+        assert all(0.0 < gamma < np.inf for gamma in gammas)
+        assert len({r.f_full for r in records}) == 16  # every update moves the iterate
 
 
 class TestMeterOracle:
