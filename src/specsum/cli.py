@@ -9,6 +9,8 @@ file, which overrides the defaults.  Keys that name no flag of the
 subcommand are ignored.  A switch such as ``no-reuse`` is set by the
 values 1, true, yes or on and left unset by 0, false, no or off, in any
 case; any other value is refused like a bad flag value.
+``build_parser(command)`` builds the flags of the named subcommand only,
+so an invocation does not pay for the other three.
 
 Solver and problem defaults are declared once, as the field defaults of
 :class:`~specsum.solvers.SolverConfig` and
@@ -157,8 +159,14 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser():
-    """The parser, and per subcommand its flag actions by config-file key."""
+def build_parser(command=None):
+    """The parser, and per subcommand with flags its flag actions by
+    config-file key.
+
+    Every subcommand is registered by name and summary, but only
+    ``command``'s gets ``--config`` and its flags, or all four when
+    ``command`` is None.
+    """
     parser = _Parser(prog="specsum",
                      description="Finite-sum spectral-gradient benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -166,8 +174,9 @@ def build_parser():
     for name, (summary, flags) in _SUBCOMMANDS.items():
         default = None if name == "generate" else argparse.SUPPRESS
         p = sub.add_parser(name, help=summary, argument_default=default)
-        p.add_argument("--config", default=None, help="key = value file of flag values")
-        keyed[name] = (p, {flag[2:]: p.add_argument(flag, **kw) for flag, kw in flags})
+        if command in (None, name):
+            p.add_argument("--config", default=None, help="key = value file of flag values")
+            keyed[name] = (p, {flag[2:]: p.add_argument(flag, **kw) for flag, kw in flags})
     return parser, keyed
 
 
@@ -313,7 +322,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser, keyed = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a parse that reaches a subcommand's flags has it as its first token
+    parser, keyed = build_parser(argv[0] if argv[:1] and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.config:

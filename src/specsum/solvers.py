@@ -101,7 +101,7 @@ Every spectral ratio, SLiSeS's and the epoch baselines', is
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -298,7 +298,7 @@ class _Driver:
         reads = _DRIVERS[cfg.method][1]
         return {
             "method": cfg.method, "label": cfg.display_label(),
-            **{name: value for name, value in asdict(cfg).items() if name in reads},
+            **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in reads},
             "problem": P.label, "N": P.N, "n": P.n,
             "lipschitz": P.lipschitz, "backend": BACKEND,
         }

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specsum import cli
 from specsum.cli import main
 from specsum.harness import ExperimentSpec, generate_instance, read_trace
 from specsum.problems import generate_quadratic
@@ -179,6 +180,21 @@ class TestRun:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["0", str(draws)]
+
+    def test_numpy_ma_is_imported_by_no_aggregate(self, instance, tmp_path):
+        # np.median and np.unique import numpy.ma, about 14 ms, on their
+        # first call; the aggregate's grid and seed median do without
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import specsum.cli; "
+                  "argvs = [a.split() for a in sys.argv[2:]]; "
+                  "print([specsum.cli.main(a) for a in argvs], 'numpy.ma' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        common = f"--instance {instance} --seeds 0,1 --maxiter 5 --out {tmp_path / 'r'}"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, src, f"sweep-m --m-grid 1,2 {common}",
+             f"compare --methods slises-uni,sgd {common}"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "[0, 0] False"
 
     def test_repeat_invocation_byte_identical(self, instance, tmp_path):
         out = str(tmp_path / "same")
@@ -641,3 +657,85 @@ class TestExitCodes:
         np.savez(inst, A=np.zeros((3, 2, 2)), b=np.ones((3, 2)), lipschitz=1.0, seed=0)
         assert main(["run", "--instance", inst, "--out", str(tmp_path)]) == 3
         assert "numerical fault" in capsys.readouterr().err
+
+
+# per subcommand: a valid argv after the subcommand, a flag of a bad
+# type, a bad choice, a value for a field the method does not read
+# (generate reads every flag it has) and a config file's valid and bad
+# lines; {inst} and {out} name the test's instance and output directory
+_PARSER_CASES = {
+    "generate": (["--n", "2", "--N", "3", "--out", "{out}/g.npz"],
+                 ["--n", "two"], ["--family", "cubic"], None,
+                 "seed = 5\n", "seed = five\n"),
+    "run": (["--instance", "{inst}", "--maxiter", "3", "--out", "{out}"],
+            ["--maxiter", "x"], ["--sampler", "halton"], ["--method", "sgd", "--m", "2"],
+            "maxiter = 4\nno-reuse = yes\n", "no-reuse = maybe\n"),
+    "sweep-m": (["--instance", "{inst}", "--m-grid", "1,2", "--maxiter", "3", "--out", "{out}"],
+                ["--m-grid", "1,x"], ["--aggregate", "mode"], ["--method", "sgd"],
+                "maxiter = 4\nno-reuse = yes\n", "no-reuse = maybe\n"),
+    "compare": (["--instance", "{inst}", "--methods", "slises-uni,sgd", "--seeds", "0,1",
+                 "--maxiter", "3", "--out", "{out}"],
+                ["--S", "two"], ["--sampler", "halton"], ["--methods", "sgd", "--m", "2"],
+                "maxiter = 4\nno-reuse = yes\n", "no-reuse = maybe\n"),
+}
+
+
+def _parser_argvs():
+    """pytest params of every equivalence case: argv, config file text or
+    None, and the exit code."""
+    cases = [("empty", [], None, 1), ("help", ["--help"], None, 0),
+             ("bogus", ["bogus"], None, 1), ("run-bogus", ["run", "--bogus"], None, 1)]
+    for name, (valid, bad_type, bad_choice, unread, config, bad_config) in (
+            _PARSER_CASES.items()):
+        cases += [(f"{name}-valid", [name, *valid], None, 0),
+                  (f"{name}-unknown-flag", [name, *valid, "--bogus", "1"], None, 1),
+                  (f"{name}-bad-type", [name, *valid, *bad_type], None, 1),
+                  (f"{name}-bad-choice", [name, *valid, *bad_choice], None, 1),
+                  (f"{name}-help", [name, "--help"], None, 0),
+                  (f"{name}-config", [name, *valid], config, 0),
+                  (f"{name}-bad-config", [name, *valid], bad_config, 1)]
+        if unread:
+            cases.append((f"{name}-unread", [name, *valid, *unread], None, 1))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestParser:
+    def test_only_the_named_subcommand_gets_its_flags(self):
+        parser, keyed = cli.build_parser("compare")
+        full, every = cli.build_parser()
+        assert set(keyed) == {"compare"} and set(every) == set(cli._SUBCOMMANDS)
+        assert keyed["compare"][1].keys() == every["compare"][1].keys()
+        assert parser.format_help() == full.format_help()
+
+    @pytest.mark.parametrize("argv, config, rc", _parser_argvs())
+    def test_the_lazy_parser_does_what_the_full_one_does(self, monkeypatch, capsys, instance,
+                                                         tmp_path, argv, config, rc):
+        # the exit code, both streams and the Namespace a command gets are
+        # the same whether main builds one subcommand's flags or all four
+        argv = [tok.format(inst=instance, out=tmp_path / "out") for tok in argv]
+        if config is not None:
+            cfgfile = tmp_path / "exp.cfg"
+            cfgfile.write_text(config)
+            argv += ["--config", str(cfgfile)]
+
+        def invoke(full):
+            namespaces = []
+
+            def recorded(command):
+                def run(args):
+                    namespaces.append(dict(vars(args)))
+                    return command(args)
+                return run
+
+            with monkeypatch.context() as m:
+                for name, command in cli._COMMANDS.items():
+                    m.setitem(cli._COMMANDS, name, recorded(command))
+                if full:
+                    build = cli.build_parser
+                    m.setattr(cli, "build_parser", lambda command=None: build())
+                code = main(argv)
+            return (code, *capsys.readouterr(), namespaces)
+
+        lazy = invoke(full=False)
+        assert lazy == invoke(full=True)
+        assert lazy[0] == rc
