@@ -9,8 +9,11 @@ file, which overrides the defaults.  Keys that name no flag of the
 subcommand are ignored.  A switch such as ``no-reuse`` is set by the
 values 1, true, yes or on and left unset by 0, false, no or off, in any
 case; any other value is refused like a bad flag value.
-``build_parser(command)`` builds the flags of the named subcommand only,
-so an invocation does not pay for the other three.
+An argument list that starts with a subcommand is parsed by that
+subcommand's parser alone (:func:`build_subparser`), so an invocation
+does not build the other three; every other argument list, and tokens
+the subcommand does not know, go to the full parser (:func:`build_parser`),
+whose usage, help and error bytes they keep.
 
 Solver and problem defaults are declared once, as the field defaults of
 :class:`~specsum.solvers.SolverConfig` and
@@ -159,25 +162,56 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser, and per subcommand with flags its flag actions by
-    config-file key.
+def _add_flags(p, name):
+    """Give ``p`` ``--config`` and the flags of subcommand ``name``;
+    returns ``p`` and its flag actions by config-file key."""
+    p.add_argument("--config", default=None, help="key = value file of flag values")
+    return p, {flag[2:]: p.add_argument(flag, **kw) for flag, kw in _SUBCOMMANDS[name][1]}
 
-    Every subcommand is registered by name and summary, but only
-    ``command``'s gets ``--config`` and its flags, or all four when
-    ``command`` is None.
-    """
+
+def _argument_default(name):
+    return None if name == "generate" else argparse.SUPPRESS
+
+
+def build_parser():
+    """The parser, and per subcommand its parser and flag actions by
+    config-file key."""
     parser = _Parser(prog="specsum",
                      description="Finite-sum spectral-gradient benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    keyed = {}
-    for name, (summary, flags) in _SUBCOMMANDS.items():
-        default = None if name == "generate" else argparse.SUPPRESS
-        p = sub.add_parser(name, help=summary, argument_default=default)
-        if command in (None, name):
-            p.add_argument("--config", default=None, help="key = value file of flag values")
-            keyed[name] = (p, {flag[2:]: p.add_argument(flag, **kw) for flag, kw in flags})
-    return parser, keyed
+    return parser, {
+        name: _add_flags(sub.add_parser(name, help=summary,
+                                        argument_default=_argument_default(name)), name)
+        for name, (summary, _) in _SUBCOMMANDS.items()}
+
+
+def build_subparser(name):
+    """Subcommand ``name``'s parser as :func:`build_parser` builds it, on
+    its own, and its flag actions by config-file key."""
+    return _add_flags(_Parser(prog=f"specsum {name}",
+                              argument_default=_argument_default(name)), name)
+
+
+def _parser_for(argv):
+    """A parse function for ``argv``, and per subcommand it built the
+    parser and flag actions by config-file key.
+
+    A parse that reaches a subcommand has it as the first token, so an
+    ``argv`` that starts with one is parsed by its parser alone.  Tokens
+    that parser does not know, and any other ``argv``, go to the full
+    parser, which refuses them under the top-level usage.
+    """
+    name = argv[0] if argv[:1] and argv[0] in _SUBCOMMANDS else None
+    if name is None:
+        parser, keyed = build_parser()
+        return parser.parse_args, keyed
+    sub, actions = build_subparser(name)
+
+    def parse(argv):
+        args, unknown = sub.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        return build_parser()[0].parse_args(argv) if unknown else args
+
+    return parse, {name: (sub, actions)}
 
 
 # a config-file switch value (any case) -> whether it sets the switch
@@ -322,14 +356,13 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    # a parse that reaches a subcommand's flags has it as its first token
-    parser, keyed = build_parser(argv[0] if argv[:1] and argv[0] in _SUBCOMMANDS else None)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parse, keyed = _parser_for(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse(argv)
         if args.config:
             _apply_config(*keyed[args.command], args.config)
-            args = parser.parse_args(argv)
+            args = parse(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK

@@ -7,9 +7,7 @@ reproduces the run bit for bit.  Aggregates place runs on the shared
 axis of cumulative function evaluations (never iterations): the union
 of all evaluation counts forms the grid, each curve is stepped onto it
 by carrying its last value forward, and the per-seed curves are reduced
-by median (default) or mean.  The grid and the seed median have
-``np.unique``'s and ``np.median``'s bits without their import of
-``numpy.ma``.
+by median (default) or mean.
 
 The driver ends a diverging run's trace at its sentinel row, the first
 whose reported objective is not finite; the harness writes and
@@ -209,19 +207,6 @@ def _lvcf(evals, values, grid):
     return values[idx]
 
 
-def _median(stacked):
-    """``np.median(stacked, axis=0)`` by its own arithmetic: the one or two
-    middle rows of the sorted seeds, summed and divided by their count, and
-    NaN wherever the largest value is NaN.  ``np.median``'s NaN check
-    imports ``numpy.ma``; this one does not."""
-    ranked = np.sort(stacked, axis=0)
-    k = ranked.shape[0]
-    middle = ranked[(k - 1) // 2:k // 2 + 1]
-    median = np.add.reduce(middle, axis=0) / middle.shape[0]
-    np.copyto(median, ranked[-1], where=np.isnan(ranked[-1]))
-    return median
-
-
 def aggregate_curves(curves_by_label, how="median"):
     """Align curves on the union evaluation grid and reduce per label.
 
@@ -234,15 +219,12 @@ def aggregate_curves(curves_by_label, how="median"):
     all_evals = [c[0] for curves in curves_by_label.values() for c in curves]
     if not all_evals:
         raise ValueError("nothing to aggregate")
-    # np.unique's arithmetic on counts, which are never NaN, without its
-    # import of numpy.ma
-    evals = np.sort(np.concatenate(all_evals))
-    grid = evals[np.concatenate(([True], evals[1:] != evals[:-1]))]
+    grid = np.unique(np.concatenate(all_evals))
     columns = {}
     for label, curves in curves_by_label.items():
         stacked = np.vstack([_lvcf(e, f, grid) for e, f in curves])
         if how == "median":
-            columns[label] = _median(stacked)
+            columns[label] = np.median(stacked, axis=0)
         elif how == "mean":
             columns[label] = stacked.mean(axis=0)
         else:

@@ -181,21 +181,6 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["0", str(draws)]
 
-    def test_numpy_ma_is_imported_by_no_aggregate(self, instance, tmp_path):
-        # np.median and np.unique import numpy.ma, about 14 ms, on their
-        # first call; the aggregate's grid and seed median do without
-        script = ("import sys; sys.path.insert(0, sys.argv[1]); import specsum.cli; "
-                  "argvs = [a.split() for a in sys.argv[2:]]; "
-                  "print([specsum.cli.main(a) for a in argvs], 'numpy.ma' in sys.modules)")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        common = f"--instance {instance} --seeds 0,1 --maxiter 5 --out {tmp_path / 'r'}"
-        proc = subprocess.run(
-            [sys.executable, "-c", script, src, f"sweep-m --m-grid 1,2 {common}",
-             f"compare --methods slises-uni,sgd {common}"],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[-2] == "[0, 0] False"
-
     def test_repeat_invocation_byte_identical(self, instance, tmp_path):
         out = str(tmp_path / "same")
         argv = ["run", "--instance", instance, "--method", "slises",
@@ -683,8 +668,15 @@ _PARSER_CASES = {
 def _parser_argvs():
     """pytest params of every equivalence case: argv, config file text or
     None, and the exit code."""
+    run = ["run", *_PARSER_CASES["run"][0]]
     cases = [("empty", [], None, 1), ("help", ["--help"], None, 0),
-             ("bogus", ["bogus"], None, 1), ("run-bogus", ["run", "--bogus"], None, 1)]
+             ("bogus", ["bogus"], None, 1), ("run-bogus", ["run", "--bogus"], None, 1),
+             ("help-run", ["--help", "run"], None, 0),
+             ("run-positional", [*run, "extra"], None, 1),
+             ("run-dashdash", [*run, "--", "extra"], None, 1),
+             ("run-no-value", [*run, "--maxiter"], None, 1),
+             ("run-abbreviated", [*run, "--maxit", "4"], None, 0),
+             ("run-unknown-flag-config", [*run, "--bogus"], "maxiter = 4\n", 1)]
     for name, (valid, bad_type, bad_choice, unread, config, bad_config) in (
             _PARSER_CASES.items()):
         cases += [(f"{name}-valid", [name, *valid], None, 0),
@@ -700,18 +692,31 @@ def _parser_argvs():
 
 
 class TestParser:
-    def test_only_the_named_subcommand_gets_its_flags(self):
-        parser, keyed = cli.build_parser("compare")
-        full, every = cli.build_parser()
-        assert set(keyed) == {"compare"} and set(every) == set(cli._SUBCOMMANDS)
-        assert keyed["compare"][1].keys() == every["compare"][1].keys()
-        assert parser.format_help() == full.format_help()
+    @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+    def test_a_subparser_is_the_full_parsers_subparser(self, name):
+        alone, actions = cli.build_subparser(name)
+        within, every = cli.build_parser()[1][name]
+        assert alone.format_help() == within.format_help()
+        assert actions.keys() == every.keys()
+
+    def test_a_subcommand_builds_no_full_parser(self, monkeypatch, instance, tmp_path):
+        def build_parser():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        assert main(["run", "--instance", instance, "--maxiter", "3",
+                     "--out", str(tmp_path)]) == 0
+
+    def test_main_takes_any_iterable_argv(self, capsys):
+        assert main(iter(["bogus"])) == main(("bogus",)) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config, rc", _parser_argvs())
-    def test_the_lazy_parser_does_what_the_full_one_does(self, monkeypatch, capsys, instance,
-                                                         tmp_path, argv, config, rc):
+    def test_the_subparser_does_what_the_full_parser_does(self, monkeypatch, capsys, instance,
+                                                           tmp_path, argv, config, rc):
         # the exit code, both streams and the Namespace a command gets are
-        # the same whether main builds one subcommand's flags or all four
+        # the same whether main parses with the named subcommand's parser
+        # or with the full one
         argv = [tok.format(inst=instance, out=tmp_path / "out") for tok in argv]
         if config is not None:
             cfgfile = tmp_path / "exp.cfg"
@@ -731,11 +736,14 @@ class TestParser:
                 for name, command in cli._COMMANDS.items():
                     m.setitem(cli._COMMANDS, name, recorded(command))
                 if full:
-                    build = cli.build_parser
-                    m.setattr(cli, "build_parser", lambda command=None: build())
+                    def parser_for(argv):
+                        parser, keyed = cli.build_parser()
+                        return parser.parse_args, keyed
+
+                    m.setattr(cli, "_parser_for", parser_for)
                 code = main(argv)
             return (code, *capsys.readouterr(), namespaces)
 
-        lazy = invoke(full=False)
-        assert lazy == invoke(full=True)
-        assert lazy[0] == rc
+        alone = invoke(full=False)
+        assert alone == invoke(full=True)
+        assert alone[0] == rc

@@ -216,29 +216,6 @@ class TestAggregation:
             _, cols = aggregate_curves({"a": curves}, how=how)
             np.testing.assert_array_equal(cols["a"], reduce(stacked, axis=0))
 
-    @given(st.integers(1, 6).flatmap(lambda seeds: st.lists(
-        st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
-                           st.floats(allow_nan=False)), min_size=seeds, max_size=seeds),
-        min_size=1, max_size=5)))
-    def test_median_has_the_bits_of_np_median(self, columns):
-        # one curve per seed on a shared grid, so the per-run columns are the
-        # stack; the median's NaNs, zeros' signs and warnings are np.median's
-        stacked = np.array(columns, dtype=np.float64).T
-        grid = np.arange(stacked.shape[1], dtype=np.float64)
-        curves = [(grid, row) for row in stacked]
-        results = []
-        for reduce in (lambda: aggregate_curves({"a": curves})[1]["a"],
-                       lambda: np.median(stacked, axis=0)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                results.append((reduce(), [str(w.message) for w in caught]))
-        (ours, ours_warned), (numpy_median, numpy_warned) = results
-        nan = np.isnan(numpy_median)
-        np.testing.assert_array_equal(np.isnan(ours), nan)
-        np.testing.assert_array_equal(ours[~nan].view(np.int64),
-                                      numpy_median[~nan].view(np.int64))
-        assert ours_warned == numpy_warned
-
     def test_duplicate_budget_keeps_latest_value(self):
         # two records at the same evaluation count: the later state wins
         c = (np.array([0.0, 0.0, 1.0]), np.array([7.0, 5.0, 3.0]))
