@@ -41,21 +41,30 @@ and multiplies it by -y.  A product with a negated +-1 is the negated
 product, so the fold moves no bit but the sign of a NaN.
 
 ``logistic_report`` gives the full-index value and gradient of a stack
-of c trace rows, X of shape (c, n).  It reads the features twice per
-stack, in the two matrix products Z = X @ F' and C @ F, and runs the
-chain above on one row of Z at a time, so each row's temporaries stay
-in cache.  For a one-row stack both products are the matrix-vector
-products of the estimators, so the report carries the bits of
-``logistic_value`` and ``logistic_gradient`` on the full index; rows of
-a larger stack agree with their one-row reports to rounding.  A stack
-holds Z, its c arrays of N margins, and at most three arrays of N
-floats more, so a stack of 16 peaks at about 1.2 times its Z; a
-full-index gradient holds two.
+of c trace rows, X of shape (c, n).  It reads the data one block F_b of
+max(1, ``_REPORT_BLOCK`` // c) rows at a time: the block's margins come
+from Z_b = X @ F_b', the chain above runs on all c rows of Z_b at once,
+and each row's loss sum is added into f and the products of its slopes
+with F_b into G.  The first block's sums are taken, not added to zeros,
+and f and G are divided by N once, after the last block.  So a report
+whose data fits one block runs the estimators' products and sums: a
+one-row report of up to ``_REPORT_BLOCK`` data rows carries the bits of
+``logistic_value`` and ``logistic_gradient`` on the full index, and any
+other report agrees with them to rounding, since the matrix-matrix
+products and the sums over blocks add in other orders.  A block holds
+its margins, their e, their losses and one temporary: at most four
+arrays of ``_REPORT_BLOCK`` floats, whatever N.  F_b stays in cache
+from the block's first product to its second, so a stack reads the
+features from memory once.  A full-index gradient holds two arrays of
+N floats, its margins and their e.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
+
+# Margins held at a time by logistic_report, c per data row of a block.
+_REPORT_BLOCK = 1 << 15
 
 
 def _rows(idx, N):
@@ -110,8 +119,9 @@ def quad_gradient(A, b, idx, x, point=None):
 
 def _margins(z, neg_y):
     """Margins z = -y * (F @ x), built in place on the products ``z`` =
-    F @ x from the negated labels ``neg_y``, and e = exp(-|z|) in one
-    array of its own; ``e`` never overflows."""
+    F @ x (or on each row of a stack's X @ F') from the negated labels
+    ``neg_y``, and e = exp(-|z|) in one array of its own; ``e`` never
+    overflows."""
     z *= neg_y
     e = np.abs(z)
     np.negative(e, out=e)
@@ -166,15 +176,24 @@ def logistic_gradient(feats, neg_labels, lam, idx, x):
 
 def logistic_report(feats, neg_labels, lam, X):
     """Full values, shape (c,), and gradients, shape (c, n), of the c
-    iterates stacked in ``X``, from two matrix products over the data,
-    given the negated labels."""
-    Z = X @ feats.T
-    f = np.empty(len(X))
-    for i, z in enumerate(Z):
-        z, e = _margins(z, neg_labels)
-        f[i] = _logistic_value(z, e, lam, X[i])
-        _loss_slopes(z, e, neg_labels)
-    G = Z @ feats
-    G /= neg_labels.size
+    iterates stacked in ``X``, given the negated labels: one block of
+    data rows at a time, whose c margins per row fill at most
+    ``_REPORT_BLOCK``."""
+    N = neg_labels.size
+    step = max(1, _REPORT_BLOCK // max(1, len(X)))
+    for lo in range(0, N, step):
+        F, neg_y = feats[lo:lo + step], neg_labels[lo:lo + step]
+        z, e = _margins(X @ F.T, neg_y)
+        sums = np.add.reduce(_log1p_exp(z, e), axis=1)
+        g = _loss_slopes(z, e, neg_y) @ F
+        if lo == 0:  # the first block's sums are taken, not added to zeros
+            f, G = sums, g
+        else:
+            f += sums
+            G += g
+    f /= N
+    for i, x in enumerate(X):
+        f[i] += 0.5 * lam * float(x @ x)
+    G /= N
     G += lam * X
     return f, G

@@ -13,9 +13,11 @@ code that charges the cost meter, when they are handed one; that
 includes the component gradient norms that refresh the AIS scores.
 ``full_value`` and ``full_gradient`` there are the two halves of
 ``report`` for a one-row stack; only the full gradient, the SVRG-BB
-snapshot, is charged.  For a one-row stack the logistic report carries
+snapshot, is charged.  For a one-row stack whose data fits one block of
+the report, N <= ``kernels._REPORT_BLOCK``, the logistic report carries
 the bits of the charged estimators ``batch_value`` and ``batch_gradient``
-on the full index (see :mod:`specsum.kernels`).
+on the full index; for a larger dataset it agrees with them to rounding,
+as the quadratic report does (see :mod:`specsum.kernels`).
 """
 
 import warnings
@@ -91,11 +93,14 @@ class FiniteSumProblem:
     the full values, shape (c,), and gradients, shape (c, n), of the c
     trace rows whose iterates ``X`` stacks.  The report need only agree
     with the estimators on the full index within rounding: for a one-row
-    stack the logistic report is ``batch_value`` and ``batch_gradient``
-    on the full index, bit for bit, but the quadratic report uses
-    precomputed aggregates and differs from both estimators in the last
-    bits.  A quadratic row of a stack has the bits of its one-row
-    report; a logistic row takes the matrix-matrix products' rounding.
+    stack whose data fits one block of the report (N <=
+    ``kernels._REPORT_BLOCK`` rows) the logistic report is
+    ``batch_value`` and ``batch_gradient`` on the full index, bit for
+    bit, and for a larger dataset it agrees with them to rounding; the
+    quadratic report uses precomputed aggregates and differs from both
+    estimators in the last bits.  A quadratic row of a stack has the bits
+    of its one-row report; a logistic row takes the rounding of the
+    matrix-matrix products and of the sum over its stack's blocks.
     A row's report depends on its own iterate only: a row whose value
     overflows or is NaN leaves the bits of the other rows of its stack,
     so the driver can report a diverging run's rows together and end its

@@ -27,12 +27,14 @@ A row whose iterate is the previous row's own array (a held search, a
 stationary estimator or a zero step) is not queued: it takes that row's
 reported values once they are known, so an iterate is reported once,
 and every row at it carries the same bits whichever stack reported it.
-``REPORT_CHUNK`` is 16: a logistic report's cost per row
-still falls past 16, but its stack of margins, 16 arrays of N floats,
-is the largest that kept the peak resident memory of the benchmark's
-logistic workload within 3% of a stack of 8 (stacks of 24 and 32 took
-8-11% more).  Every column but
-the two reported ones is set when its row is appended; ``records`` is
+``REPORT_CHUNK`` is 64, so a diverging run computes up to 63 steps
+past its sentinel.  A logistic report holds one block of its margins at
+a time, whatever the stack (see :mod:`specsum.kernels`), and its cost
+per row falls with the stack: on a dataset of the benchmark's shape
+(N = 20,000, n = 50; one BLAS thread, 2-vCPU Xeon) a row of a stack of
+16 cost 383 us when the report held all c*N margins of its stack, and
+392, 319 and 285 us in blocked stacks of 16, 32 and 64.  Every column
+but the two reported ones is set when its row is appended; ``records`` is
 complete once ``run`` returns.  One cost meter per run, charged only by
 the ``problems`` estimator entry points, keeps both cost columns:
 ``cum_evals`` counts S units per subsample value estimate computed by
@@ -119,7 +121,7 @@ from .steplength import (
 SAMPLERS = ("uniform", "ais")
 
 # Trace rows reported together, in one call to the problem's report
-REPORT_CHUNK = 16
+REPORT_CHUNK = 64
 
 
 @dataclass

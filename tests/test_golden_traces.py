@@ -1,4 +1,4 @@
-"""Pinned trace bytes: eight tiny CLI invocations against recorded digests.
+"""Pinned trace bytes: nine tiny CLI invocations against recorded digests.
 
 Each invocation writes its traces and its aggregate into a fresh
 directory, and the SHA-256 of every file written must equal the digest
@@ -6,16 +6,18 @@ recorded for it.  A change that claims byte-identical traces is checked
 here on an S=1 ``sweep-m``; a ``spectral-full`` run on a frozen instance;
 a logistic ``compare`` over a sparse dataset; a logistic ``compare``
 whose ``spectral-full`` run calls the full-index estimators; a logistic
-``compare`` whose runs hold across report chunks; a ``compare`` of the
-epoch baselines over eight epochs on a frozen instance; a ``compare`` on
-a stiff frozen instance whose ``slises-modified`` run diverges and ends
-at its sentinel row; and a quadratic ``compare`` at S=3 whose
-``spectral-full`` and ``slises`` gradients sum the products of several
-indices.  A second set of digests covers each trace with its ``f_full``
-column cut out, and a third with both reported columns, ``f_full`` and
-``grad_norm_full``, cut out, so that a change to how the reported
-objective or gradient norm is computed, which moves the first sets,
-cannot hide a change to a cost or step column.
+``compare`` whose runs hold at the rounding floor; a logistic
+``compare`` whose report stacks read their dataset in several blocks of
+rows; a ``compare`` of the epoch baselines over eight epochs on a frozen
+instance; a ``compare`` on a stiff frozen instance whose
+``slises-modified`` run diverges and ends at its sentinel row; and a
+quadratic ``compare`` at S=3 whose ``spectral-full`` and ``slises``
+gradients sum the products of several indices.  A second set of digests
+covers each trace with its ``f_full`` column cut out, and a third with
+both reported columns, ``f_full`` and ``grad_norm_full``, cut out, so
+that a change to how the reported objective or gradient norm is
+computed, which moves the first sets, cannot hide a change to a cost or
+step column.
 
 The bits of a floating-point reduction depend on the numpy build and
 the BLAS kernels it picks, so the digests hold only for the numpy
@@ -48,12 +50,13 @@ def _environment():
     return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
 
 
-def _sparse_dataset(path):
-    """60 rows of 5 features at about half density, every value repr'd."""
+def _sparse_dataset(path, rows=60):
+    """``rows`` rows of 5 features at about half density, every value
+    repr'd; the first 60 rows are the same for any ``rows``."""
     rng = np.random.default_rng(11)
     w = rng.standard_normal(5)
     lines = []
-    for _ in range(60):
+    for _ in range(rows):
         a = rng.standard_normal(5) * (rng.random(5) < 0.5)
         label = 1 if float(a @ w) + 0.3 * rng.standard_normal() > 0 else 0
         feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(a) if v)
@@ -88,12 +91,22 @@ def _logistic_full(tmp_path):
 
 
 def _logistic_held(tmp_path):
-    # both runs hold at the rounding floor across a chunk of REPORT_CHUNK
-    # rows: spectral-full from row 27, slises-uni from row 54 with a held
-    # search at each redraw; row 64 is reported alone
+    # both runs hold at the rounding floor: spectral-full from row 27,
+    # slises-uni from row 54 with a held search at each redraw; held rows
+    # are not queued, so at REPORT_CHUNK = 64 each run reports the rows
+    # before its hold, 27 and 54, in one stack when it returns
     data = _sparse_dataset(tmp_path / "data.txt")
     return ["compare", "--dataset", data, "--methods", "spectral-full,slises-uni",
             "--seeds", "0", "--maxiter", "64", "--S", "60", "--m", "5", "--lambda", "1e-1"]
+
+
+def _logistic_blocks(tmp_path):
+    # 1537 = 3*512 + 1 rows: a full stack of REPORT_CHUNK = 64 rows reads
+    # them in blocks of _REPORT_BLOCK // 64 = 512, the last of one row;
+    # each run's last 7 rows and every one-row report read one block
+    data = _sparse_dataset(tmp_path / "data.txt", rows=1537)
+    return ["compare", "--dataset", data, "--methods", "slises-uni,sgd,svrg-bb",
+            "--seeds", "0", "--maxiter", "70", "--S", "10"]
 
 
 def _epoch_baselines(tmp_path):
@@ -125,7 +138,8 @@ def _quadratic_batch(tmp_path):
 
 INVOCATIONS = {"sweep-m": _sweep, "spectral-full": _spectral_full,
                "logistic-compare": _logistic_compare, "logistic-full": _logistic_full,
-               "logistic-held": _logistic_held, "epoch-baselines": _epoch_baselines,
+               "logistic-held": _logistic_held, "logistic-blocks": _logistic_blocks,
+               "epoch-baselines": _epoch_baselines,
                "stiff-divergence": _stiff_divergence, "quadratic-batch": _quadratic_batch}
 
 
@@ -143,6 +157,12 @@ DIGESTS = {
         "sgd-bb_seed1.csv": "a4f3b3902daf0e79cff26978c14583749f9e10c2acf9b353f7d1650ec375035e",
         "svrg-bb_seed0.csv": "05c82fa9ef9a4072287a86fa8be514185a991a017712a3560f79282df8c5b15b",
         "svrg-bb_seed1.csv": "55d8175e17afc14cb653eb9e0406acea3c68dd564f13fe257dd2eeb3378d20db",
+    },
+    "logistic-blocks": {
+        "compare.csv": "e8ace224fc9689494bc7ad8228b2d95a1cd5a21d13294c17e81c6b9c5e84c570",
+        "sgd_seed0.csv": "e01d3068d7ddca26c268c6501f61439d91a541b34efe6d4f7353911182e3f783",
+        "slises-uni-m3_seed0.csv": "7d5becb5c7b734288915d14a5763ebdacb9035ebf470da185766e294fa73dd36",
+        "svrg-bb_seed0.csv": "708cc40a6d873c89bd604421fc0fe64486e35e4d6b674a44e4ffae5a1bf0f069",
     },
     "logistic-compare": {
         "compare.csv": "dcc1f03e92be78e61b421ac7592124056c3e9512c13ae97669fd1ae673f2a1e2",
@@ -196,6 +216,11 @@ COST_DIGESTS = {
         "svrg-bb_seed0.csv": "d159f9fd3922031a6c2a0e426e29abefcc904dae51e621bc2c003d104e60c9fb",
         "svrg-bb_seed1.csv": "06f25e2d34570ea0756629202a42a68f84ae0e3ef7f58d1cc76520f827c85399",
     },
+    "logistic-blocks": {
+        "sgd_seed0.csv": "6250e052a2431eb1472d3c732e8f88794c3727a943984d9034c3e804c1d357f6",
+        "slises-uni-m3_seed0.csv": "8909e2bb6226beb932926964b91ab3a789b735e43685dc35c4212c9cda39ad75",
+        "svrg-bb_seed0.csv": "431e3770eb3ad5dba7c7edff55983234fed48487f679382cd5b776de8d04a7ed",
+    },
     "logistic-compare": {
         "sgd_seed0.csv": "d17d0cb689a29209283eceaa1d411aed05322f8249ed93b92664525e4775815f",
         "slises-ais-m3_seed0.csv": "c0631739da18776c78d5ffc6251c1e4dbd7ca60fbf698baebab87f1f37838840",
@@ -241,6 +266,11 @@ STEP_DIGESTS = {
         "sgd-bb_seed1.csv": "3abbfd9cf10f420cea738ac69f1cd8e33c286c879dad5c8db2a5b082d066ecf0",
         "svrg-bb_seed0.csv": "fb3481907cd6b9128b0b5c27e9f387b606331df80b86201fd00ec9a5be2b1c84",
         "svrg-bb_seed1.csv": "365a09b6aa6d81e68c09ca1681b778986a4aa1bf66a5042f4a2f1beeec2e2edb",
+    },
+    "logistic-blocks": {
+        "sgd_seed0.csv": "25b8c03678cad47e281ff904f50bd7d0481d3e6f8583493ea5b3e80ca7cb8902",
+        "slises-uni-m3_seed0.csv": "352663f97346062d572bddd61a90f4f23ab8cc6479e7949e1aa23be25d58321f",
+        "svrg-bb_seed0.csv": "1425afc2de574f88c670ebe3c4f183371cd93be130c2d06df7b2e0311d23e898",
     },
     "logistic-compare": {
         "sgd_seed0.csv": "571ecf8a107f8908ca3a56d2d6dbc45a1b966ba81c0a65a63898e78650c85fe7",

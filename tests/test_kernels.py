@@ -211,8 +211,10 @@ class TestReportedLoss:
         assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
         assert ulps(got[finite], ref[finite]).max() <= 2
 
+    # N = 20000 is the benchmark's dataset, whose one-row reports (the
+    # svrg-bb snapshot's among them) read one block of data rows
     @pytest.mark.parametrize("span", [1.0, 5.0, 800.0])
-    @pytest.mark.parametrize("N", [1, 3, 1001])
+    @pytest.mark.parametrize("N", [1, 3, 1001, 20000])
     @pytest.mark.parametrize("n", [2, 50])
     def test_report_matches_the_full_index_estimators(self, n, N, span):
         for seed in range(10):
@@ -417,6 +419,43 @@ class TestStackedReport:
         self.assert_rows_agree(feats, labels, 1e-4, X)
 
     @pytest.mark.parametrize("c", [2, 3, 8, solvers.REPORT_CHUNK])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("span", [1.0, 800.0])
+    def test_rows_agree_across_a_block_edge(self, span, extra, c):
+        # a stack of c rows reads _REPORT_BLOCK // c data rows at a time: one
+        # row fewer is one block, one more leaves a last block of one row;
+        # each one-row stack reads all N rows in one block
+        N = kernels._REPORT_BLOCK // c + extra
+        feats, labels, x = wide_margin_inputs(c, n=7, N=N, span=span)
+        rng = np.random.default_rng(c)
+        X = x * rng.uniform(0.5, 1.5, size=(c, 1)) + rng.standard_normal((c, 7))
+        self.assert_rows_agree(feats, labels, 1e-4, X)
+
+    @pytest.mark.parametrize("span", [1.0, 800.0])
+    def test_one_row_past_a_block_agrees_with_the_estimators(self, span):
+        # N = _REPORT_BLOCK + 1 rows: the one-row report sums two blocks,
+        # the estimators all rows at once
+        eps = np.finfo(float).eps
+        N, n = kernels._REPORT_BLOCK + 1, 3
+        feats, labels, x = wide_margin_inputs(0, n=n, N=N, span=span)
+        full = np.arange(N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (f,), (G,) = kernels.logistic_report(feats, -labels, 1e-4, x[None])
+            v = kernels.logistic_value(feats, -labels, 1e-4, full, x)
+            g = kernels.logistic_gradient(feats, -labels, 1e-4, full, x)
+        A = np.abs(feats) @ np.abs(x)
+        assert abs(f - v) <= 4 * eps * (n * A.mean() + abs(v))
+        assert np.all(np.abs(G - g) <= 4 * eps * ((n * A + N) @ np.abs(feats) / N
+                                                  + np.abs(1e-4 * x)))
+
+    @pytest.mark.parametrize("N", [1, 41, kernels._REPORT_BLOCK + 1])
+    def test_empty_stack(self, N):
+        feats, labels, _ = wide_margin_inputs(0, n=3, N=N)
+        f, G = kernels.logistic_report(feats, -labels, 1e-4, np.empty((0, 3)))
+        assert f.shape == (0,) and G.shape == (0, 3)
+
+    @pytest.mark.parametrize("c", [2, 3, 8, solvers.REPORT_CHUNK])
     @pytest.mark.parametrize("n", [1, 20, 100])
     def test_quadratic_rows_have_the_bits_of_one_row_stacks(self, n, c):
         # the quadratic report takes one matrix-vector product per row, so
@@ -444,21 +483,25 @@ class TestStackedReport:
 
 def pre_fold_report(feats, labels, lam, X):
     """The logistic report as it was before the label sign was folded into
-    the chain: margins y*z then negated, np.mean, and slopes sig*y then
-    negated, on each row of the same Z = X @ F'."""
-    Z = X @ feats.T
-    f = np.empty(len(X))
-    for i, z in enumerate(Z):
-        z *= labels
+    the chain: margins y*z then negated, and slopes sig*y then negated, on
+    the report's own blocks of data rows, each block's sums added to the
+    first block's."""
+    step = max(1, kernels._REPORT_BLOCK // max(1, len(X)))
+    sums, grads = [], []
+    for lo in range(0, labels.size, step):
+        F, y = feats[lo:lo + step], labels[lo:lo + step]
+        z = X @ F.T
+        z *= y
         np.negative(z, out=z)
         e = np.exp(-np.abs(z))
         loss = np.log1p(e) + np.maximum(z, 0.0)
-        f[i] = float(np.mean(loss)) + 0.5 * lam * float(X[i] @ X[i])
+        sums.append(np.add.reduce(loss, axis=1))
         sig = np.exp(np.minimum(z, 0.0)) / (e + 1.0)
-        sig *= labels
-        Z[i] = np.negative(sig)
-    G = Z @ feats
-    G /= labels.size
+        sig *= y
+        grads.append(np.negative(sig) @ F)
+    f = sum(sums[1:], sums[0]) / labels.size
+    f += [0.5 * lam * float(x @ x) for x in X]
+    G = sum(grads[1:], grads[0]) / labels.size
     G += lam * X
     return f, G
 
@@ -558,9 +601,11 @@ class TestFullIndexInPlace:
 
 
 class TestLogisticBufferPeaks:
-    """Traced peaks in arrays of N floats: the report of one row holds at
-    most four at a time and a full-index gradient at most three (five each
-    while the margins were built out of place)."""
+    """Traced peaks in arrays of N floats: the report of one row of a
+    dataset that fits one block holds at most four at a time and a
+    full-index gradient at most three (five each while the margins were
+    built out of place).  A stack's report holds at most four arrays of
+    ``_REPORT_BLOCK`` floats, whatever N."""
 
     N = 20000
 
@@ -577,12 +622,24 @@ class TestLogisticBufferPeaks:
 
     @pytest.mark.parametrize("c", [1, 2, 8, solvers.REPORT_CHUNK])
     def test_report_of_a_stack(self, problem, c):
-        # the c rows of margins and, one row at a time, at most three
-        # arrays of N floats more: 1.44 arrays of c*N floats at c=8 and
-        # 1.22 at c=16, the shipped REPORT_CHUNK
+        # a block's margins, its e, its losses and one temporary, plus the
+        # stack's gradients, a block's and lam * X: 4.0 blocks and the three
+        # (c, n) arrays at c=2, 8 and 64, 2.4 blocks at c=1 (N rows)
         X = np.random.default_rng(1).standard_normal((c, 50))
         peak = TestFullIndexInPlace.peak_bytes(problem.report, X)
-        assert peak < (1 + 3.5 / c) * 8 * c * self.N
+        assert peak < 8 * (4.25 * kernels._REPORT_BLOCK + 3 * c * 50)
+
+    def test_report_of_a_stack_does_not_grow_with_N(self):
+        # at N = 200000 a stack of margins would take 10 times the memory
+        # it takes at N = 20000; a block's takes the same
+        X = np.random.default_rng(1).standard_normal((solvers.REPORT_CHUNK, 10))
+        peaks = []
+        for N in (20000, 200000):
+            rng = np.random.default_rng(0)
+            labels = np.where(rng.random(N) > 0.5, 1.0, -1.0)
+            P = LogisticProblem(rng.standard_normal((N, 10)), labels, 1e-4)
+            peaks.append(TestFullIndexInPlace.peak_bytes(P.report, X))
+        assert peaks[0] == peaks[1]
 
     def test_full_index_gradient(self, problem):
         x = np.random.default_rng(1).standard_normal(50)

@@ -290,7 +290,8 @@ def test_held_rows_report_the_row_that_reached_their_iterate(build, method):
         return report(X)
 
     P.report = counting_report
-    tr = run_solver(P, SolverConfig(method=method, m=5, S=P.N, maxiter=80, seed=0))
+    tr = run_solver(P, SolverConfig(method=method, m=5, S=P.N,
+                                    maxiter=solvers.REPORT_CHUNK + 64, seed=0))
     source, held = tr.records[0], 0
     for rec in tr.records[1:]:
         if rec.alpha == 0.0:
@@ -315,9 +316,11 @@ def count_reports(P):
 
 
 def test_held_row_after_a_flushed_chunk_takes_its_source_report(monkeypatch):
-    # the 16th queued row (k=14) flushes the queue; the search at k=15 holds,
-    # so that row and every later one find the queue empty and copy the
-    # report of the row before them, which no report is made for again
+    # the REPORT_CHUNK-th queued row (k = REPORT_CHUNK - 2) flushes the
+    # queue; the next search holds, so that row and every later one find the
+    # queue empty and copy the report of the row before them, which no
+    # report is made for again; at lam = 1e-4 the search moves the iterate
+    # at every step before it
     searches, search = [], solvers.lsp_search
 
     def lsp(phi, ctx):
@@ -327,9 +330,10 @@ def test_held_row_after_a_flushed_chunk_takes_its_source_report(monkeypatch):
         return search(phi, ctx)
 
     monkeypatch.setattr(solvers, "lsp_search", lsp)
-    P = sparse_logistic(100, 10, 3, 1e-2)
+    P = sparse_logistic(100, 10, 3, 1e-4)
     reported = count_reports(P)
-    tr = run_solver(P, SolverConfig(method="spectral-full", maxiter=20, seed=0))
+    tr = run_solver(P, SolverConfig(method="spectral-full", maxiter=solvers.REPORT_CHUNK + 4,
+                                    seed=0))
     source, held = tr.records[solvers.REPORT_CHUNK - 1], tr.records[solvers.REPORT_CHUNK:]
     assert all(r.alpha > 0.0 for r in tr.records[1:solvers.REPORT_CHUNK])
     assert reported == [solvers.REPORT_CHUNK]
@@ -670,7 +674,8 @@ class TestDivergence:
                 return g if self.calls <= steps else np.full_like(g, np.nan)
 
         P = NanGradient(generate_quadratic(4, 8, np.random.default_rng(0)))
-        drv = make_solver(P, SolverConfig(method="sgd", maxiter=steps + 20, seed=1))
+        cfg = SolverConfig(method="sgd", maxiter=steps + solvers.REPORT_CHUNK + 4, seed=1)
+        drv = make_solver(P, cfg)
         for _ in range(steps + 1):
             drv.step()
         queued = [r.f_full is None for r in drv.records]
